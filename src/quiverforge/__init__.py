@@ -23,6 +23,7 @@ from .reps import (
     ext_unit_basis,
     hom_basis,
     hom_dim,
+    homext,
     is_indecomposable_oracle,
     simple_rep,
 )

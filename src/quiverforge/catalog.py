@@ -8,13 +8,14 @@ root, so its content does not depend on the worker count.
 from __future__ import annotations
 
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import List, Optional, Tuple
 
 from .errors import QuiverForgeError
 from .linalg import PrimeField
-from .quiver import REAL, SIMPLE, classify_root, enumerate_real_roots
+from .quiver import enumerate_real_roots
 from .reps import end_dim, is_indecomposable_oracle
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag
@@ -43,22 +44,7 @@ class RootRecord:
     elapsed: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "alpha": list(self.alpha),
-            "ok": self.ok,
-            "dims_match": self.dims_match,
-            "maxrank_ok": self.maxrank_ok,
-            "maxrank_violations": self.maxrank_violations,
-            "tree_ok": self.tree_ok,
-            "nonzero_ok": self.nonzero_ok,
-            "end_predicted": self.end_predicted,
-            "end_computed": self.end_computed,
-            "end_ok": self.end_ok,
-            "oracle": self.oracle,
-            "trace": self.trace,
-            "error": self.error,
-            "elapsed": self.elapsed,
-        }
+        return {**asdict(self), "alpha": list(self.alpha)}
 
 
 @dataclass
@@ -107,10 +93,7 @@ def check_root(task) -> RootRecord:
         rec.end_computed = end_dim(rep)
         rec.end_ok = rec.end_predicted == rec.end_computed
         if isinstance(field, PrimeField):
-            res = is_indecomposable_oracle(rep, budget)
-            rec.oracle = res.verdict
-        else:
-            rec.oracle = "skipped"
+            rec.oracle = is_indecomposable_oracle(rep, budget).verdict
         oracle_ok = rec.oracle in ("indecomposable", "inconclusive", "skipped")
         rec.ok = (
             rec.dims_match
@@ -122,6 +105,9 @@ def check_root(task) -> RootRecord:
         )
     except QuiverForgeError as exc:
         rec.error = str(exc)
+    except Exception as exc:  # a bug in one root must not take down the whole pool
+        traceback.print_exc()
+        rec.error = f"internal: {type(exc).__name__}: {exc}"
     rec.elapsed = time.perf_counter() - start
     return rec
 
@@ -135,7 +121,6 @@ def run_catalog(
 ) -> CatalogReport:
     q = build_family(p)
     roots = enumerate_real_roots(q, bound)
-    roots = [r for r in roots if classify_root(q, r) in (SIMPLE, REAL)]
     tasks = [
         (p.f, p.g, p.h, tuple(r[v] for v in q.vertices), field_flag, oracle_budget)
         for r in roots

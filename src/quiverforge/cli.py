@@ -14,13 +14,8 @@ import sys
 
 from .catalog import DEFAULT_ORACLE_BUDGET, run_catalog
 from .errors import ConstructionError, DomainError, InputError
-from .quiver import (
-    classify_root,
-    dimvec_from_json,
-    enumerate_real_roots,
-    quiver_from_json,
-)
-from .reps import end_dim, euler_form_check, ext_dim, hom_dim
+from .quiver import classify_root, enumerate_real_roots, quiver_from_json, ringel_form
+from .reps import end_dim, euler_form_check, homext
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag, rep_from_json, rep_to_json
 from .three_vertex import FamilyParams, build_family, construct
@@ -45,15 +40,27 @@ def _parse_root(text: str, q):
     return {v: vals[k] for k, v in enumerate(q.vertices)}
 
 
-def _load_rep(path: str):
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return rep_from_json(obj)
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _write_json(path, obj):
@@ -67,8 +74,7 @@ def _write_json(path, obj):
 
 def cmd_roots(ns) -> int:
     if ns.quiver:
-        with open(ns.quiver) as fh:
-            q = quiver_from_json(json.load(fh))
+        q = quiver_from_json(_load_json(ns.quiver))
     else:
         q = build_family(_family(ns))
     roots = enumerate_real_roots(q, ns.bound)
@@ -113,7 +119,7 @@ CHECKS = ("maxrank", "tree", "euler", "endo")
 
 
 def cmd_verify(ns) -> int:
-    x = _load_rep(ns.rep)
+    x = rep_from_json(_load_json(ns.rep))
     wanted = [c.strip() for c in ns.checks.split(",") if c.strip()]
     for c in wanted:
         if c not in CHECKS:
@@ -136,10 +142,12 @@ def cmd_verify(ns) -> int:
         computed = end_dim(x)
         entry = {"computed": computed}
         if ns.trace:
-            with open(ns.trace) as fh:
-                tr = json.load(fh)
-            stages = tr.get("stages") or []
-            predicted = stages[-1]["predicted_end_dim"] if stages else None
+            tr = _load_json(ns.trace)
+            try:
+                stages = tr.get("stages") or []
+                predicted = stages[-1]["predicted_end_dim"] if stages else None
+            except (AttributeError, KeyError, TypeError, IndexError) as exc:
+                raise InputError(f"malformed trace JSON: {exc!r}") from exc
             entry["predicted"] = predicted
             entry["ok"] = predicted == computed
         else:
@@ -152,16 +160,17 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_homext(ns) -> int:
-    x = _load_rep(ns.rep_x)
-    y = _load_rep(ns.rep_y)
+    x = rep_from_json(_load_json(ns.rep_x))
+    y = rep_from_json(_load_json(ns.rep_y))
     if x.quiver != y.quiver:
         raise InputError("the two representations live over different quivers")
     if x.field != y.field:
         raise InputError("the two representations use different fields")
+    he = homext(x, y)
     report = {
-        "hom": hom_dim(x, y),
-        "ext": ext_dim(x, y),
-        "euler_ok": euler_form_check(x, y),
+        "hom": he.hom,
+        "ext": he.ext,
+        "euler_ok": he.hom - he.ext == ringel_form(x.quiver, x.dims, y.dims),
     }
     _write_json(ns.out, report)
     return 0 if report["euler_ok"] else 1
@@ -237,12 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(sp)
     sp.add_argument("--bound", type=int, required=True, help="height bound")
     sp.add_argument("--field", default="q", help="'q' or 'fp:P' (default q)")
+    # a string default goes through type, so a bad $QUIVERFORGE_JOBS is a usage error
     sp.add_argument(
-        "--jobs", type=int,
-        default=int(os.environ.get("QUIVERFORGE_JOBS", "1")),
+        "--jobs", type=_int_at_least(1),
+        default=os.environ.get("QUIVERFORGE_JOBS", "1"),
         help="worker processes (default $QUIVERFORGE_JOBS or 1)",
     )
-    sp.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET,
+    sp.add_argument("--oracle-budget", type=_int_at_least(0), default=DEFAULT_ORACLE_BUDGET,
                     help="idempotent search budget for the indecomposability oracle")
     sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.set_defaults(func=cmd_catalog)

@@ -5,8 +5,8 @@ predicates, and the maximal-rank-type checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from .errors import ConstructionError, DomainError, InputError
 from .linalg import (
@@ -20,14 +20,15 @@ from .linalg import (
     rank,
     vstack,
 )
-from .quiver import Arrow, Quiver, sym_form, unit_vector
+from .quiver import Arrow, Quiver, sym_form
 from .reps import (
+    Morphism,
     Representation,
-    end_dim,
-    ext_dim,
-    ext_unit_basis,
+    block_sum,
+    hom_basis,
     hom_dim,
-    simple_rep,
+    homext,
+    identity_morphism,
 )
 
 
@@ -88,6 +89,21 @@ class RankViolation:
         }
 
 
+def _image_basis(m: Mat) -> Mat:
+    """The pivot columns of m, a basis of its image."""
+    cols = pivot_columns(m)
+    return Mat(m.rows, len(cols), [[row[c] for c in cols] for row in m.data], m.field)
+
+
+def _cokernel(m: Mat) -> Tuple[Mat, Mat]:
+    """(comp, proj): the greedy coordinate complement of im(m) and the
+    projection onto it along im(m)."""
+    img = _image_basis(m)
+    comp = image_complement(img, m.rows)
+    basis = hstack([img, comp], rows=m.rows, field=m.field)
+    return comp, inverse(basis).submatrix(img.cols, m.rows, 0, m.rows)
+
+
 def _fresh_vertex(q: Quiver, base="z"):
     name = base
     k = 0
@@ -113,19 +129,14 @@ def insert_image_vertex(x: Representation, i, arrow_ids: Sequence) -> InsertionR
             aset.append(a)
     if len(aset) != len(set(arrow_ids)):
         raise InputError("unknown arrow id in subset")
-    di = x.dims[i]
-    stacked = hstack([x.mats[a.id] for a in aset], rows=di, field=x.field)
-    pivots = pivot_columns(stacked)
-    inclusion = Mat(
-        di, len(pivots), [[stacked.data[r][c] for c in pivots] for r in range(di)], x.field
-    )
+    inclusion = _image_basis(hstack([x.mats[a.id] for a in aset], rows=x.dims[i], field=x.field))
     z = _fresh_vertex(q)
     keep = [a for a in q.arrows if a not in aset]
     gammas = [Arrow(f"g_{a.id}", a.tail, z) for a in aset]
     delta = Arrow("ins_delta", z, i)
     new_q = Quiver(tuple(q.vertices) + (z,), tuple(keep + gammas + [delta]))
     dims = dict(x.dims)
-    dims[z] = len(pivots)
+    dims[z] = inclusion.cols
     mats = {a.id: x.mats[a.id] for a in keep}
     for a, g in zip(aset, gammas):
         hat = mat_solve(inclusion, x.mats[a.id])
@@ -167,23 +178,15 @@ def maximal_rank_report(x: Representation) -> List[RankViolation]:
     q = x.quiver
     violations = []
     for i in q.vertices:
-        di = x.dims[i]
-        for sub in _subsets_binary(q.incoming(i)):
-            stacked = hstack([x.mats[a.id] for a in sub], rows=di, field=x.field)
-            required = min(stacked.cols, di)
-            achieved = rank(stacked)
-            if achieved != required:
-                violations.append(
-                    RankViolation(i, tuple(a.id for a in sub), "in", achieved, required)
-                )
-        for sub in _subsets_binary(q.outgoing(i)):
-            stacked = vstack([x.mats[a.id] for a in sub], cols=di, field=x.field)
-            required = min(stacked.rows, di)
-            achieved = rank(stacked)
-            if achieved != required:
-                violations.append(
-                    RankViolation(i, tuple(a.id for a in sub), "out", achieved, required)
-                )
+        for side, arrows, stack in (("in", q.incoming(i), hstack), ("out", q.outgoing(i), vstack)):
+            for sub in _subsets_binary(arrows):
+                stacked = stack([x.mats[a.id] for a in sub], x.dims[i], x.field)
+                required = min(stacked.rows, stacked.cols)
+                achieved = rank(stacked)
+                if achieved != required:
+                    violations.append(
+                        RankViolation(i, tuple(a.id for a in sub), side, achieved, required)
+                    )
     return violations
 
 
@@ -227,19 +230,9 @@ def bgp_reflect(x: Representation, i, direction: str) -> Representation:
         if q.incoming(i):
             raise DomainError(f"vertex {i!r} is not a source")
         out = q.outgoing(i)
-        stacked = vstack([x.mats[a.id] for a in out], cols=x.dims[i], field=x.field)
-        pivots = pivot_columns(stacked)
-        img = Mat(
-            stacked.rows,
-            len(pivots),
-            [[stacked.data[r][c] for c in pivots] for r in range(stacked.rows)],
-            x.field,
-        )
-        comp = image_complement(img, stacked.rows)
-        basis = hstack([img, comp], rows=stacked.rows, field=x.field)
-        proj = inverse(basis).submatrix(img.cols, img.cols + comp.cols, 0, stacked.rows)
+        _, proj = _cokernel(vstack([x.mats[a.id] for a in out], cols=x.dims[i], field=x.field))
         dims = dict(x.dims)
-        dims[i] = comp.cols
+        dims[i] = proj.rows
         mats = {a.id: x.mats[a.id] for a in q.arrows if a not in out}
         off = 0
         for a in out:
@@ -251,11 +244,10 @@ def bgp_reflect(x: Representation, i, direction: str) -> Representation:
 
 
 def assert_exceptional(s: Representation) -> None:
-    e = end_dim(s)
-    x = ext_dim(s, s)
-    if e != 1 or x != 0:
+    he = homext(s, s)
+    if he.hom != 1 or he.ext != 0:
         raise DomainError(
-            f"representation is not exceptional: dim End = {e}, dim Ext = {x}"
+            f"representation is not exceptional: dim End = {he.hom}, dim Ext = {he.ext}"
         )
 
 
@@ -263,17 +255,26 @@ def membership(x: Representation, s: Representation) -> MembershipReport:
     if x.quiver != s.quiver or x.field != s.field:
         raise InputError("membership needs the same quiver and field")
     assert_exceptional(s)
-    return MembershipReport(
-        hom_x_s=hom_dim(x, s),
-        hom_s_x=hom_dim(s, x),
-        ext_s_x=ext_dim(s, x),
-        ext_x_s=ext_dim(x, s),
-    )
+    xs, sx = homext(x, s), homext(s, x)
+    return MembershipReport(hom_x_s=xs.hom, hom_s_x=sx.hom, ext_s_x=sx.ext, ext_x_s=xs.ext)
 
 
-def _unit_mat(rows: int, cols: int, r: int, c: int, field) -> Mat:
-    z, o = field.zero(), field.one()
-    return Mat(rows, cols, [[o if (i == r and j == c) else z for j in range(cols)] for i in range(rows)], field)
+def _require_no_hom(dim: int, what: str) -> None:
+    if dim != 0:
+        raise DomainError(f"{what} = 0 is required, got dim {dim}")
+
+
+def _extend_top(s: Representation, x: Representation, units) -> Representation:
+    """X, then one copy of S per unit of Ext(S,X), coupled by that unit."""
+    couplings = [(aid, 0, k + 1, row, col) for k, (aid, col, row) in enumerate(units)]
+    return block_sum([x] + [s] * len(units), couplings)
+
+
+def _extend_below(s: Representation, y: Representation, units) -> Representation:
+    """One copy of S per unit of Ext(Y,S), coupled by that unit, then Y."""
+    t = len(units)
+    couplings = [(aid, k, t, row, col) for k, (aid, col, row) in enumerate(units)]
+    return block_sum([s] * t + [y], couplings)
 
 
 def sigma_bar(s: Representation, x: Representation) -> Representation:
@@ -284,40 +285,8 @@ def sigma_bar(s: Representation, x: Representation) -> Representation:
     selected by ext_unit_basis(S, X).
     """
     assert_exceptional(s)
-    h = hom_dim(x, s)
-    if h != 0:
-        raise DomainError(f"sigma_bar requires Hom(X,S) = 0, got dim {h}")
-    units = ext_unit_basis(s, x)
-    r = len(units)
-    if r == 0:
-        return x
-    q = x.quiver
-    z = x.field.zero()
-    dims = {v: x.dims[v] + r * s.dims[v] for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        u, v = a.tail, a.head
-        nrows, ncols = dims[v], dims[u]
-        grid = [[z] * ncols for _ in range(nrows)]
-        xm = x.mats[a.id]
-        for rr in range(xm.rows):
-            row = grid[rr]
-            for cc in range(xm.cols):
-                row[cc] = xm.data[rr][cc]
-        sm = s.mats[a.id]
-        for k in range(r):
-            ro = x.dims[v] + k * s.dims[v]
-            co = x.dims[u] + k * s.dims[u]
-            for rr in range(sm.rows):
-                row = grid[ro + rr]
-                for cc in range(sm.cols):
-                    row[co + cc] = sm.data[rr][cc]
-        for k, (aid, col, rowi) in enumerate(units):
-            if aid == a.id:
-                co = x.dims[u] + k * s.dims[u]
-                grid[rowi - 1][co + col - 1] = x.field.one()
-        mats[a.id] = Mat(nrows, ncols, grid, x.field)
-    return Representation(q, dims, mats, x.field)
+    _require_no_hom(hom_dim(x, s), "sigma_bar: Hom(X,S)")
+    return _extend_top(s, x, homext(s, x).ext_units)
 
 
 def sigma_under(s: Representation, y: Representation) -> Representation:
@@ -327,62 +296,30 @@ def sigma_under(s: Representation, y: Representation) -> Representation:
     the basis of S, then the basis of Y.
     """
     assert_exceptional(s)
-    h = hom_dim(s, y)
-    if h != 0:
-        raise DomainError(f"sigma_under requires Hom(S,Y) = 0, got dim {h}")
-    units = ext_unit_basis(y, s)
-    t = len(units)
-    if t == 0:
-        return y
-    q = y.quiver
-    z = y.field.zero()
-    dims = {v: t * s.dims[v] + y.dims[v] for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        u, v = a.tail, a.head
-        nrows, ncols = dims[v], dims[u]
-        grid = [[z] * ncols for _ in range(nrows)]
-        sm = s.mats[a.id]
-        for k in range(t):
-            ro = k * s.dims[v]
-            co = k * s.dims[u]
-            for rr in range(sm.rows):
-                row = grid[ro + rr]
-                for cc in range(sm.cols):
-                    row[co + cc] = sm.data[rr][cc]
-        ym = y.mats[a.id]
-        ro = t * s.dims[v]
-        co = t * s.dims[u]
-        for rr in range(ym.rows):
-            row = grid[ro + rr]
-            for cc in range(ym.cols):
-                row[co + cc] = ym.data[rr][cc]
-        for k, (aid, col, rowi) in enumerate(units):
-            if aid == a.id:
-                grid[k * s.dims[v] + rowi - 1][t * s.dims[u] + col - 1] = y.field.one()
-        mats[a.id] = Mat(nrows, ncols, grid, y.field)
-    return Representation(q, dims, mats, y.field)
+    _require_no_hom(hom_dim(s, y), "sigma_under: Hom(S,Y)")
+    return _extend_below(s, y, homext(y, s).ext_units)
 
 
 def sigma(s: Representation, x: Representation) -> Representation:
     """sigma_S = sigma_under o sigma_bar on M^{-S} cap M_{-S}.
 
-    Verifies the intermediate vanishing Hom(S, sigma_bar(S,X)) = 0 and
-    the dimension formula dim out = dim in - (dim in, dim S) dim S.
+    Builds five delta maps: (S,S) for exceptionality, (S,X) and (X,S)
+    for the domain and the units of Ext(S,X), (S,Z) for the intermediate
+    vanishing Hom(S, sigma_bar(S,X)) = 0 and (Z,S) for the units of
+    Ext(Z,S).  Verifies the dimension formula
+    dim out = dim in - (dim in, dim S) dim S.
     """
-    hs = hom_dim(s, x)
-    hx = hom_dim(x, s)
-    if hs != 0 or hx != 0:
-        raise DomainError(
-            f"sigma requires Hom(X,S) = Hom(S,X) = 0, got {hx} and {hs}"
-        )
-    z = sigma_bar(s, x)
+    assert_exceptional(s)
+    sx = homext(s, x)
+    _require_no_hom(sx.hom, "sigma: Hom(S,X)")
+    _require_no_hom(hom_dim(x, s), "sigma: Hom(X,S)")
+    z = _extend_top(s, x, sx.ext_units)
     mid = hom_dim(s, z)
     if mid != 0:
         raise ConstructionError(
             f"intermediate vanishing failed: dim Hom(S, sigma_bar) = {mid}"
         )
-    u = sigma_under(s, z)
+    u = _extend_below(s, z, homext(z, s).ext_units)
     q = x.quiver
     c = sym_form(q, x.dims, s.dims)
     expected = {v: x.dims[v] - c * s.dims[v] for v in q.vertices}
@@ -395,8 +332,6 @@ def sigma(s: Representation, x: Representation) -> Representation:
 
 def sigma_bar_inv(s: Representation, z: Representation) -> Representation:
     """Intersection of the kernels of all maps Z -> S, with restricted maps."""
-    from .reps import hom_basis  # local import to avoid a cycle at module load
-
     assert_exceptional(s)
     phis = hom_basis(z, s).basis
     q = z.quiver
@@ -417,22 +352,14 @@ def sigma_bar_inv(s: Representation, z: Representation) -> Representation:
 
 def sigma_under_inv(s: Representation, u: Representation) -> Representation:
     """Quotient of U by the sum of images of all maps S -> U."""
-    from .reps import hom_basis
-
     assert_exceptional(s)
     psis = hom_basis(s, u).basis
     q = u.quiver
     proj = {}
     rep_inj = {}
     for v in q.vertices:
-        dv = u.dims[v]
-        spans = hstack([p.parts[v] for p in psis], rows=dv, field=u.field)
-        pivots = pivot_columns(spans)
-        img = Mat(dv, len(pivots), [[spans.data[r][c] for c in pivots] for r in range(dv)], u.field)
-        comp = image_complement(img, dv)
-        basis = hstack([img, comp], rows=dv, field=u.field)
-        proj[v] = inverse(basis).submatrix(img.cols, dv, 0, dv)
-        rep_inj[v] = comp
+        spans = hstack([p.parts[v] for p in psis], rows=u.dims[v], field=u.field)
+        rep_inj[v], proj[v] = _cokernel(spans)
     dims = {v: proj[v].rows for v in q.vertices}
     mats = {}
     for a in q.arrows:
@@ -452,8 +379,6 @@ def find_isomorphism(x: Representation, y: Representation):
     basis; when an isomorphism exists, the non-invertible t form a
     finite root set, so enough sample points always hit one.
     """
-    from .reps import Morphism, hom_basis, identity_morphism
-
     if x.dims != y.dims:
         return None
     fwd = hom_basis(x, y).basis

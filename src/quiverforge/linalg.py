@@ -10,7 +10,7 @@ after construction; 0 x n and n x 0 matrices are legal everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError
 
@@ -57,9 +57,6 @@ class Fp:
 class RationalField:
     """The field Q; scalars are fractions.Fraction in lowest terms."""
 
-    name = "Q"
-    char = 0
-
     def zero(self):
         return Fraction(0)
 
@@ -85,17 +82,43 @@ class RationalField:
         return hash("QQ")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases above is exact below this bound (Sorenson-Webster 2017)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; InputError beyond the proven range."""
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise InputError(f"field characteristic {n} is too large (limit {_MR_LIMIT})")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The field F_p for a prime p."""
 
-    char = None  # set per instance
-
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
-        self.char = p
-        self.name = f"F{p}"
 
     def zero(self):
         return Fp(0, self.p)
@@ -166,12 +189,6 @@ class Mat:
         return cls(n, n, [[o if i == j else z for j in range(n)] for i in range(n)], field)
 
     @classmethod
-    def from_rows(cls, rows_list: Sequence[Sequence], field=QQ) -> "Mat":
-        r = len(rows_list)
-        c = len(rows_list[0]) if r else 0
-        return cls(r, c, rows_list, field)
-
-    @classmethod
     def column(cls, entries: Sequence, field=QQ) -> "Mat":
         return cls(len(entries), 1, [[x] for x in entries], field)
 
@@ -225,14 +242,8 @@ class Mat:
         c = self.field.of(c)
         return Mat(self.rows, self.cols, [[c * x for x in row] for row in self.data], self.field)
 
-    def neg(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-x for x in row] for row in self.data], self.field)
-
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows, list(zip(*self.data)) if self.rows else [[] for _ in range(self.cols)], self.field)
-
-    def col(self, j: int) -> "Mat":
-        return Mat(self.rows, 1, [[row[j]] for row in self.data], self.field)
 
     def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "Mat":
         return Mat(
@@ -241,10 +252,6 @@ class Mat:
             [row[col_start:col_stop] for row in self.data[row_start:row_stop]],
             self.field,
         )
-
-    def flatten_column_major(self) -> list:
-        """Entries in (column ascending, then row ascending) order."""
-        return [self.data[t][s] for s in range(self.cols) for t in range(self.rows)]
 
 
 def hstack(mats: Sequence[Mat], rows: Optional[int] = None, field=QQ) -> Mat:
@@ -275,14 +282,14 @@ def vstack(mats: Sequence[Mat], cols: Optional[int] = None, field=QQ) -> Mat:
     return Mat(sum(m.rows for m in mats), c, data, mats[0].field)
 
 
-def _rref(m: Mat):
-    """Reduced row echelon form.
+def _rref(data, nc: int, field):
+    """Reduced row echelon form of the rows in data, each of length nc.
 
     Returns (rows, pivot_cols) where rows is a list of lists.  Pivoting:
     leftmost nonzero column, topmost remaining row, no size heuristics.
     """
-    rows = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
+    rows = [list(r) for r in data]
+    nr = len(rows)
     pivots = []
     pr = 0
     for pc in range(nc):
@@ -296,7 +303,7 @@ def _rref(m: Mat):
         if hit != pr:
             rows[pr], rows[hit] = rows[hit], rows[pr]
         pv = rows[pr][pc]
-        if pv != m.field.one():
+        if pv != field.one():
             inv_row = rows[pr]
             for c in range(pc, nc):
                 if inv_row[c]:
@@ -319,17 +326,17 @@ def _rref(m: Mat):
 
 
 def rank(m: Mat) -> int:
-    return len(_rref(m)[1])
+    return len(_rref(m.data, m.cols, m.field)[1])
 
 
 def pivot_columns(m: Mat) -> list:
-    return _rref(m)[1]
+    return _rref(m.data, m.cols, m.field)[1]
 
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns span ker m; echelon-derived basis, free variables in
     ascending index order, each set to one."""
-    rows, pivots = _rref(m)
+    rows, pivots = _rref(m.data, m.cols, m.field)
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
     z, o = m.field.zero(), m.field.one()
@@ -352,8 +359,7 @@ def mat_solve(m: Mat, b: Mat) -> Optional[Mat]:
     """
     if m.rows != b.rows:
         raise InputError("solve shape mismatch")
-    aug = hstack([m, b]) if m.cols or b.cols else Mat.zeros(m.rows, 0, m.field)
-    rows, pivots = _rref(aug)
+    rows, pivots = _rref([r + s for r, s in zip(m.data, b.data)], m.cols + b.cols, m.field)
     # a pivot beyond m's columns marks an inconsistent system
     if any(pc >= m.cols for pc in pivots):
         return None
@@ -375,62 +381,27 @@ def solve(m: Mat, b) -> Optional[Mat]:
 def inverse(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise InputError("inverse of a non-square matrix")
+    # a singular m misses some e_j, so m x = I is inconsistent
     res = mat_solve(m, Mat.identity(m.rows, m.field))
-    if res is None or rank(m) != m.rows:
+    if res is None:
         raise InputError("matrix is singular")
     return res
-
-
-class _RowSpace:
-    """Incremental row-space tracker used for ranks and greedy complements."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = []  # reduced rows, each with a recorded pivot index
-        self.pivots = []
-
-    def add(self, vec: Iterable) -> bool:
-        """Reduce vec against the space; absorb it if independent.
-
-        Returns True when the rank increased.
-        """
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            f = v[pc]
-            if f:
-                for c in range(len(v)):
-                    if row[c]:
-                        v[c] = v[c] - f * row[c]
-        pc = next((c for c, x in enumerate(v) if x), None)
-        if pc is None:
-            return False
-        pv = v[pc]
-        if pv != self.field.one():
-            v = [x / pv for x in v]
-        self.rows.append(v)
-        self.pivots.append(pc)
-        return True
 
 
 def image_complement(span: Mat, ambient_dim: int) -> Mat:
     """Standard coordinate vectors extending im(span) to the full space.
 
     Greedy: scan e_1, e_2, ... in ascending order, keeping each vector
-    that enlarges the span.
+    that enlarges the span.  e_k enlarges it exactly when no vector of
+    im(span) has its last nonzero coordinate at k, so the kept k are the
+    non-pivots of the RREF of span^T with its coordinates reversed.
     """
     if span.rows != ambient_dim:
         raise InputError("span rows must equal the ambient dimension")
-    space = _RowSpace(span.field)
-    for j in range(span.cols):
-        space.add(span.data[i][j] for i in range(span.rows))
+    n = ambient_dim
+    reversed_cols = [col[::-1] for col in zip(*span.data)]
+    hit = {n - 1 - pc for pc in _rref(reversed_cols, n, span.field)[1]}
+    chosen = [k for k in range(n) if k not in hit]
     z, o = span.field.zero(), span.field.one()
-    chosen = []
-    for k in range(ambient_dim):
-        if len(space.pivots) == ambient_dim:
-            break
-        e = [z] * ambient_dim
-        e[k] = o
-        if space.add(e):
-            chosen.append(k)
-    data = [[o if i == k else z for k in chosen] for i in range(ambient_dim)]
-    return Mat(ambient_dim, len(chosen), data, span.field)
+    data = [[o if i == k else z for k in chosen] for i in range(n)]
+    return Mat(n, len(chosen), data, span.field)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, InputError
 
@@ -89,20 +89,12 @@ def unit_vector(q: Quiver, i) -> DimVector:
     return {v: (1 if v == i else 0) for v in q.vertices}
 
 
-def zero_vector(q: Quiver) -> DimVector:
-    return {v: 0 for v in q.vertices}
-
-
 def dv_tuple(q: Quiver, d: DimVector) -> Tuple[int, ...]:
     return tuple(d[v] for v in q.vertices)
 
 
 def dv_add(a: DimVector, b: DimVector) -> DimVector:
     return {v: a[v] + b[v] for v in a}
-
-
-def dv_scale(c: int, a: DimVector) -> DimVector:
-    return {v: c * a[v] for v in a}
 
 
 def height(d: DimVector) -> int:
@@ -248,11 +240,10 @@ def quiver_to_json(q: Quiver) -> dict:
 
 def quiver_from_json(obj: dict) -> Quiver:
     try:
-        vertices = obj["vertices"]
         arrows = [Arrow(a["id"], a["tail"], a["head"]) for a in obj["arrows"]]
+        return Quiver(obj["vertices"], arrows)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed quiver JSON: {exc}") from exc
-    return Quiver(vertices, arrows)
 
 
 def dimvec_to_json(q: Quiver, d: DimVector) -> dict:

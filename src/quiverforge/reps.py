@@ -10,11 +10,11 @@ in quiver arrow order.  Inside a block, matrix units are ordered column
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InputError
-from .linalg import GF, Mat, PrimeField, QQ, image_complement, kernel_basis, rank
+from .linalg import Mat, PrimeField, QQ, image_complement, kernel_basis, rank
 from .quiver import Quiver, check_dimvec, ringel_form, unit_vector
 
 
@@ -122,22 +122,35 @@ def zero_rep(q: Quiver, field=QQ) -> Representation:
     return Representation(q, dims, mats, field)
 
 
-def direct_sum(x: Representation, y: Representation) -> Representation:
-    if x.quiver != y.quiver or x.field != y.field:
+def block_sum(summands: Sequence[Representation], couplings=()) -> Representation:
+    """Direct sum of the summands, in order, glued by unit couplings.
+
+    A coupling (arrow id, target summand k, source summand l, row, col)
+    puts a one at the 1-based (row, col) of the block of that arrow's
+    matrix mapping summand l into summand k.
+    """
+    q, field = summands[0].quiver, summands[0].field
+    if any(x.quiver != q or x.field != field for x in summands):
         raise InputError("direct sum needs the same quiver and field")
-    q = x.quiver
-    dims = {v: x.dims[v] + y.dims[v] for v in q.vertices}
-    mats = {}
-    z = x.field.zero()
+    offsets = {v: list(itertools.accumulate((x.dims[v] for x in summands), initial=0))
+               for v in q.vertices}
+    dims = {v: offsets[v][-1] for v in q.vertices}
+    z = field.zero()
+    grids = {}
     for a in q.arrows:
-        xm, ym = x.mats[a.id], y.mats[a.id]
-        rows = []
-        for r in range(xm.rows):
-            rows.append(list(xm.data[r]) + [z] * ym.cols)
-        for r in range(ym.rows):
-            rows.append([z] * xm.cols + list(ym.data[r]))
-        mats[a.id] = Mat(dims[a.head], dims[a.tail], rows, x.field)
-    return Representation(q, dims, mats, x.field)
+        grid = grids[a.id] = [[z] * dims[a.tail] for _ in range(dims[a.head])]
+        for x, ro, co in zip(summands, offsets[a.head], offsets[a.tail]):
+            for r, row in enumerate(x.mats[a.id].data):
+                grid[ro + r][co:co + len(row)] = row
+    for aid, k, l, row, col in couplings:
+        a = q.arrow(aid)
+        grids[aid][offsets[a.head][k] + row - 1][offsets[a.tail][l] + col - 1] = field.one()
+    mats = {a.id: Mat(dims[a.head], dims[a.tail], grids[a.id], field) for a in q.arrows}
+    return Representation(q, dims, mats, field)
+
+
+def direct_sum(x: Representation, y: Representation) -> Representation:
+    return block_sum([x, y])
 
 
 def _c0_layout(x: Representation, y: Representation):
@@ -163,14 +176,10 @@ def c1_index_to_unit(x: Representation, y: Representation, idx: int):
     off, total = _c1_layout(x, y)
     if not 0 <= idx < total:
         raise InputError("C^1 index out of range")
-    for a in x.quiver.arrows:
-        block = x.dims[a.tail] * y.dims[a.head]
-        start = off[a.id]
-        if start <= idx < start + block:
-            rows = y.dims[a.head]
-            local = idx - start
-            return a.id, local // rows + 1, local % rows + 1
-    raise InputError("unreachable C^1 index")
+    # the last block starting at or before idx; empty blocks share its offset
+    a = next(a for a in reversed(x.quiver.arrows) if off[a.id] <= idx)
+    col, row = divmod(idx - off[a.id], y.dims[a.head])
+    return a.id, col + 1, row + 1
 
 
 def delta_matrix(x: Representation, y: Representation) -> Mat:
@@ -236,18 +245,21 @@ def hom_dim(x: Representation, y: Representation) -> int:
     return d.cols - rank(d)
 
 
-def ext_dim(x: Representation, y: Representation) -> int:
-    """dim Ext^1(X,Y) = dim C^1 - rank(delta)."""
-    d = delta_matrix(x, y)
-    return d.rows - rank(d)
+class HomExt(NamedTuple):
+    hom: int
+    ext: int
+    ext_units: List[Tuple[object, int, int]]
 
 
-def ext_unit_basis(x: Representation, y: Representation) -> List[Tuple[object, int, int]]:
-    """Matrix units whose classes form a basis of coker(delta) = Ext^1(X,Y).
+def homext(x: Representation, y: Representation) -> HomExt:
+    """dim Hom(X,Y), dim Ext^1(X,Y) and an Ext^1 unit basis from one delta map.
 
-    Chosen by the greedy ascending scan of image_complement, so the
-    selection is reproducible bit for bit.  Units are (arrow id, column,
-    row) with 1-based indices into Hom(X_{t(a)}, Y_{h(a)}).
+    dim Ext^1 = dim C^1 - rank(delta) is the size of the greedy complement
+    of im(delta), and dim Hom = dim C^0 - rank(delta).  The units are
+    matrix units whose classes form a basis of coker(delta), chosen by
+    the greedy ascending scan of image_complement, so the selection is
+    reproducible bit for bit.  Units are (arrow id, column, row) with
+    1-based indices into Hom(X_{t(a)}, Y_{h(a)}).
     """
     d = delta_matrix(x, y)
     comp = image_complement(d, d.rows)
@@ -255,7 +267,15 @@ def ext_unit_basis(x: Representation, y: Representation) -> List[Tuple[object, i
     for j in range(comp.cols):
         idx = next(i for i in range(comp.rows) if comp.data[i][j])
         units.append(c1_index_to_unit(x, y, idx))
-    return units
+    return HomExt(d.cols - d.rows + comp.cols, comp.cols, units)
+
+
+def ext_dim(x: Representation, y: Representation) -> int:
+    return homext(x, y).ext
+
+
+def ext_unit_basis(x: Representation, y: Representation) -> List[Tuple[object, int, int]]:
+    return homext(x, y).ext_units
 
 
 def end_dim(x: Representation) -> int:
@@ -263,8 +283,8 @@ def end_dim(x: Representation) -> int:
 
 
 def euler_form_check(x: Representation, y: Representation) -> bool:
-    lhs = hom_dim(x, y) - ext_dim(x, y)
-    return lhs == ringel_form(x.quiver, x.dims, y.dims)
+    he = homext(x, y)
+    return he.hom - he.ext == ringel_form(x.quiver, x.dims, y.dims)
 
 
 @dataclass

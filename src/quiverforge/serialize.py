@@ -32,7 +32,7 @@ def parse_field_flag(flag: str):
     """CLI field flag: 'q' for the rationals, 'fp:P' for a prime field."""
     if flag == "q":
         return QQ
-    if flag.startswith("fp:"):
+    if flag.startswith("fp:") and flag[3:].isdigit():
         return GF(int(flag[3:]))
     raise InputError(f"unknown field flag {flag!r} (use 'q' or 'fp:P')")
 
@@ -64,6 +64,6 @@ def rep_from_json(obj: dict) -> Representation:
         for a in q.arrows:
             raw = obj["mats"][str(a.id)]
             mats[a.id] = mat_from_json(dims[a.head], dims[a.tail], raw, field)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed representation JSON: {exc}") from exc
     return Representation(q, dims, mats, field)

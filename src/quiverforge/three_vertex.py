@@ -23,7 +23,6 @@ from .quiver import (
     ringel_form,
     root_expression,
     support,
-    sym_form,
     unit_vector,
 )
 from .reps import Representation, simple_rep
@@ -240,10 +239,7 @@ def rewrite_to_star(w: Sequence[int], p: FamilyParams) -> StarForm:
             continue
         if e.kind == "zeta2":
             continue
-        if e.kind == "rho1":
-            blocks[j] = EElement("zeta1", e.n)
-        else:  # rho2
-            blocks[j] = EElement("zeta2", e.n - 1)
+        blocks[j] = _rho_to_zeta_at_e3(e)
         if p.f == 1:
             blocks[j] = f1_reduce(blocks[j])
         blocks[j + 1] = s1_mul(blocks[j + 1], p.f)
@@ -373,24 +369,14 @@ def sigma_zeta_root(i: int, n: int, p: FamilyParams) -> dict:
     if p.f == 1 and n > 1:
         raise InputError("f = 1 restricts exponents to n <= 1")
     q = build_family(p)
-    if i == 1:
-        if n % 2 == 0:
-            e = EElement("rho1", n // 2) if n else IDENTITY_E
-            base = 1
-        else:
-            e = EElement("zeta1", (n - 1) // 2)
-            base = 2
+    if n % 2 == 0:
+        e, base = (EElement(f"rho{i}", n // 2) if n else IDENTITY_E), i
     else:
-        if n % 2 == 0:
-            e = EElement("rho2", n // 2) if n else IDENTITY_E
-            base = 2
-        else:
-            e = EElement("zeta2", (n - 1) // 2)
-            base = 1
+        e, base = EElement(f"zeta{i}", (n - 1) // 2), 3 - i
     return apply_e(q, e, unit_vector(q, base))
 
 
-def _rho_to_zeta_at_e3(e: EElement) -> Optional[EElement]:
+def _rho_to_zeta_at_e3(e: EElement) -> EElement:
     """Convert a rho-form to the zeta-form with the same action on e_3."""
     if e.kind == "rho1":
         return EElement("zeta1", e.n)
@@ -437,49 +423,29 @@ def base_rep(chi1: EElement, j: int, p: FamilyParams, field=QQ,
 def _subquiver_root_rep(chi_root: dict, p: FamilyParams, field) -> Representation:
     if chi_root[3] != 0:
         raise ConstructionError("expected a subquiver-supported root")
-    if chi_root[1] == 0 and chi_root[2] == 1:
-        return simple_rep(build_family(p), 2, field)
-    if chi_root[1] == 1 and chi_root[2] == 0:
-        return simple_rep(build_family(p), 1, field)
     return embed_subquiver_rep(kronecker_rep((chi_root[1], chi_root[2]), p.f, field), p)
 
 
 def construct(alpha: dict, p: FamilyParams, field=QQ) -> Tuple[Representation, ConstructionTrace]:
     """Build the unique indecomposable X_alpha for a positive real root.
 
-    Dispatch: simple roots directly; roots supported on {1,2} via
-    reflection functors; roots supported on {2,3} by alternating
-    extensions along the greedy descent; sincere roots through the star
-    form and the extension-functor dictionary.
+    Dispatch: roots supported on {2,3} by alternating extensions along
+    the greedy descent; roots whose word lies in E (among them S(1) and
+    the roots supported on {1,2}) as a single first stage; all others
+    through the star form and the extension-functor dictionary.
     """
     q = build_family(p)
-    tag = classify_root(q, alpha)
-    if tag not in (SIMPLE, REAL):
-        raise DomainError(f"dimension vector is {tag}, not a real root")
+    word, j = root_expression(q, alpha)
     b = _Builder(q, field)
-    sup = support(alpha)
 
-    if tag == SIMPLE:
-        v = next(iter(sup))
-        b.base(simple_rep(q, v, field), f"base S({v})")
-        return _finish(b, alpha)
-
-    if sup <= {1, 2}:
-        x = embed_subquiver_rep(kronecker_rep((alpha[1], alpha[2]), p.f, field), p)
-        b.base(x, f"base subquiver X_({alpha[1]},{alpha[2]},0)")
-        return _finish(b, alpha)
-
-    if sup <= {2, 3}:
-        word, j = root_expression(q, alpha)
-        if any(i == 1 for i in word):
+    if support(alpha) <= {2, 3}:
+        if 1 in word:
             raise ConstructionError("descent left the {2,3} subquiver", b.trace)
         b.base(simple_rep(q, j, field), f"base S({j})")
         for i in reversed(word):
             b.extend(simple_rep(q, i, field), f"sigma S({i})")
         return _finish(b, alpha)
 
-    # sincere root: star form pipeline
-    word, j = root_expression(q, alpha)
     e = recognize_E(word)
     if e is not None:
         base_rep(e, j, p, field, builder=b)
@@ -497,7 +463,7 @@ def construct(alpha: dict, p: FamilyParams, field=QQ) -> Tuple[Representation, C
     if len(blocks) == 1:
         base_rep(blocks[0], j, p, field, builder=b)
         return _finish(b, alpha)
-    form = rewrite_to_star(_flatten_blocks(blocks), p)
+    form = rewrite_to_star(StarForm(tuple(blocks)).flatten(), p)
     chis = list(form.chis)
     base_rep(chis[-1], j, p, field, builder=b)
     s3 = simple_rep(q, 3, field)
@@ -510,15 +476,6 @@ def construct(alpha: dict, p: FamilyParams, field=QQ) -> Tuple[Representation, C
         s = _subquiver_root_rep(chi_root, p, field)
         b.extend(s, f"sigma X_{tuple(chi_root[v] for v in q.vertices)}")
     return _finish(b, alpha)
-
-
-def _flatten_blocks(blocks: List[EElement]) -> Tuple[int, ...]:
-    out: List[int] = []
-    for k, e in enumerate(blocks):
-        if k:
-            out.append(3)
-        out.extend(word_of(e))
-    return tuple(out)
 
 
 def _finish(b: _Builder, alpha: dict) -> Tuple[Representation, ConstructionTrace]:

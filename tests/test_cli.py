@@ -102,6 +102,15 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
     bad.write_text("{\"quiver\": 3}")
     code, _, _ = run(capsys, "verify", str(bad))
     assert code == 2
+    # an entry with a zero denominator
+    bad.write_text(json.dumps({
+        "quiver": {"vertices": [1, 2], "arrows": [{"id": "a", "tail": 1, "head": 2}]},
+        "field": {"type": "rational"},
+        "dims": {"1": 1, "2": 1},
+        "mats": {"a": [["1/0"]]},
+    }))
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 2 and "malformed" in err
 
 
 def test_verify_unknown_check_exits_2(tmp_path, capsys):
@@ -149,3 +158,54 @@ def test_catalog_determinism_across_jobs(tmp_path, capsys):
         return doc
 
     assert strip_elapsed(files[0]) == strip_elapsed(files[1])
+
+
+def _usage_error(*args):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    return exc.value.code
+
+
+def test_roots_missing_or_malformed_quiver_file_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "roots", "--quiver", str(tmp_path / "none.json"), "--bound", "3")
+    assert code == 2 and "cannot read" in err
+    for text in ("{not json", "[1, 2]", '{"vertices": 5, "arrows": []}'):
+        bad = tmp_path / "q.json"
+        bad.write_text(text)
+        code, _, err = run(capsys, "roots", "--quiver", str(bad), "--bound", "3")
+        assert code == 2 and "error" in err
+
+
+def test_verify_missing_or_malformed_trace_file_exits_2(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    run(capsys, "construct", "--family", "1", "1", "1", "--root", "0,1,2", "--out", str(rep))
+    code, _, err = run(capsys, "verify", str(rep), "--trace", str(tmp_path / "none.json"))
+    assert code == 2 and "cannot read" in err
+    for text in ("{not json", "[1, 2]", '{"stages": [{}]}'):
+        bad = tmp_path / "tr.json"
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify", str(rep), "--trace", str(bad))
+        assert code == 2 and "error" in err
+
+
+def test_bad_jobs_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("QUIVERFORGE_JOBS", "abc")
+    assert _usage_error("catalog", "--family", "1", "1", "1", "--bound", "3") == 2
+    assert "--jobs" in capsys.readouterr().err
+    # only catalog reads the variable
+    code, out, _ = run(capsys, "roots", "--family", "1", "1", "1", "--bound", "1")
+    assert code == 0 and "simple" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-2"), ("--oracle-budget", "-1")])
+def test_out_of_range_catalog_numbers_exit_2(flag, value, capsys):
+    code = _usage_error("catalog", "--family", "1", "1", "1", "--bound", "3",
+                        "--field", "fp:3", flag, value)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_unparsable_field_flag_exits_2(capsys):
+    code, _, err = run(capsys, "catalog", "--family", "1", "1", "1", "--bound", "3",
+                       "--field", "fp:abc")
+    assert code == 2 and "field flag" in err

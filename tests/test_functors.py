@@ -8,6 +8,7 @@ from quiverforge.linalg import GF, Mat
 from quiverforge.quiver import ringel_form, sym_form, unit_vector
 from quiverforge.reps import (
     Representation,
+    direct_sum,
     end_dim,
     ext_dim,
     hom_dim,
@@ -204,6 +205,34 @@ def test_sigma_requires_hom_vanishing(q111):
     s = simple_rep(q111, 3)
     with pytest.raises(DomainError):
         sigma(s, s)
+
+
+def _rep23(q, mu, nu):
+    """dims (0, 1, 1) with the 1x1 maps mu1: 2 -> 3 and nu1: 3 -> 2."""
+    return Representation(q, {1: 0, 2: 1, 3: 1},
+                          {"la1": Mat(1, 0, [[]]), "mu1": Mat(1, 1, [[mu]]), "nu1": Mat(1, 1, [[nu]])})
+
+
+def test_sigma_error_types(q111):
+    s3 = simple_rep(q111, 3)
+    top3 = _rep23(q111, 0, 1)  # S(3) is its top: Hom(X,S) = 1, Hom(S,X) = 0
+    soc3 = _rep23(q111, 1, 0)  # S(3) is its socle: Hom(X,S) = 0, Hom(S,X) = 1
+    assert (hom_dim(top3, s3), hom_dim(s3, top3)) == (1, 0)
+    assert (hom_dim(soc3, s3), hom_dim(s3, soc3)) == (0, 1)
+    cases = [
+        (direct_sum(s3, s3), simple_rep(q111, 2)),  # S not exceptional
+        (s3, top3),
+        (s3, soc3),
+    ]
+    # DomainError, never ConstructionError, which is reserved for
+    # intermediate-vanishing and dimension-formula failures
+    for s, x in cases:
+        with pytest.raises(DomainError):
+            sigma(s, x)
+    with pytest.raises(DomainError):
+        sigma_bar(s3, top3)
+    with pytest.raises(DomainError):
+        sigma_under(s3, soc3)
 
 
 def test_sigma_bar_inverse_roundtrip(q111):

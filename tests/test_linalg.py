@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_linalg import greedy_complement
 
 from quiverforge.errors import InputError
 from quiverforge.linalg import (
@@ -171,3 +172,53 @@ def test_rref_determinism_and_rank_transpose(rows):
     m = Mat(len(rows), 3, rows)
     assert rank(m) == rank(m.transpose())
     assert kernel_basis(m) == kernel_basis(Mat(len(rows), 3, rows))
+
+
+def test_prime_field_accepts_large_prime_quickly():
+    # trial division up to sqrt(p) would take hours here
+    assert GF(10**20 + 39).p == 10**20 + 39
+
+
+def test_prime_field_rejects_large_composite():
+    # 10^20 + 1 = 73 * 137 * 1676321 * 5964848081
+    with pytest.raises(InputError):
+        GF(10**20 + 1)
+
+
+def test_prime_field_rejects_beyond_proven_range():
+    with pytest.raises(InputError):
+        GF(2**89 - 1)  # prime, but above the deterministic Miller-Rabin bound
+
+
+@pytest.mark.parametrize("n,prime", [
+    (0, False), (1, False), (2, True), (41, True), (43, True), (561, False),
+    (7919, True), (3215031751, False), (2**61 - 1, True),
+])
+def test_prime_field_primality_cases(n, prime):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7
+    if prime:
+        assert GF(n).p == n
+    else:
+        with pytest.raises(InputError):
+            GF(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(3)]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.data(),
+)
+@example(QQ, 0, 4, None)
+@example(QQ, 4, 0, None)
+@example(GF(3), 0, 3, None)
+@example(GF(3), 3, 0, None)
+def test_image_complement_matches_greedy_reference(field, n, k, data):
+    # the explicit 0 x k and n x 0 examples draw nothing, so data may be None
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+    rows = [[data.draw(entries) for _ in range(k)] for _ in range(n)]
+    span = Mat(n, k, rows, field)
+    c = image_complement(span, n)
+    chosen = greedy_complement(span, n)
+    assert c == Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)], field)

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import random_rep
 from quiverforge.errors import InputError
-from quiverforge.linalg import GF, Mat, QQ
-from quiverforge.quiver import ringel_form
+from quiverforge.linalg import GF, Mat, QQ, rank
+from quiverforge.quiver import enumerate_real_roots, ringel_form
 from quiverforge.reps import (
     Representation,
     delta_matrix,
@@ -16,12 +16,20 @@ from quiverforge.reps import (
     ext_unit_basis,
     hom_basis,
     hom_dim,
+    homext,
     is_indecomposable_oracle,
     simple_rep,
     zero_rep,
 )
 from quiverforge.functors import sigma
-from quiverforge.three_vertex import FamilyParams, build_family, build_subquiver, kronecker_rep
+from quiverforge.three_vertex import (
+    FamilyParams,
+    build_family,
+    build_subquiver,
+    construct,
+    kronecker_rep,
+)
+from reference_linalg import greedy_complement
 
 
 def test_simple_rep_shapes(q111):
@@ -173,3 +181,34 @@ def test_oracle_budget_exhaustion(q111):
     f3 = GF(3)
     x = direct_sum(simple_rep(q111, 1, f3), simple_rep(q111, 1, f3))
     assert is_indecomposable_oracle(x, 3).verdict == "inconclusive"
+
+
+@pytest.fixture(scope="module")
+def catalog_reps_q111_bound10():
+    p = FamilyParams(1, 1, 1)
+    return [construct(r, p)[0] for r in enumerate_real_roots(build_family(p), 10)]
+
+
+def _c1_index(x, y, unit):
+    """Flat C^1 coordinate of a matrix unit (arrow id, col, row), 1-based."""
+    aid, col, row = unit
+    off = 0
+    for a in x.quiver.arrows:
+        if a.id == aid:
+            return off + (col - 1) * y.dims[a.head] + row - 1
+        off += x.dims[a.tail] * y.dims[a.head]
+    raise AssertionError(f"unknown arrow {aid!r}")
+
+
+def test_homext_matches_separate_eliminations(catalog_reps_q111_bound10):
+    # the reference is the pre-homext computation: rank of the delta map
+    # for the dimensions, and the original greedy row-space scan for the units
+    reps = catalog_reps_q111_bound10
+    for x in reps:
+        for y in reps:
+            d = delta_matrix(x, y)
+            chosen = greedy_complement(d, d.rows)
+            he = homext(x, y)
+            assert he.hom == hom_dim(x, y) == d.cols - d.rows + len(chosen)
+            assert he.ext == d.rows - rank(d) == len(chosen)
+            assert [_c1_index(x, y, u) for u in he.ext_units] == chosen
