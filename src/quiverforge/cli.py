@@ -18,7 +18,7 @@ from .quiver import classify_root, enumerate_real_roots, quiver_from_json, ringe
 from .reps import end_dim, euler_form_check, homext
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag, rep_from_json, rep_to_json
-from .three_vertex import FamilyParams, build_family, construct
+from .three_vertex import FamilyParams, build_family, construct, predicted_end_dim
 from .trees import coefficient_quiver, export_dot, is_tree, nonzero_count
 
 
@@ -109,7 +109,7 @@ def cmd_construct(ns) -> int:
             fh.write(export_dot(cq))
     print(
         f"constructed X_({ns.root}) over {ns.field}: "
-        f"total dim {rep.total_dim()}, dim End {end_dim(rep)}",
+        f"total dim {rep.total_dim()}, dim End {predicted_end_dim(trace)} (predicted)",
         file=sys.stderr,
     )
     return 0
@@ -193,6 +193,10 @@ def cmd_catalog(ns) -> int:
         f"{n - bad}/{n} roots verified",
         file=sys.stderr,
     )
+    # every enumerated root is a real root, so a record with an error is a bug
+    if any(r.error for r in report.records):
+        print("internal error: a root raised during construction or checks", file=sys.stderr)
+        return 4
     return 0 if report.ok else 1
 
 
@@ -218,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=int, required=True, help="height bound")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.set_defaults(func=cmd_roots, needs_family=False)
+    sp.set_defaults(func=cmd_roots)
 
     sp = sub.add_parser("construct", help="build the indecomposable for a real root")
     add_family(sp)

@@ -13,18 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, DomainError, InputError
 from .linalg import QQ, Mat
-from .quiver import (
-    REAL,
-    SIMPLE,
-    Arrow,
-    Quiver,
-    apply_word,
-    classify_root,
-    ringel_form,
-    root_expression,
-    support,
-    unit_vector,
-)
+from .quiver import Arrow, Quiver, apply_word, ringel_form, root_expression, unit_vector
 from .reps import Representation, simple_rep
 from .functors import bgp_reflect, sigma
 
@@ -182,14 +171,16 @@ class StarForm:
 def segment_word(w: Sequence[int], p: FamilyParams, strict: bool = True) -> List[EElement]:
     """Split a word on the letter 3 into blocks chi'_m, ..., chi'_1.
 
-    Raises InputError when a block is not an alternating 1-2 pattern,
-    when an interior block is trivial, or when the leading block is s_1.
-    For f = 1 blocks are first reduced modulo the braid relation.
+    Raises InputError when a block is not an alternating 1-2 pattern.
+    Strict mode also rejects a word with no letter 3, a trivial interior
+    block and a leading block s_1; non-strict mode returns a word with no
+    letter 3 as one block.  For f = 1 blocks are first reduced modulo the
+    braid relation.
     """
     w = list(w)
     if any(c not in (1, 2, 3) for c in w):
         raise InputError("letters must be vertices 1, 2 or 3")
-    if 3 not in w:
+    if strict and 3 not in w:
         raise InputError("word contains no letter 3; it lies in the element set E")
     chunks: List[List[int]] = [[]]
     for c in w:
@@ -297,6 +288,15 @@ def predicted_end_dim(trace: ConstructionTrace) -> int:
     return total
 
 
+def _module_name(dims: dict, base: bool) -> str:
+    """S(v) for a simple, subquiver X_(a,b,0) for a base, else X_(a, b, c)."""
+    if sum(dims.values()) == 1:
+        return f"S({next(v for v, d in dims.items() if d)})"
+    if base:
+        return f"subquiver X_({dims[1]},{dims[2]},0)"
+    return f"X_{(dims[1], dims[2], dims[3])}"
+
+
 class _Builder:
     def __init__(self, q: Quiver, field):
         self.q = q
@@ -305,15 +305,17 @@ class _Builder:
         self.trace = ConstructionTrace(q)
         self.end = 1
 
-    def base(self, rep: Representation, tag: str):
+    def base(self, rep: Representation):
         self.rep = rep
         self.end = 1
+        tag = "base " + _module_name(rep.dims, base=True)
         self.trace.stages.append(Stage(tag, None, None, dict(rep.dims), 1))
 
-    def extend(self, s: Representation, tag: str):
+    def extend(self, s: Representation):
         before = dict(self.rep.dims)
         self.rep = sigma(s, self.rep)
         self.end += ringel_form(self.q, before, s.dims) * ringel_form(self.q, s.dims, before)
+        tag = "sigma " + _module_name(s.dims, base=False)
         self.trace.stages.append(Stage(tag, dict(s.dims), before, dict(self.rep.dims), self.end))
 
 
@@ -325,11 +327,7 @@ def kronecker_rep(alpha: Tuple[int, int], f: int, field=QQ) -> Representation:
     the reflection word is used to land back on arrows 1 -> 2.
     """
     qk = build_subquiver(f)
-    a = {1: alpha[0], 2: alpha[1]}
-    tag = classify_root(qk, a)
-    if tag not in (SIMPLE, REAL):
-        raise DomainError(f"({alpha[0]},{alpha[1]}) is {tag} over the subquiver")
-    word, j = root_expression(qk, a)
+    word, j = root_expression(qk, {1: alpha[0], 2: alpha[1]})
     start_q = qk if len(word) % 2 == 0 else Quiver((1, 2), [Arrow(ar.id, 2, 1) for ar in qk.arrows])
     x = simple_rep(start_q, j, field)
     for i in reversed(word):
@@ -382,7 +380,17 @@ def _rho_to_zeta_at_e3(e: EElement) -> EElement:
         return EElement("zeta1", e.n)
     if e.kind == "rho2":
         return EElement("zeta2", e.n - 1)
+    if e == EElement("zeta1", 0):  # s_1 fixes e_3
+        return IDENTITY_E
     return e
+
+
+def _extend_zeta(b: _Builder, chi: EElement, p: FamilyParams, field):
+    """Apply sigma_{X_chi'} for the zeta block chi; the identity is a no-op."""
+    if chi.kind == "id":
+        return
+    chi_root = sigma_zeta_root(1 if chi.kind == "zeta1" else 2, chi.n, p)
+    b.extend(_subquiver_root_rep(chi_root, p, field))
 
 
 def base_rep(chi1: EElement, j: int, p: FamilyParams, field=QQ,
@@ -397,26 +405,11 @@ def base_rep(chi1: EElement, j: int, p: FamilyParams, field=QQ,
     alpha = apply_e(q, chi1, unit_vector(q, j))
     if any(x < 0 for x in alpha.values()):
         raise DomainError(f"{chi1}(e_{j}) is not a positive root")
-    sup = support(alpha)
-    if len(sup) == 1 and max(alpha.values()) == 1:
-        v = next(iter(sup))
-        b.base(simple_rep(q, v, field), f"base S({v})")
-        return b
-    if sup <= {1, 2}:
-        x = embed_subquiver_rep(kronecker_rep((alpha[1], alpha[2]), p.f, field), p)
-        b.base(x, f"base subquiver X_({alpha[1]},{alpha[2]},0)")
-        return b
     if j != 3:
-        raise DomainError(f"unexpected support {sorted(sup)} for a first-stage root")
-    chi = _rho_to_zeta_at_e3(chi1)
-    if chi.kind == "id":
-        b.base(simple_rep(q, 3, field), "base S(3)")
+        b.base(_subquiver_root_rep(alpha, p, field))
         return b
-    i = 1 if chi.kind == "zeta1" else 2
-    chi_root = sigma_zeta_root(i, chi.n, p)
-    s = _subquiver_root_rep(chi_root, p, field)
-    b.base(simple_rep(q, 3, field), "base S(3)")
-    b.extend(s, f"sigma X_{tuple(chi_root[v] for v in q.vertices)}")
+    b.base(simple_rep(q, 3, field))
+    _extend_zeta(b, _rho_to_zeta_at_e3(chi1), p, field)
     return b
 
 
@@ -429,27 +422,13 @@ def _subquiver_root_rep(chi_root: dict, p: FamilyParams, field) -> Representatio
 def construct(alpha: dict, p: FamilyParams, field=QQ) -> Tuple[Representation, ConstructionTrace]:
     """Build the unique indecomposable X_alpha for a positive real root.
 
-    Dispatch: roots supported on {2,3} by alternating extensions along
-    the greedy descent; roots whose word lies in E (among them S(1) and
-    the roots supported on {1,2}) as a single first stage; all others
-    through the star form and the extension-functor dictionary.
+    One path for every root: the descent word is split on the letter 3
+    and brought to the star form chi_m s_3 ... s_3 chi_1; the first stage
+    is X_{chi_1(e_j)}, and every further block chi applies sigma_{S(3)}
+    and then sigma_{X_chi'}.
     """
     q = build_family(p)
     word, j = root_expression(q, alpha)
-    b = _Builder(q, field)
-
-    if support(alpha) <= {2, 3}:
-        if 1 in word:
-            raise ConstructionError("descent left the {2,3} subquiver", b.trace)
-        b.base(simple_rep(q, j, field), f"base S({j})")
-        for i in reversed(word):
-            b.extend(simple_rep(q, i, field), f"sigma S({i})")
-        return _finish(b, alpha)
-
-    e = recognize_E(word)
-    if e is not None:
-        base_rep(e, j, p, field, builder=b)
-        return _finish(b, alpha)
     blocks = segment_word(word, p, strict=False)
     # pre-normalize the tail so that chi_1(e_j) is never e_1 (absorbed via
     # s_3(e_1) = e_1) nor a vector the extension stage cannot start from
@@ -460,21 +439,13 @@ def construct(alpha: dict, p: FamilyParams, field=QQ) -> Tuple[Representation, C
     # vertices 1 and 3), so fold it into the next block
     if len(blocks) >= 2 and blocks[0] == EElement("zeta1", 0):
         blocks = [IDENTITY_E, s1_mul(blocks[1], p.f)] + blocks[2:]
-    if len(blocks) == 1:
-        base_rep(blocks[0], j, p, field, builder=b)
-        return _finish(b, alpha)
-    form = rewrite_to_star(StarForm(tuple(blocks)).flatten(), p)
-    chis = list(form.chis)
-    base_rep(chis[-1], j, p, field, builder=b)
+    if len(blocks) >= 2:
+        blocks = list(rewrite_to_star(StarForm(tuple(blocks)).flatten(), p).chis)
+    b = base_rep(blocks[-1], j, p, field)
     s3 = simple_rep(q, 3, field)
-    for chi in reversed(chis[:-1]):
-        b.extend(s3, "sigma S(3)")
-        if chi.kind == "id":
-            continue
-        i = 1 if chi.kind == "zeta1" else 2
-        chi_root = sigma_zeta_root(i, chi.n, p)
-        s = _subquiver_root_rep(chi_root, p, field)
-        b.extend(s, f"sigma X_{tuple(chi_root[v] for v in q.vertices)}")
+    for chi in reversed(blocks[:-1]):
+        b.extend(s3)
+        _extend_zeta(b, chi, p, field)
     return _finish(b, alpha)
 
 

@@ -1,4 +1,8 @@
+import json
+
 from quiverforge import catalog
+from quiverforge.cli import main
+from quiverforge.errors import ConstructionError
 from quiverforge.three_vertex import FamilyParams
 
 
@@ -13,3 +17,17 @@ def test_unexpected_exception_becomes_a_failed_record(monkeypatch):
         assert rec.ok is False
         assert rec.error == "internal: RuntimeError: boom"
         assert rec.to_json()["error"] == "internal: RuntimeError: boom"
+
+
+def test_catalog_exits_4_after_writing_the_report_when_a_root_raises(tmp_path, monkeypatch, capsys):
+    def broken(alpha, p, field):
+        raise ConstructionError("boom")
+
+    monkeypatch.setattr(catalog, "construct", broken)
+    out = tmp_path / "cat.json"
+    code = main(["catalog", "--family", "1", "1", "1", "--bound", "2", "--out", str(out)])
+    assert code == 4
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "fail"
+    assert all(r["error"] == "boom" for r in doc["records"])
+    assert "internal error" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quiverforge import cli
 from quiverforge.cli import main
 
 
@@ -48,6 +49,17 @@ def test_construct_writes_rep_and_trace(tmp_path, capsys):
     assert doc["dims"] == {"1": 0, "2": 1, "3": 2}
     stages = json.loads(tr.read_text())["stages"]
     assert stages[-1]["predicted_end_dim"] == 2
+
+
+def test_construct_summary_prints_the_predicted_end_dim(tmp_path, monkeypatch, capsys):
+    def no_end_dim(rep):
+        raise AssertionError("construct must not eliminate the End delta map")
+
+    monkeypatch.setattr(cli, "end_dim", no_end_dim)
+    code, _, err = run(capsys, "construct", "--family", "1", "1", "1",
+                       "--root", "0,1,2", "--out", str(tmp_path / "rep.json"))
+    assert code == 0
+    assert "dim End 2 (predicted)" in err
 
 
 def test_construct_simple_root(tmp_path, capsys):

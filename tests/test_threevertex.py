@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from quiverforge.errors import DomainError, InputError
 from quiverforge.quiver import apply_word, enumerate_real_roots, unit_vector
 from quiverforge.reps import end_dim, simple_rep
+from quiverforge.serialize import parse_field_flag, rep_to_json
 from quiverforge.three_vertex import (
     EElement,
     FamilyParams,
@@ -92,6 +95,19 @@ def test_segment_word_rejections():
         segment_word((2, 2, 3, 1), p)  # not alternating
 
 
+def test_segment_word_non_strict_takes_a_word_without_3_as_one_block():
+    p = FamilyParams(2, 1, 1)
+    assert segment_word((1, 2, 1), p, strict=False) == [EElement("zeta1", 1)]
+    assert segment_word((2,), p, strict=False) == [EElement("zeta2", 0)]
+    assert segment_word((), p, strict=False) == [IDENTITY_E]
+    # f = 1 reduces the block modulo the braid relation
+    assert segment_word((1, 2, 1, 2), FamilyParams(1, 1, 1), strict=False) == [EElement("rho2", 1)]
+    with pytest.raises(InputError):
+        segment_word((1, 2, 1), p, strict=True)
+    with pytest.raises(InputError):
+        segment_word((1, 1), p, strict=False)
+
+
 def test_rewrite_examples_kept_and_rho_cases():
     p = FamilyParams(2, 1, 1)
     form = rewrite_to_star((2, 3, 2), p)
@@ -152,7 +168,8 @@ def test_sigma_zeta_dims_match_word_action():
     # dims of sigma_{zeta_i(n)} S(3) must equal zeta_i(n)(e_3)
     p = FamilyParams(2, 1, 1)
     q = build_family(p)
-    for i, n in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
+    # zeta_1(0) = s_1 fixes e_3, so its base is S(3) itself
+    for i, n in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
         b = base_rep(EElement(f"zeta{i}", n), 3, p)
         expect = apply_e(q, EElement(f"zeta{i}", n), unit_vector(q, 3))
         assert b.rep.dims == expect
@@ -214,3 +231,52 @@ def test_star_form_grammar_checks():
     assert StarForm((IDENTITY_E, EElement("rho1", 1))).grammar_ok(2)
     assert not StarForm((EElement("zeta1", 0), IDENTITY_E)).grammar_ok(2)
     assert not StarForm((EElement("zeta2", 0), IDENTITY_E, IDENTITY_E)).grammar_ok(2)
+
+
+# sha256 over json.dumps(rep_to_json(rep), sort_keys=True) for every real
+# root of height <= 14 of the families below, over q and then fp:3; any
+# change to a constructed matrix, basis order or dimension changes it
+CONSTRUCTION_DIGEST = "453374390c8bf9e25e440648ff2f8b7c03f17a87ddd6e77c5d2a025f017d884c"
+
+
+def test_construction_output_is_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for fam in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)]:
+        p = FamilyParams(*fam)
+        q = build_family(p)
+        for flag in ("q", "fp:3"):
+            field = parse_field_flag(flag)
+            for r in enumerate_real_roots(q, 14):
+                rep, _ = construct(r, p, field)
+                h.update(json.dumps(rep_to_json(rep), sort_keys=True).encode())
+                count += 1
+    assert count == 204
+    assert h.hexdigest() == CONSTRUCTION_DIGEST
+
+
+def _expected_name(dims, base):
+    vec = (dims[0], dims[1], dims[2])
+    if sum(vec) == 1:
+        return f"S({vec.index(1) + 1})"
+    if base:
+        assert vec[2] == 0
+        return f"subquiver X_({vec[0]},{vec[1]},0)"
+    return f"X_{vec}"
+
+
+def test_stage_labels_follow_the_naming_rule(q111):
+    p = FamilyParams(1, 1, 1)
+    _, trace = construct({1: 0, 2: 2, 3: 1}, p)
+    assert [st.tag for st in trace.stages] == ["base S(3)", "sigma S(2)"]
+    _, trace = construct({1: 1, 2: 4, 3: 2}, p)
+    assert [st.tag for st in trace.stages] == [
+        "base subquiver X_(1,1,0)", "sigma S(3)", "sigma S(2)"]
+    for fam in [(1, 1, 1), (2, 1, 1), (1, 2, 3), (2, 2, 2)]:
+        p = FamilyParams(*fam)
+        for r in enumerate_real_roots(build_family(p), 12):
+            _, trace = construct(r, p)
+            stages = trace.to_json()["stages"]
+            assert stages[0]["tag"] == "base " + _expected_name(stages[0]["dims"], True)
+            for st in stages[1:]:
+                assert st["tag"] == "sigma " + _expected_name(st["s_dims"], False)
