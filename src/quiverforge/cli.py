@@ -14,7 +14,7 @@ import sys
 
 from .catalog import DEFAULT_ORACLE_BUDGET, run_catalog
 from .errors import ConstructionError, DomainError, InputError
-from .quiver import classify_root, enumerate_real_roots, quiver_from_json, ringel_form
+from .quiver import classify_root, enumerate_real_roots, quiver_from_json
 from .reps import end_dim, euler_form_check, homext
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag, rep_from_json, rep_to_json
@@ -170,7 +170,7 @@ def cmd_homext(ns) -> int:
     report = {
         "hom": he.hom,
         "ext": he.ext,
-        "euler_ok": he.hom - he.ext == ringel_form(x.quiver, x.dims, y.dims),
+        "euler_ok": euler_form_check(x, y),
     }
     _write_json(ns.out, report)
     return 0 if report["euler_ok"] else 1

@@ -5,6 +5,13 @@ nonzero pivot in the topmost remaining row, kernel bases set free
 variables to one in ascending index order, and complements are chosen by
 a greedy ascending scan over coordinate vectors.  Matrices are immutable
 after construction; 0 x n and n x 0 matrices are legal everywhere.
+
+Scalars of Q are fractions.Fraction; scalars of F_p are plain ints in
+[0, p).  Mat sends every entry through its field's `of`, so code that
+builds matrices from sums and products (mul, add, scale, kernel_basis,
+the delta map, block sums) does plain + - * and leaves the reduction to
+Mat.  _rref is the only code doing arithmetic on raw lists; it reduces
+its own updates.
 """
 
 from __future__ import annotations
@@ -13,45 +20,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
-
-
-class Fp:
-    """Element of the prime field F_p, stored as a residue in [0, p)."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other):
-        return Fp(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return Fp(self.v - other.v, self.p)
-
-    def __mul__(self, other):
-        return Fp(self.v * other.v, self.p)
-
-    def __truediv__(self, other):
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(self.v * pow(other.v, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, Fp) and self.v == other.v and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v}"
 
 
 class RationalField:
@@ -65,12 +33,6 @@ class RationalField:
 
     def of(self, v) -> Fraction:
         return Fraction(v)
-
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s)
-
-    def fmt(self, x) -> str:
-        return str(x)
 
     def __repr__(self):
         return "QQ"
@@ -113,7 +75,7 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field F_p for a prime p."""
+    """The field F_p for a prime p; scalars are ints in [0, p)."""
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -121,25 +83,20 @@ class PrimeField:
         self.p = p
 
     def zero(self):
-        return Fp(0, self.p)
+        return 0
 
     def one(self):
-        return Fp(1, self.p)
+        return 1
 
-    def of(self, v) -> Fp:
-        if isinstance(v, Fp):
-            return v
-        if isinstance(v, Fraction):
-            if v.denominator % self.p == 0:
-                raise InputError(f"denominator divisible by {self.p}")
-            return Fp(v.numerator, self.p) / Fp(v.denominator, self.p)
-        return Fp(int(v), self.p)
-
-    def parse(self, s: str) -> Fp:
-        return self.of(Fraction(s))
-
-    def fmt(self, x) -> str:
-        return str(x.v)
+    def of(self, v) -> int:
+        # the int test comes first: isinstance against Fraction goes
+        # through the numbers ABCs and is several times slower
+        if isinstance(v, int):
+            return v % self.p
+        v = Fraction(v)
+        if v.denominator % self.p == 0:
+            raise InputError(f"denominator divisible by {self.p}")
+        return v.numerator * pow(v.denominator, -1, self.p) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -287,7 +244,10 @@ def _rref(data, nc: int, field):
 
     Returns (rows, pivot_cols) where rows is a list of lists.  Pivoting:
     leftmost nonzero column, topmost remaining row, no size heuristics.
+    Over F_p every update is reduced mod p here and pivots are
+    normalised by a modular inverse.
     """
+    p = field.p if isinstance(field, PrimeField) else None
     rows = [list(r) for r in data]
     nr = len(rows)
     pivots = []
@@ -302,13 +262,13 @@ def _rref(data, nc: int, field):
             continue
         if hit != pr:
             rows[pr], rows[hit] = rows[hit], rows[pr]
-        pv = rows[pr][pc]
-        if pv != field.one():
-            inv_row = rows[pr]
-            for c in range(pc, nc):
-                if inv_row[c]:
-                    inv_row[c] = inv_row[c] / pv
         prow = rows[pr]
+        pv = prow[pc]
+        if pv != 1:
+            inv = pow(pv, -1, p) if p else 1 / pv
+            for c in range(pc, nc):
+                if prow[c]:
+                    prow[c] = prow[c] * inv % p if p else prow[c] * inv
         for i in range(nr):
             if i == pr:
                 continue
@@ -317,7 +277,7 @@ def _rref(data, nc: int, field):
                 irow = rows[i]
                 for c in range(pc, nc):
                     if prow[c]:
-                        irow[c] = irow[c] - f * prow[c]
+                        irow[c] = (irow[c] - f * prow[c]) % p if p else irow[c] - f * prow[c]
         pivots.append(pc)
         pr += 1
         if pr == nr:

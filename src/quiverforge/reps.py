@@ -283,8 +283,13 @@ def end_dim(x: Representation) -> int:
 
 
 def euler_form_check(x: Representation, y: Representation) -> bool:
-    he = homext(x, y)
-    return he.hom - he.ext == ringel_form(x.quiver, x.dims, y.dims)
+    """dim Hom - dim Ext^1 = <dim X, dim Y>, with dim Hom from the kernel
+    of delta and dim Ext^1 from the complement of its image.
+
+    homext alone would satisfy the identity by rank-nullity, whatever the
+    matrices; two eliminations of delta make it a check that they agree.
+    """
+    return hom_dim(x, y) - homext(x, y).ext == ringel_form(x.quiver, x.dims, y.dims)
 
 
 @dataclass

@@ -6,6 +6,7 @@ rationals, plain residues over a prime field.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
@@ -38,12 +39,12 @@ def parse_field_flag(flag: str):
 
 
 def mat_to_json(m: Mat) -> list:
-    return [[m.field.fmt(x) for x in row] for row in m.data]
+    return [[str(x) for x in row] for row in m.data]
 
 
 def mat_from_json(rows: int, cols: int, obj: list, field) -> Mat:
-    data = [[field.parse(str(x)) for x in row] for row in obj]
-    return Mat(rows, cols, data, field)
+    # Mat puts each entry into the field: a fraction reduces mod p there
+    return Mat(rows, cols, [[Fraction(str(x)) for x in row] for row in obj], field)
 
 
 def rep_to_json(x: Representation) -> dict:

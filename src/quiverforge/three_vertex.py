@@ -393,15 +393,14 @@ def _extend_zeta(b: _Builder, chi: EElement, p: FamilyParams, field):
     b.extend(_subquiver_root_rep(chi_root, p, field))
 
 
-def base_rep(chi1: EElement, j: int, p: FamilyParams, field=QQ,
-             builder: Optional[_Builder] = None) -> _Builder:
+def base_rep(chi1: EElement, j: int, p: FamilyParams, field=QQ) -> _Builder:
     """First-stage representation X_{chi1(e_j)} with its trace.
 
     For j in {1, 2} this is a subquiver representation built by
     reflection functors; for j = 3 it is a universal extension of S(3).
     """
     q = build_family(p)
-    b = builder or _Builder(q, field)
+    b = _Builder(q, field)
     alpha = apply_e(q, chi1, unit_vector(q, j))
     if any(x < 0 for x in alpha.values()):
         raise DomainError(f"{chi1}(e_{j}) is not a positive root")

@@ -1,10 +1,151 @@
 """Reference implementations kept only as test oracles.
 
+Fp and _rref are the scalar class and the dense elimination linalg used
+while F_p scalars were objects: every Fp operation reduces mod p and
+allocates a new Fp, so no reduction is left to Mat.  fp_pivot_columns,
+fp_kernel_basis, fp_mat_solve and fp_complement run the old rank,
+pivot, kernel, solve and complement code on Fp lifts of a matrix over
+GF(p) and return plain residues laid out like Mat.data, to be compared
+with linalg over GF(p).
+
 greedy_complement is the original incremental row-space scan behind
 linalg.image_complement: reduce each column of the span into a growing
 echelon set, then try e_1, e_2, ... in ascending order and keep each
 one that raises the rank.  It returns the kept coordinate indices.
 """
+
+from fractions import Fraction
+
+
+class Fp:
+    """Element of the prime field F_p, stored as a residue in [0, p)."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v = v % p
+        self.p = p
+
+    def __add__(self, other):
+        return Fp(self.v + other.v, self.p)
+
+    def __sub__(self, other):
+        return Fp(self.v - other.v, self.p)
+
+    def __mul__(self, other):
+        return Fp(self.v * other.v, self.p)
+
+    def __truediv__(self, other):
+        if other.v == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return Fp(self.v * pow(other.v, self.p - 2, self.p), self.p)
+
+    def __neg__(self):
+        return Fp(-self.v, self.p)
+
+    def __eq__(self, other):
+        return isinstance(other, Fp) and self.v == other.v and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.v, self.p))
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __repr__(self):
+        return f"{self.v}"
+
+
+class _FpField:
+    """The part of the old GF(p) that _rref reads."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def one(self):
+        return Fp(1, self.p)
+
+
+def _rref(data, nc: int, field):
+    """Reduced row echelon form of the rows in data, each of length nc.
+
+    Returns (rows, pivot_cols) where rows is a list of lists.  Pivoting:
+    leftmost nonzero column, topmost remaining row, no size heuristics.
+    """
+    rows = [list(r) for r in data]
+    nr = len(rows)
+    pivots = []
+    pr = 0
+    for pc in range(nc):
+        hit = None
+        for i in range(pr, nr):
+            if rows[i][pc]:
+                hit = i
+                break
+        if hit is None:
+            continue
+        if hit != pr:
+            rows[pr], rows[hit] = rows[hit], rows[pr]
+        pv = rows[pr][pc]
+        if pv != field.one():
+            inv_row = rows[pr]
+            for c in range(pc, nc):
+                if inv_row[c]:
+                    inv_row[c] = inv_row[c] / pv
+        prow = rows[pr]
+        for i in range(nr):
+            if i == pr:
+                continue
+            f = rows[i][pc]
+            if f:
+                irow = rows[i]
+                for c in range(pc, nc):
+                    if prow[c]:
+                        irow[c] = irow[c] - f * prow[c]
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return rows, pivots
+
+
+def _fp_rref(data, nc: int, p: int):
+    return _rref([[Fp(x, p) for x in row] for row in data], nc, _FpField(p))
+
+
+def fp_pivot_columns(m) -> list:
+    return _fp_rref(m.data, m.cols, m.field.p)[1]
+
+
+def fp_kernel_basis(m) -> tuple:
+    p = m.field.p
+    rows, pivots = _fp_rref(m.data, m.cols, p)
+    cols = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        v = [Fp(0, p)] * m.cols
+        v[j] = Fp(1, p)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][j]
+        cols.append(v)
+    return tuple(tuple(c[i].v for c in cols) for i in range(m.cols))
+
+
+def fp_mat_solve(m, b):
+    rows, pivots = _fp_rref([r + s for r, s in zip(m.data, b.data)], m.cols + b.cols, m.field.p)
+    if any(pc >= m.cols for pc in pivots):
+        return None
+    out = [(0,) * b.cols for _ in range(m.cols)]
+    for r, pc in enumerate(pivots):
+        out[pc] = tuple(x.v for x in rows[r][m.cols:])
+    return tuple(out)
+
+
+def fp_complement(span, n: int) -> list:
+    reversed_cols = [col[::-1] for col in zip(*span.data)]
+    hit = {n - 1 - pc for pc in _fp_rref(reversed_cols, n, span.field.p)[1]}
+    return [k for k in range(n) if k not in hit]
 
 
 class _RowSpace:
@@ -20,19 +161,21 @@ class _RowSpace:
 
         Returns True when the rank increased.
         """
+        of = self.field.of
         v = list(vec)
         for row, pc in zip(self.rows, self.pivots):
             f = v[pc]
             if f:
                 for c in range(len(v)):
                     if row[c]:
-                        v[c] = v[c] - f * row[c]
+                        v[c] = of(v[c] - f * row[c])
         pc = next((c for c, x in enumerate(v) if x), None)
         if pc is None:
             return False
         pv = v[pc]
         if pv != self.field.one():
-            v = [x / pv for x in v]
+            inv = of(Fraction(1, pv))
+            v = [of(x * inv) for x in v]
         self.rows.append(v)
         self.pivots.append(pc)
         return True
@@ -52,4 +195,3 @@ def greedy_complement(span, ambient_dim: int) -> list:
         if space.add(e):
             chosen.append(k)
     return chosen
-

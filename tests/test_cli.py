@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from quiverforge import cli
+from quiverforge import cli, reps
 from quiverforge.cli import main
+from quiverforge.serialize import rep_from_json
 
 
 def run(capsys, *args):
@@ -142,6 +143,20 @@ def test_homext_euler(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"hom": 0, "ext": 1, "euler_ok": True}
+
+
+def test_euler_check_fails_when_hom_and_ext_disagree(tmp_path, monkeypatch, capsys):
+    rep = tmp_path / "rep.json"
+    run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,1,2", "--out", str(rep))
+    x = rep_from_json(json.loads(rep.read_text()))
+    assert reps.euler_form_check(x, x)
+    hom_dim = reps.hom_dim
+    monkeypatch.setattr(reps, "hom_dim", lambda x, y: hom_dim(x, y) + 1)
+    assert not reps.euler_form_check(x, x)
+    code, out, _ = run(capsys, "verify", str(rep), "--checks", "euler")
+    assert code == 1 and json.loads(out)["euler"] == {"ok": False}
+    code, out, _ = run(capsys, "homext", str(rep), str(rep))
+    assert code == 1 and json.loads(out)["euler_ok"] is False
 
 
 def test_catalog_field_fp_and_exit(tmp_path, capsys):

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_linalg import greedy_complement
+from reference_linalg import (
+    fp_complement,
+    fp_kernel_basis,
+    fp_mat_solve,
+    fp_pivot_columns,
+    greedy_complement,
+)
 
 from quiverforge.errors import InputError
 from quiverforge.linalg import (
@@ -21,6 +27,7 @@ from quiverforge.linalg import (
     solve,
     vstack,
 )
+from quiverforge.serialize import mat_from_json, mat_to_json
 
 
 def test_rank_empty_matrix():
@@ -114,19 +121,31 @@ def test_pivot_columns_deterministic():
 
 def test_prime_field_arithmetic():
     f3 = GF(3)
-    two = f3.of(2)
-    assert two + two == f3.one()
-    assert two * two == f3.one()
-    assert (f3.one() / two) == two
-    assert f3.of(Fraction(1, 2)) == two
+    assert (f3.zero(), f3.one()) == (0, 1)
+    assert [f3.of(v) for v in (-4, -1, 0, 2, 5, 3 * 10**30 + 1)] == [2, 2, 0, 2, 2, 1]
+    assert f3.of(Fraction(1, 2)) == 2
+    assert GF(101).of(Fraction(-7, 3)) == 65  # 3 * 65 = 195 = -7 + 2 * 101
+    for p in (2, 3, 5, 101):
+        f = GF(p)
+        for a in range(1, p):
+            inv = f.of(Fraction(1, a))
+            assert type(inv) is int and 0 <= inv < p and a * inv % p == 1
+    with pytest.raises(InputError):
+        f3.of(Fraction(2, 3))
     with pytest.raises(InputError):
         GF(4)
 
 
-def test_rational_parse_fmt_roundtrip():
-    x = QQ.parse("-3/2")
-    assert x == Fraction(-3, 2)
-    assert QQ.fmt(x) == "-3/2"
+def test_mat_json_roundtrip():
+    m = Mat(2, 3, [[Fraction(-3, 2), 0, 7], [Fraction(1, 3), -1, Fraction(10, 4)]])
+    assert mat_to_json(m) == [["-3/2", "0", "7"], ["1/3", "-1", "5/2"]]
+    assert mat_from_json(2, 3, mat_to_json(m), QQ) == m
+    f5 = GF(5)
+    m = Mat(2, 3, [[-1, Fraction(1, 2), 7], [0, 5, Fraction(-3, 4)]], f5)
+    assert mat_to_json(m) == [["4", "3", "2"], ["0", "0", "3"]]
+    assert mat_from_json(2, 3, mat_to_json(m), f5) == m
+    # JSON input may carry fractions and ints; both reduce into F_5
+    assert mat_from_json(1, 2, [["1/2", -1]], f5).data == ((3, 4),)
 
 
 def _random_mat(rng, rows, cols, field=QQ):
@@ -222,3 +241,29 @@ def test_image_complement_matches_greedy_reference(field, n, k, data):
     c = image_complement(span, n)
     chosen = greedy_complement(span, n)
     assert c == Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)], field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 101]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 3),
+    st.data(),
+)
+@example(3, 0, 4, 2, None)
+@example(3, 4, 0, 0, None)
+def test_prime_field_linalg_matches_fp_reference(p, n, k, extra, data):
+    # the reference is the dense elimination on Fp scalar objects; the
+    # explicit 0 x k and n x 0 examples draw nothing, so data may be None
+    f = GF(p)
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, p - 1, p + 3])
+    m = Mat(n, k, [[data.draw(entries) for _ in range(k)] for _ in range(n)], f)
+    b = Mat(n, extra, [[data.draw(entries) for _ in range(extra)] for _ in range(n)], f)
+    pivots = fp_pivot_columns(m)
+    assert pivot_columns(m) == pivots and rank(m) == len(pivots)
+    assert kernel_basis(m).data == fp_kernel_basis(m)
+    x = mat_solve(m, b)
+    assert (None if x is None else x.data) == fp_mat_solve(m, b)
+    chosen = fp_complement(m, n)
+    assert image_complement(m, n) == Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)], f)

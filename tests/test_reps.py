@@ -4,10 +4,11 @@ import pytest
 
 from conftest import random_rep
 from quiverforge.errors import InputError
-from quiverforge.linalg import GF, Mat, QQ, rank
+from quiverforge.linalg import GF, Mat, QQ, kernel_basis, rank
 from quiverforge.quiver import enumerate_real_roots, ringel_form
 from quiverforge.reps import (
     Representation,
+    block_sum,
     delta_matrix,
     direct_sum,
     end_dim,
@@ -131,6 +132,24 @@ def test_euler_identity_random_pairs(q111):
         y = random_rep(q111, rng, max_dim=3)
         assert hom_dim(x, y) - ext_dim(x, y) == ringel_form(q111, x.dims, y.dims)
         assert euler_form_check(x, y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_prime_field_results_are_reduced_ints(q111, p):
+    # Mat is where sums and products over F_p get reduced
+    def reduced(m):
+        return all(type(v) is int and 0 <= v < p for row in m.data for v in row)
+
+    rng = random.Random(p)
+    for _ in range(10):
+        x = random_rep(q111, rng, max_dim=3, field=GF(p))
+        y = random_rep(q111, rng, max_dim=3, field=GF(p))
+        d = delta_matrix(x, y)
+        k = kernel_basis(d)
+        couplings = [("la1", 1, 0, 1, 1)] if y.dims[2] and x.dims[1] else []
+        s = block_sum([x, y, x], couplings)
+        products = [d.mul(k), d.transpose().mul(d), d.add(d), d.scale(-1), d.scale(p + 2)]
+        assert all(map(reduced, [d, k, *products, *s.mats.values()]))
 
 
 def test_hom_additivity_under_direct_sum(q111):

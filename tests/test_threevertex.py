@@ -5,6 +5,7 @@ import random
 import pytest
 
 from quiverforge.errors import DomainError, InputError
+from quiverforge.linalg import GF, Mat
 from quiverforge.quiver import apply_word, enumerate_real_roots, unit_vector
 from quiverforge.reps import end_dim, simple_rep
 from quiverforge.serialize import parse_field_flag, rep_to_json
@@ -253,6 +254,23 @@ def test_construction_output_is_pinned():
                 count += 1
     assert count == 204
     assert h.hexdigest() == CONSTRUCTION_DIGEST
+
+
+def test_rational_construction_reduced_mod_p_is_the_prime_field_one():
+    # Mat(..., GF(p)) reduces each rational entry of the Q construction mod p
+    count = 0
+    for fam in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)]:
+        p = FamilyParams(*fam)
+        for r in enumerate_real_roots(build_family(p), 14):
+            rep_q, _ = construct(r, p)
+            for prime in (2, 3, 5):
+                f = GF(prime)
+                rep_p, _ = construct(r, p, f)
+                assert rep_p.dims == rep_q.dims
+                for aid, m in rep_q.mats.items():
+                    assert rep_p.mats[aid] == Mat(m.rows, m.cols, m.data, f), (fam, r, prime, aid)
+                count += 1
+    assert count == 306
 
 
 def _expected_name(dims, base):
