@@ -105,6 +105,8 @@ def check_root(task) -> RootRecord:
         )
     except QuiverForgeError as exc:
         rec.error = str(exc)
+        if getattr(exc, "trace", None) is not None:  # a ConstructionError's trace
+            rec.trace = exc.trace.to_json()
     except Exception as exc:  # a bug in one root must not take down the whole pool
         traceback.print_exc()
         rec.error = f"internal: {type(exc).__name__}: {exc}"

@@ -18,7 +18,7 @@ from .quiver import classify_root, enumerate_real_roots, quiver_from_json
 from .reps import end_dim, euler_form_check, homext
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag, rep_from_json, rep_to_json
-from .three_vertex import FamilyParams, build_family, construct, predicted_end_dim
+from .three_vertex import ConstructionTrace, FamilyParams, build_family, construct, predicted_end_dim
 from .trees import coefficient_quiver, export_dot, is_tree, nonzero_count
 
 
@@ -142,13 +142,11 @@ def cmd_verify(ns) -> int:
         computed = end_dim(x)
         entry = {"computed": computed}
         if ns.trace:
-            tr = _load_json(ns.trace)
-            try:
-                stages = tr.get("stages") or []
-                predicted = stages[-1]["predicted_end_dim"] if stages else None
-            except (AttributeError, KeyError, TypeError, IndexError) as exc:
-                raise InputError(f"malformed trace JSON: {exc!r}") from exc
-            entry["predicted"] = predicted
+            trace = ConstructionTrace.from_json(x.quiver, _load_json(ns.trace))
+            last = trace.stages[-1].dims
+            if last != x.dims:
+                raise InputError(f"trace ends at dims {last}, the representation has {x.dims}")
+            entry["predicted"] = predicted = predicted_end_dim(trace)
             entry["ok"] = predicted == computed
         else:
             entry["ok"] = True
@@ -278,6 +276,8 @@ def main(argv=None) -> int:
         return 3
     except ConstructionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        if exc.trace is not None:
+            print(json.dumps(exc.trace.to_json(), indent=2, sort_keys=True), file=sys.stderr)
         return 4
 
 

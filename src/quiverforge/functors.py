@@ -333,7 +333,7 @@ def sigma(s: Representation, x: Representation) -> Representation:
 def sigma_bar_inv(s: Representation, z: Representation) -> Representation:
     """Intersection of the kernels of all maps Z -> S, with restricted maps."""
     assert_exceptional(s)
-    phis = hom_basis(z, s).basis
+    phis = hom_basis(z, s)
     q = z.quiver
     incl = {}
     for v in q.vertices:
@@ -353,7 +353,7 @@ def sigma_bar_inv(s: Representation, z: Representation) -> Representation:
 def sigma_under_inv(s: Representation, u: Representation) -> Representation:
     """Quotient of U by the sum of images of all maps S -> U."""
     assert_exceptional(s)
-    psis = hom_basis(s, u).basis
+    psis = hom_basis(s, u)
     q = u.quiver
     proj = {}
     rep_inj = {}
@@ -381,7 +381,7 @@ def find_isomorphism(x: Representation, y: Representation):
     """
     if x.dims != y.dims:
         return None
-    fwd = hom_basis(x, y).basis
+    fwd = hom_basis(x, y)
     if not fwd:
         return None
     idx = identity_morphism(x)

@@ -1,10 +1,12 @@
 """Representations, morphism spaces and extensions via the delta map.
 
-Coordinate conventions (fixed once, everything downstream depends on
-them): C^0(X,Y) = sum_i Hom(X_i, Y_i) with vertex blocks in quiver
-vertex order, C^1(X,Y) = sum_a Hom(X_{t(a)}, Y_{h(a)}) with arrow blocks
-in quiver arrow order.  Inside a block, matrix units are ordered column
-(source index) ascending, then row (target index) ascending.
+delta: C^0(X,Y) -> C^1(X,Y) has kernel Hom(X,Y) and cokernel Ext^1(X,Y).
+Its coordinates are matrix units, listed once by _c0_units and _c1_units:
+C^0 = sum_i Hom(X_i, Y_i) has units (vertex, row, col), 0-based, and
+C^1 = sum_a Hom(X_{t(a)}, Y_{h(a)}) has units (arrow id, col, row),
+1-based as homext returns them.  Blocks follow the quiver's vertex and
+arrow order; inside a block the column (source index) ascends, then the
+row (target index).
 """
 
 from __future__ import annotations
@@ -89,17 +91,6 @@ class Morphism:
         return isinstance(other, Morphism) and self.parts == other.parts
 
 
-@dataclass
-class HomSpace:
-    source: Representation
-    target: Representation
-    basis: List[Morphism]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def zero_morphism(x: Representation, y: Representation) -> Morphism:
     parts = {v: Mat.zeros(y.dims[v], x.dims[v], x.field) for v in x.quiver.vertices}
     return Morphism(x, y, parts)
@@ -153,91 +144,58 @@ def direct_sum(x: Representation, y: Representation) -> Representation:
     return block_sum([x, y])
 
 
-def _c0_layout(x: Representation, y: Representation):
-    """(offsets per vertex, total) for C^0(X,Y)."""
-    off, total = {}, 0
-    for v in x.quiver.vertices:
-        off[v] = total
-        total += x.dims[v] * y.dims[v]
-    return off, total
+def _c0_units(x: Representation, y: Representation) -> List[Tuple[object, int, int]]:
+    """The coordinates of C^0(X,Y) in order, as the module docstring lays out."""
+    return [(v, r, c) for v in x.quiver.vertices
+            for c in range(x.dims[v]) for r in range(y.dims[v])]
 
 
-def _c1_layout(x: Representation, y: Representation):
-    """(offsets per arrow id, total) for C^1(X,Y)."""
-    off, total = {}, 0
-    for a in x.quiver.arrows:
-        off[a.id] = total
-        total += x.dims[a.tail] * y.dims[a.head]
-    return off, total
-
-
-def c1_index_to_unit(x: Representation, y: Representation, idx: int):
-    """Map a flat C^1 coordinate to its matrix unit (arrow id, col, row), 1-based."""
-    off, total = _c1_layout(x, y)
-    if not 0 <= idx < total:
-        raise InputError("C^1 index out of range")
-    # the last block starting at or before idx; empty blocks share its offset
-    a = next(a for a in reversed(x.quiver.arrows) if off[a.id] <= idx)
-    col, row = divmod(idx - off[a.id], y.dims[a.head])
-    return a.id, col + 1, row + 1
+def _c1_units(x: Representation, y: Representation) -> List[Tuple[object, int, int]]:
+    """The coordinates of C^1(X,Y) in order, as the module docstring lays out."""
+    return [(a.id, c, r) for a in x.quiver.arrows
+            for c in range(1, x.dims[a.tail] + 1) for r in range(1, y.dims[a.head] + 1)]
 
 
 def delta_matrix(x: Representation, y: Representation) -> Mat:
-    """Matrix of delta: C^0(X,Y) -> C^1(X,Y), phi |-> (phi_j X_a - Y_a phi_i)."""
+    """Matrix of delta: C^0(X,Y) -> C^1(X,Y), phi |-> (phi_h(a) X_a - Y_a phi_t(a))_a.
+
+    The row of the C^1 unit (a, s, r) is entry (r, s) of the image; with
+    s, r made 0-based it holds +X_a[k][s] at the C^0 unit (h(a), r, k) and
+    -Y_a[r][k] at (t(a), k, s).  A quiver has no loops, so h(a) != t(a)
+    and no two terms share a cell.
+    """
     if x.quiver != y.quiver or x.field != y.field:
         raise InputError("delta needs the same quiver and field")
-    q = x.quiver
-    c0_off, c0_tot = _c0_layout(x, y)
-    c1_off, c1_tot = _c1_layout(x, y)
+    c0 = {u: i for i, u in enumerate(_c0_units(x, y))}
     z = x.field.zero()
-    cols = [[z] * c0_tot for _ in range(c1_tot)]
-    for v in q.vertices:
-        xd, yd = x.dims[v], y.dims[v]
-        for s in range(xd):
-            for t in range(yd):
-                col = c0_off[v] + s * yd + t
-                # phi is the unit with one in row t, column s at vertex v
-                for a in q.arrows:
-                    h_rows = y.dims[a.head]
-                    base = c1_off[a.id]
-                    if a.head == v:
-                        # phi_head X_a contributes row t = row s of X_a
-                        xa = x.mats[a.id]
-                        for c in range(xa.cols):
-                            val = xa.data[s][c]
-                            if val:
-                                cols[base + c * h_rows + t][col] = (
-                                    cols[base + c * h_rows + t][col] + val
-                                )
-                    if a.tail == v:
-                        # -Y_a phi_tail contributes column s = -(column t of Y_a)
-                        ya = y.mats[a.id]
-                        for r in range(ya.rows):
-                            val = ya.data[r][t]
-                            if val:
-                                cols[base + s * h_rows + r][col] = (
-                                    cols[base + s * h_rows + r][col] - val
-                                )
-    return Mat(c1_tot, c0_tot, cols, x.field)
+    rows = []
+    for aid, s, r in _c1_units(x, y):
+        a, s, r = x.quiver.arrow(aid), s - 1, r - 1
+        row = [z] * len(c0)
+        for k, xrow in enumerate(x.mats[aid].data):
+            if xrow[s]:
+                row[c0[a.head, r, k]] = xrow[s]
+        for k, val in enumerate(y.mats[aid].data[r]):
+            if val:
+                row[c0[a.tail, k, s]] = -val
+        rows.append(row)
+    return Mat(len(rows), len(c0), rows, x.field)
 
 
-def hom_basis(x: Representation, y: Representation) -> HomSpace:
-    """Basis of Hom(X,Y) as the kernel of the delta matrix."""
-    d = delta_matrix(x, y)
-    k = kernel_basis(d)
+def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
+    """Basis of Hom(X,Y): the kernel of the delta matrix, each kernel
+    column read back into one matrix per vertex through the C^0 units."""
+    k = kernel_basis(delta_matrix(x, y))
+    units = _c0_units(x, y)
     basis = []
-    c0_off, _ = _c0_layout(x, y)
     for j in range(k.cols):
-        parts = {}
-        for v in x.quiver.vertices:
-            xd, yd = x.dims[v], y.dims[v]
-            base = c0_off[v]
-            rows = [
-                [k.data[base + s * yd + t][j] for s in range(xd)] for t in range(yd)
-            ]
-            parts[v] = Mat(yd, xd, rows, x.field)
+        # every cell is set below: the units cover each block exactly once
+        grids = {v: [[0] * x.dims[v] for _ in range(y.dims[v])] for v in x.quiver.vertices}
+        for (v, r, c), row in zip(units, k.data):
+            grids[v][r][c] = row[j]
+        parts = {v: Mat(y.dims[v], x.dims[v], g, x.field) for v, g in grids.items()}
         basis.append(Morphism(x, y, parts))
-    return HomSpace(x, y, basis)
+    return basis
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
@@ -255,18 +213,15 @@ def homext(x: Representation, y: Representation) -> HomExt:
     """dim Hom(X,Y), dim Ext^1(X,Y) and an Ext^1 unit basis from one delta map.
 
     dim Ext^1 = dim C^1 - rank(delta) is the size of the greedy complement
-    of im(delta), and dim Hom = dim C^0 - rank(delta).  The units are
-    matrix units whose classes form a basis of coker(delta), chosen by
-    the greedy ascending scan of image_complement, so the selection is
-    reproducible bit for bit.  Units are (arrow id, column, row) with
-    1-based indices into Hom(X_{t(a)}, Y_{h(a)}).
+    of im(delta), and dim Hom = dim C^0 - rank(delta).  The units are the
+    C^1 units whose classes form a basis of coker(delta), chosen by the
+    greedy ascending scan of image_complement, so the selection is
+    reproducible bit for bit.
     """
     d = delta_matrix(x, y)
     comp = image_complement(d, d.rows)
-    units = []
-    for j in range(comp.cols):
-        idx = next(i for i in range(comp.rows) if comp.data[i][j])
-        units.append(c1_index_to_unit(x, y, idx))
+    c1 = _c1_units(x, y)
+    units = [c1[next(i for i, row in enumerate(comp.data) if row[j])] for j in range(comp.cols)]
     return HomExt(d.cols - d.rows + comp.cols, comp.cols, units)
 
 
@@ -309,7 +264,7 @@ def is_indecomposable_oracle(x: Representation, budget: int) -> OracleResult:
         raise InputError("indecomposability oracle requires a prime-field representation")
     if x.total_dim() == 0:
         raise DomainError("zero representation is neither")
-    basis = hom_basis(x, x).basis
+    basis = hom_basis(x, x)
     d = len(basis)
     p = x.field.p
     if p**d > budget:

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, DomainError, InputError
 from .linalg import QQ, Mat
-from .quiver import Arrow, Quiver, apply_word, ringel_form, root_expression, unit_vector
+from .quiver import Arrow, Quiver, apply_word, ringel_form, root_expression, sym_form, unit_vector
 from .reps import Representation, simple_rep
 from .functors import bgp_reflect, sigma
 
@@ -261,6 +261,11 @@ class Stage:
         }
 
 
+def _end_gain(q: Quiver, before: dict, s_dims: dict) -> int:
+    """Ringel's End formula: extending by an exceptional S adds <before, s><s, before>."""
+    return ringel_form(q, before, s_dims) * ringel_form(q, s_dims, before)
+
+
 @dataclass
 class ConstructionTrace:
     quiver: Quiver
@@ -269,6 +274,41 @@ class ConstructionTrace:
     def to_json(self) -> dict:
         return {"stages": [s.to_json(self.quiver) for s in self.stages]}
 
+    @classmethod
+    def from_json(cls, q: Quiver, obj) -> "ConstructionTrace":
+        """Read a trace written by to_json, checking it as a chain: stage 0
+        is a base (s_dims null, End 1), and each later stage has dims =
+        prev - (prev, s) s and End = prev's End + <prev, s><s, prev>.
+        A break raises InputError naming the stage."""
+        def vec(k, raw):
+            if not (isinstance(raw, list) and len(raw) == len(q.vertices)
+                    and all(type(v) is int for v in raw)):
+                raise InputError(f"trace stage {k}: {raw!r} is not a dimension vector")
+            return dict(zip(q.vertices, raw))
+
+        trace, prev, end = cls(q), None, 1
+        try:
+            for k, st in enumerate(obj["stages"]):
+                dims = vec(k, st["dims"])
+                s = None if st["s_dims"] is None else vec(k, st["s_dims"])
+                if (s is None) != (k == 0):
+                    raise InputError(f"trace stage {k}: only stage 0 is a base (s_dims null)")
+                if s is not None:
+                    c = sym_form(q, prev, s)
+                    if dims != {v: prev[v] - c * s[v] for v in q.vertices}:
+                        raise InputError(f"trace stage {k}: dims are not stage {k - 1}'s "
+                                         f"reflected by s_dims")
+                    end += _end_gain(q, prev, s)
+                if st["predicted_end_dim"] != end:
+                    raise InputError(f"trace stage {k}: predicted_end_dim should be {end}")
+                trace.stages.append(Stage(st["tag"], s, prev, dims, end))
+                prev = dims
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed trace JSON: {exc!r}") from exc
+        if not trace.stages:
+            raise InputError("trace has no stages")
+        return trace
+
 
 def predicted_end_dim(trace: ConstructionTrace) -> int:
     """Recompute the endomorphism dimension from the recorded stages.
@@ -276,13 +316,9 @@ def predicted_end_dim(trace: ConstructionTrace) -> int:
     Starts at one for the base representation and adds
     <dims, s> * <s, dims> at every extension stage.
     """
-    total = 1
     q = trace.quiver
-    for st in trace.stages:
-        if st.s_dims is not None:
-            total += ringel_form(q, st.input_dims, st.s_dims) * ringel_form(
-                q, st.s_dims, st.input_dims
-            )
+    total = 1 + sum(_end_gain(q, st.input_dims, st.s_dims)
+                    for st in trace.stages if st.s_dims is not None)
     if trace.stages and trace.stages[-1].predicted_end != total:
         raise ConstructionError("trace end-dimension bookkeeping is inconsistent", trace)
     return total
@@ -314,7 +350,7 @@ class _Builder:
     def extend(self, s: Representation):
         before = dict(self.rep.dims)
         self.rep = sigma(s, self.rep)
-        self.end += ringel_form(self.q, before, s.dims) * ringel_form(self.q, s.dims, before)
+        self.end += _end_gain(self.q, before, s.dims)
         tag = "sigma " + _module_name(s.dims, base=False)
         self.trace.stages.append(Stage(tag, dict(s.dims), before, dict(self.rep.dims), self.end))
 

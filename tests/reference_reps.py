@@ -1,0 +1,114 @@
+"""Reference delta map kept only as a test oracle.
+
+These are the delta_matrix and hom_basis that reps used while each of
+them wrote out the C^0/C^1 coordinate order itself: the offset tables
+_c0_layout and _c1_layout, the four-deep loop of delta_matrix that
+accumulates each term into its cell, the inverse offset arithmetic of
+c1_index_to_unit and the reshape of the kernel columns in hom_basis.
+ext_units labels the greedy complement of the image like the homext of
+that time.  reps now reads both orders from one list each, and must
+agree with these bit for bit.
+"""
+
+from typing import List
+
+from quiverforge.errors import InputError
+from quiverforge.linalg import Mat, image_complement, kernel_basis
+from quiverforge.reps import Morphism, Representation
+
+
+def _c0_layout(x: Representation, y: Representation):
+    """(offsets per vertex, total) for C^0(X,Y)."""
+    off, total = {}, 0
+    for v in x.quiver.vertices:
+        off[v] = total
+        total += x.dims[v] * y.dims[v]
+    return off, total
+
+
+def _c1_layout(x: Representation, y: Representation):
+    """(offsets per arrow id, total) for C^1(X,Y)."""
+    off, total = {}, 0
+    for a in x.quiver.arrows:
+        off[a.id] = total
+        total += x.dims[a.tail] * y.dims[a.head]
+    return off, total
+
+
+def c1_index_to_unit(x: Representation, y: Representation, idx: int):
+    """Map a flat C^1 coordinate to its matrix unit (arrow id, col, row), 1-based."""
+    off, total = _c1_layout(x, y)
+    if not 0 <= idx < total:
+        raise InputError("C^1 index out of range")
+    # the last block starting at or before idx; empty blocks share its offset
+    a = next(a for a in reversed(x.quiver.arrows) if off[a.id] <= idx)
+    col, row = divmod(idx - off[a.id], y.dims[a.head])
+    return a.id, col + 1, row + 1
+
+
+def delta_matrix(x: Representation, y: Representation) -> Mat:
+    """Matrix of delta: C^0(X,Y) -> C^1(X,Y), phi |-> (phi_j X_a - Y_a phi_i)."""
+    if x.quiver != y.quiver or x.field != y.field:
+        raise InputError("delta needs the same quiver and field")
+    q = x.quiver
+    c0_off, c0_tot = _c0_layout(x, y)
+    c1_off, c1_tot = _c1_layout(x, y)
+    z = x.field.zero()
+    cols = [[z] * c0_tot for _ in range(c1_tot)]
+    for v in q.vertices:
+        xd, yd = x.dims[v], y.dims[v]
+        for s in range(xd):
+            for t in range(yd):
+                col = c0_off[v] + s * yd + t
+                # phi is the unit with one in row t, column s at vertex v
+                for a in q.arrows:
+                    h_rows = y.dims[a.head]
+                    base = c1_off[a.id]
+                    if a.head == v:
+                        # phi_head X_a contributes row t = row s of X_a
+                        xa = x.mats[a.id]
+                        for c in range(xa.cols):
+                            val = xa.data[s][c]
+                            if val:
+                                cols[base + c * h_rows + t][col] = (
+                                    cols[base + c * h_rows + t][col] + val
+                                )
+                    if a.tail == v:
+                        # -Y_a phi_tail contributes column s = -(column t of Y_a)
+                        ya = y.mats[a.id]
+                        for r in range(ya.rows):
+                            val = ya.data[r][t]
+                            if val:
+                                cols[base + s * h_rows + r][col] = (
+                                    cols[base + s * h_rows + r][col] - val
+                                )
+    return Mat(c1_tot, c0_tot, cols, x.field)
+
+
+def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
+    """Basis of Hom(X,Y) as the kernel of the delta matrix."""
+    d = delta_matrix(x, y)
+    k = kernel_basis(d)
+    basis = []
+    c0_off, _ = _c0_layout(x, y)
+    for j in range(k.cols):
+        parts = {}
+        for v in x.quiver.vertices:
+            xd, yd = x.dims[v], y.dims[v]
+            base = c0_off[v]
+            rows = [
+                [k.data[base + s * yd + t][j] for s in range(xd)] for t in range(yd)
+            ]
+            parts[v] = Mat(yd, xd, rows, x.field)
+        basis.append(Morphism(x, y, parts))
+    return basis
+
+
+def ext_units(x: Representation, y: Representation):
+    d = delta_matrix(x, y)
+    comp = image_complement(d, d.rows)
+    units = []
+    for j in range(comp.cols):
+        idx = next(i for i in range(comp.rows) if comp.data[i][j])
+        units.append(c1_index_to_unit(x, y, idx))
+    return units

@@ -3,7 +3,7 @@ import json
 from quiverforge import catalog
 from quiverforge.cli import main
 from quiverforge.errors import ConstructionError
-from quiverforge.three_vertex import FamilyParams
+from quiverforge.three_vertex import FamilyParams, construct
 
 
 def test_unexpected_exception_becomes_a_failed_record(monkeypatch):
@@ -31,3 +31,17 @@ def test_catalog_exits_4_after_writing_the_report_when_a_root_raises(tmp_path, m
     assert doc["status"] == "fail"
     assert all(r["error"] == "boom" for r in doc["records"])
     assert "internal error" in capsys.readouterr().err
+
+
+def test_a_failed_record_keeps_the_carried_trace(monkeypatch):
+    def broken(alpha, p, field):
+        _, trace = construct(alpha, p, field)
+        raise ConstructionError("boom", trace)
+
+    monkeypatch.setattr(catalog, "construct", broken)
+    report = catalog.run_catalog(FamilyParams(1, 1, 1), 3, jobs=1)
+    assert report.records and not report.ok
+    for rec in report.records:
+        alpha = dict(zip((1, 2, 3), rec.alpha))
+        assert rec.error == "boom"
+        assert rec.trace == construct(alpha, FamilyParams(1, 1, 1))[1].to_json()

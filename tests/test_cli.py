@@ -4,7 +4,9 @@ import pytest
 
 from quiverforge import cli, reps
 from quiverforge.cli import main
+from quiverforge.errors import ConstructionError
 from quiverforge.serialize import rep_from_json
+from quiverforge.three_vertex import FamilyParams, construct
 
 
 def run(capsys, *args):
@@ -213,6 +215,65 @@ def test_verify_missing_or_malformed_trace_file_exits_2(tmp_path, capsys):
         bad.write_text(text)
         code, _, err = run(capsys, "verify", str(rep), "--trace", str(bad))
         assert code == 2 and "error" in err
+
+
+def _set_s_dims(stages):
+    stages[1]["s_dims"] = [1, 0, 0]
+
+
+def _set_prediction(stages):
+    stages[1]["predicted_end_dim"] = 3
+
+
+def _set_both_predictions(stages):
+    stages[0]["predicted_end_dim"] = stages[1]["predicted_end_dim"] = 2
+
+
+def _drop_the_base(stages):
+    del stages[0]
+
+
+def _drop_the_last_stage(stages):
+    del stages[1]
+
+
+def _drop_every_stage(stages):
+    del stages[:]
+
+
+@pytest.mark.parametrize("edit,where", [
+    (_set_s_dims, "stage 1: dims"),
+    (_set_prediction, "stage 1: predicted_end_dim"),
+    (_set_both_predictions, "stage 0: predicted_end_dim"),
+    (_drop_the_base, "stage 0: only stage 0 is a base"),
+    (_drop_the_last_stage, "trace ends at dims"),
+    (_drop_every_stage, "no stages"),
+], ids=["s_dims", "prediction", "both_predictions", "no_base", "no_last_stage", "empty"])
+def test_verify_rejects_an_edited_trace(edit, where, tmp_path, capsys):
+    # X_(0,1,2) of Q(1,1,1): base S(2), then sigma S(3); End dimension 2
+    rep, tr = tmp_path / "rep.json", tmp_path / "tr.json"
+    run(capsys, "construct", "--family", "1", "1", "1",
+        "--root", "0,1,2", "--out", str(rep), "--trace", str(tr))
+    doc = json.loads(tr.read_text())
+    edit(doc["stages"])
+    tr.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(rep), "--checks", "endo", "--trace", str(tr))
+    assert code == 2 and where in err
+
+
+def test_internal_error_prints_the_carried_trace(monkeypatch, tmp_path, capsys):
+    _, trace = construct({1: 0, 2: 1, 3: 2}, FamilyParams(1, 1, 1))
+
+    def broken(alpha, p, field):
+        raise ConstructionError("boom", trace)
+
+    monkeypatch.setattr(cli, "construct", broken)
+    code, _, err = run(capsys, "construct", "--family", "1", "1", "1",
+                       "--root", "0,1,2", "--out", str(tmp_path / "rep.json"))
+    assert code == 4
+    first, rest = err.split("\n", 1)
+    assert first == "internal error: boom"
+    assert json.loads(rest) == trace.to_json()
 
 
 def test_bad_jobs_environment_is_a_usage_error(monkeypatch, capsys):

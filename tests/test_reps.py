@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_reps
 from conftest import random_rep
 from quiverforge.errors import InputError
 from quiverforge.linalg import GF, Mat, QQ, kernel_basis, rank
-from quiverforge.quiver import enumerate_real_roots, ringel_form
+from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots, ringel_form
 from quiverforge.reps import (
     Representation,
     block_sum,
@@ -89,7 +92,7 @@ def test_delta_kills_genuine_morphisms(q111):
     for _ in range(10):
         x = random_rep(q111, rng, max_dim=3)
         y = random_rep(q111, rng, max_dim=3)
-        for m in hom_basis(x, y).basis:
+        for m in hom_basis(x, y):
             assert m.is_valid()
 
 
@@ -231,3 +234,36 @@ def test_homext_matches_separate_eliminations(catalog_reps_q111_bound10):
             assert he.hom == hom_dim(x, y) == d.cols - d.rows + len(chosen)
             assert he.ext == d.rows - rank(d) == len(chosen)
             assert [_c1_index(x, y, u) for u in he.ext_units] == chosen
+
+
+def _assert_delta_matches_reference(x, y):
+    assert delta_matrix(x, y) == reference_reps.delta_matrix(x, y)
+    assert [m.parts for m in hom_basis(x, y)] == [m.parts for m in reference_reps.hom_basis(x, y)]
+    assert homext(x, y).ext_units == reference_reps.ext_units(x, y)
+
+
+def test_delta_matches_reference_on_catalog_pairs(catalog_reps_q111_bound10):
+    reps = catalog_reps_q111_bound10
+    for x in reps:
+        for y in reps:
+            _assert_delta_matches_reference(x, y)
+
+
+_DIFFERENTIAL_QUIVERS = [
+    build_family(FamilyParams(2, 1, 2)),
+    Quiver((1, 2), [Arrow("la1", 1, 2), Arrow("la2", 1, 2)]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_DIFFERENTIAL_QUIVERS),
+    st.sampled_from([QQ, GF(3)]),
+    st.integers(0, 2**32),
+)
+def test_delta_matches_reference_on_random_pairs(q, field, seed):
+    # random_rep draws each vertex dimension from 0..max_dim
+    rng = random.Random(seed)
+    x = random_rep(q, rng, max_dim=3, field=field)
+    y = random_rep(q, rng, max_dim=3, field=field)
+    _assert_delta_matches_reference(x, y)

@@ -1,12 +1,15 @@
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverforge.errors import DomainError, InputError
 from quiverforge.linalg import GF, Mat
-from quiverforge.quiver import apply_word, enumerate_real_roots, unit_vector
+from quiverforge.quiver import apply_word, enumerate_real_roots, height, unit_vector
 from quiverforge.reps import end_dim, simple_rep
 from quiverforge.serialize import parse_field_flag, rep_to_json
 from quiverforge.three_vertex import (
@@ -225,6 +228,24 @@ def test_construct_matches_prediction_across_catalog():
         rep, trace = construct(r, p)
         assert rep.dims == r
         assert predicted_end_dim(trace) == end_dim(rep)
+
+
+# (family, root) for every real root of height 13-18 of Q(f,g,h), f, g, h in 1..3;
+# some families have none
+_BEYOND_12 = [
+    (fam, r)
+    for fam in itertools.product((1, 2, 3), repeat=3)
+    for r in enumerate_real_roots(build_family(FamilyParams(*fam)), 18)
+    if height(r) >= 13
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_BEYOND_12))
+def test_construct_matches_prediction_beyond_height_12(case):
+    family, alpha = case
+    rep, trace = construct(alpha, FamilyParams(*family))
+    assert end_dim(rep) == predicted_end_dim(trace)
 
 
 def test_star_form_grammar_checks():
