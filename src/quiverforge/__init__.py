@@ -50,6 +50,7 @@ from .three_vertex import (
     build_subquiver,
     construct,
     kronecker_rep,
+    plan,
     predicted_end_dim,
     rewrite_to_star,
 )

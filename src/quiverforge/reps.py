@@ -237,14 +237,15 @@ def end_dim(x: Representation) -> int:
     return hom_dim(x, x)
 
 
-def euler_form_check(x: Representation, y: Representation) -> bool:
+def euler_form_check(x: Representation, y: Representation, he: HomExt) -> bool:
     """dim Hom - dim Ext^1 = <dim X, dim Y>, with dim Hom from the kernel
-    of delta and dim Ext^1 from the complement of its image.
+    of delta and dim Ext^1 from he = homext(x, y), the complement of its
+    image.
 
-    homext alone would satisfy the identity by rank-nullity, whatever the
+    he alone would satisfy the identity by rank-nullity, whatever the
     matrices; two eliminations of delta make it a check that they agree.
     """
-    return hom_dim(x, y) - homext(x, y).ext == ringel_form(x.quiver, x.dims, y.dims)
+    return hom_dim(x, y) - he.ext == ringel_form(x.quiver, x.dims, y.dims)
 
 
 @dataclass

@@ -151,21 +151,15 @@ class StarForm:
         return tuple(out)
 
     def grammar_ok(self, f: int) -> bool:
-        if len(self.chis) < 2:
-            return False
-        head, interior, tail = self.chis[0], self.chis[1:-1], self.chis[-1]
+        """Two or more blocks; the head is 1 or a zeta, every interior block a
+        zeta, where zeta1(0) = s_1 is no zeta here; f = 1 allows n <= 1 only."""
+        def zeta_ok(e):
+            return (e.kind == "zeta1" and e.n >= 1) or e.kind == "zeta2"
 
-        def head_ok(e):
-            return e.kind == "id" or (e.kind == "zeta1" and e.n >= 1) or e.kind == "zeta2"
-
-        if not head_ok(head):
-            return False
-        for e in interior:
-            if not ((e.kind == "zeta1" and e.n >= 1) or e.kind == "zeta2"):
-                return False
-        if f == 1 and any(e.n > 1 for e in self.chis):
-            return False
-        return True
+        return (len(self.chis) >= 2
+                and (self.chis[0].kind == "id" or zeta_ok(self.chis[0]))
+                and all(zeta_ok(e) for e in self.chis[1:-1])
+                and not (f == 1 and any(e.n > 1 for e in self.chis)))
 
 
 def segment_word(w: Sequence[int], p: FamilyParams, strict: bool = True) -> List[EElement]:
@@ -189,23 +183,17 @@ def segment_word(w: Sequence[int], p: FamilyParams, strict: bool = True) -> List
         else:
             chunks[-1].append(c)
     blocks = []
-    for idx, chunk in enumerate(chunks):
+    for chunk in chunks:
         e = recognize_E(chunk)
         if e is None:
             raise InputError(f"block {''.join(map(str, chunk))!r} is not an alternating pattern")
-        if p.f == 1:
-            e = f1_reduce(e)
-        blocks.append(e)
-    m = len(blocks)
+        blocks.append(f1_reduce(e) if p.f == 1 else e)
     if strict:
-        for idx, e in enumerate(blocks):
-            is_leading = idx == 0
-            is_tail = idx == m - 1
-            if not is_tail:
-                if e.kind == "zeta1" and e.n == 0:
-                    raise InputError(f"block {idx} is the bare s_1, not segmentable")
-                if not is_leading and e.kind == "id":
-                    raise InputError(f"interior block {idx} is trivial, not segmentable")
+        for idx, e in enumerate(blocks[:-1]):  # the tail block chi'_1 may be anything
+            if e == EElement("zeta1", 0):
+                raise InputError(f"block {idx} is the bare s_1, not segmentable")
+            if idx and e.kind == "id":
+                raise InputError(f"interior block {idx} is trivial, not segmentable")
     return blocks
 
 
@@ -248,7 +236,6 @@ def rewrite_to_star(w: Sequence[int], p: FamilyParams) -> StarForm:
 class Stage:
     tag: str
     s_dims: Optional[dict]  # dims of the reflecting module, None for the base
-    input_dims: Optional[dict]
     dims: dict
     predicted_end: int
 
@@ -261,48 +248,61 @@ class Stage:
         }
 
 
-def _end_gain(q: Quiver, before: dict, s_dims: dict) -> int:
-    """Ringel's End formula: extending by an exceptional S adds <before, s><s, before>."""
-    return ringel_form(q, before, s_dims) * ringel_form(q, s_dims, before)
-
-
 @dataclass
 class ConstructionTrace:
     quiver: Quiver
     stages: List[Stage] = dc_field(default_factory=list)
+
+    def base(self, dims: dict, tag: Optional[str] = None) -> Stage:
+        """Append stage 0, a base module of dimension vector dims and End 1."""
+        if tag is None:
+            tag = "base " + _module_name(dims, base=True)
+        self.stages.append(Stage(tag, None, dict(dims), 1))
+        return self.stages[-1]
+
+    def extend(self, s_dims: dict, tag: Optional[str] = None) -> Stage:
+        """Append sigma_S of the last stage for an exceptional S with dims
+        s = s_dims: dims become dims - (dims, s) s, and by Ringel's End
+        formula the predicted End grows by <dims, s><s, dims>."""
+        q, prev = self.quiver, self.stages[-1].dims
+        c = sym_form(q, prev, s_dims)
+        dims = {v: prev[v] - c * s_dims[v] for v in q.vertices}
+        gain = ringel_form(q, prev, s_dims) * ringel_form(q, s_dims, prev)
+        end = self.stages[-1].predicted_end + gain
+        if tag is None:
+            tag = "sigma " + _module_name(s_dims, base=False)
+        self.stages.append(Stage(tag, dict(s_dims), dims, end))
+        return self.stages[-1]
 
     def to_json(self) -> dict:
         return {"stages": [s.to_json(self.quiver) for s in self.stages]}
 
     @classmethod
     def from_json(cls, q: Quiver, obj) -> "ConstructionTrace":
-        """Read a trace written by to_json, checking it as a chain: stage 0
-        is a base (s_dims null, End 1), and each later stage has dims =
-        prev - (prev, s) s and End = prev's End + <prev, s><s, prev>.
-        A break raises InputError naming the stage."""
+        """Read a trace written by to_json, replaying it through base and
+        extend: stage 0 is a base (s_dims null, End 1), and each later
+        stage must have the dims and End that extend computes.  A break
+        raises InputError naming the stage; the file's tags are kept."""
         def vec(k, raw):
             if not (isinstance(raw, list) and len(raw) == len(q.vertices)
                     and all(type(v) is int for v in raw)):
                 raise InputError(f"trace stage {k}: {raw!r} is not a dimension vector")
             return dict(zip(q.vertices, raw))
 
-        trace, prev, end = cls(q), None, 1
+        trace = cls(q)
         try:
             for k, st in enumerate(obj["stages"]):
                 dims = vec(k, st["dims"])
                 s = None if st["s_dims"] is None else vec(k, st["s_dims"])
                 if (s is None) != (k == 0):
                     raise InputError(f"trace stage {k}: only stage 0 is a base (s_dims null)")
-                if s is not None:
-                    c = sym_form(q, prev, s)
-                    if dims != {v: prev[v] - c * s[v] for v in q.vertices}:
-                        raise InputError(f"trace stage {k}: dims are not stage {k - 1}'s "
-                                         f"reflected by s_dims")
-                    end += _end_gain(q, prev, s)
-                if st["predicted_end_dim"] != end:
-                    raise InputError(f"trace stage {k}: predicted_end_dim should be {end}")
-                trace.stages.append(Stage(st["tag"], s, prev, dims, end))
-                prev = dims
+                got = trace.base(dims, st["tag"]) if s is None else trace.extend(s, st["tag"])
+                if got.dims != dims:
+                    raise InputError(f"trace stage {k}: dims are not stage {k - 1}'s "
+                                     f"reflected by s_dims")
+                if st["predicted_end_dim"] != got.predicted_end:
+                    raise InputError(f"trace stage {k}: predicted_end_dim should be "
+                                     f"{got.predicted_end}")
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed trace JSON: {exc!r}") from exc
         if not trace.stages:
@@ -311,17 +311,12 @@ class ConstructionTrace:
 
 
 def predicted_end_dim(trace: ConstructionTrace) -> int:
-    """Recompute the endomorphism dimension from the recorded stages.
-
-    Starts at one for the base representation and adds
-    <dims, s> * <s, dims> at every extension stage.
-    """
-    q = trace.quiver
-    total = 1 + sum(_end_gain(q, st.input_dims, st.s_dims)
-                    for st in trace.stages if st.s_dims is not None)
-    if trace.stages and trace.stages[-1].predicted_end != total:
-        raise ConstructionError("trace end-dimension bookkeeping is inconsistent", trace)
-    return total
+    """The endomorphism dimension the trace predicts, checked by replaying
+    its stages through ConstructionTrace.from_json."""
+    try:
+        return ConstructionTrace.from_json(trace.quiver, trace.to_json()).stages[-1].predicted_end
+    except InputError as exc:
+        raise ConstructionError(f"trace bookkeeping is inconsistent: {exc}", trace) from exc
 
 
 def _module_name(dims: dict, base: bool) -> str:
@@ -331,28 +326,6 @@ def _module_name(dims: dict, base: bool) -> str:
     if base:
         return f"subquiver X_({dims[1]},{dims[2]},0)"
     return f"X_{(dims[1], dims[2], dims[3])}"
-
-
-class _Builder:
-    def __init__(self, q: Quiver, field):
-        self.q = q
-        self.field = field
-        self.rep: Optional[Representation] = None
-        self.trace = ConstructionTrace(q)
-        self.end = 1
-
-    def base(self, rep: Representation):
-        self.rep = rep
-        self.end = 1
-        tag = "base " + _module_name(rep.dims, base=True)
-        self.trace.stages.append(Stage(tag, None, None, dict(rep.dims), 1))
-
-    def extend(self, s: Representation):
-        before = dict(self.rep.dims)
-        self.rep = sigma(s, self.rep)
-        self.end += _end_gain(self.q, before, s.dims)
-        tag = "sigma " + _module_name(s.dims, base=False)
-        self.trace.stages.append(Stage(tag, dict(s.dims), before, dict(self.rep.dims), self.end))
 
 
 def kronecker_rep(alpha: Tuple[int, int], f: int, field=QQ) -> Representation:
@@ -378,12 +351,8 @@ def embed_subquiver_rep(x: Representation, p: FamilyParams) -> Representation:
     """Extend a two-vertex representation by a zero space at vertex 3."""
     q = build_family(p)
     dims = {1: x.dims[1], 2: x.dims[2], 3: 0}
-    mats = {}
-    for a in q.arrows:
-        if str(a.id).startswith("la"):
-            mats[a.id] = x.mats[a.id]
-        else:
-            mats[a.id] = Mat.zeros(dims[a.head], dims[a.tail], x.field)
+    mats = {a.id: x.mats[a.id] if a.tail == 1 else Mat.zeros(dims[a.head], dims[a.tail], x.field)
+            for a in q.arrows}
     return Representation(q, dims, mats, x.field)
 
 
@@ -421,46 +390,14 @@ def _rho_to_zeta_at_e3(e: EElement) -> EElement:
     return e
 
 
-def _extend_zeta(b: _Builder, chi: EElement, p: FamilyParams, field):
-    """Apply sigma_{X_chi'} for the zeta block chi; the identity is a no-op."""
-    if chi.kind == "id":
-        return
-    chi_root = sigma_zeta_root(1 if chi.kind == "zeta1" else 2, chi.n, p)
-    b.extend(_subquiver_root_rep(chi_root, p, field))
+def plan(alpha: dict, p: FamilyParams) -> ConstructionTrace:
+    """The construction of X_alpha for a positive real root as a trace,
+    with no field and no matrices.
 
-
-def base_rep(chi1: EElement, j: int, p: FamilyParams, field=QQ) -> _Builder:
-    """First-stage representation X_{chi1(e_j)} with its trace.
-
-    For j in {1, 2} this is a subquiver representation built by
-    reflection functors; for j = 3 it is a universal extension of S(3).
-    """
-    q = build_family(p)
-    b = _Builder(q, field)
-    alpha = apply_e(q, chi1, unit_vector(q, j))
-    if any(x < 0 for x in alpha.values()):
-        raise DomainError(f"{chi1}(e_{j}) is not a positive root")
-    if j != 3:
-        b.base(_subquiver_root_rep(alpha, p, field))
-        return b
-    b.base(simple_rep(q, 3, field))
-    _extend_zeta(b, _rho_to_zeta_at_e3(chi1), p, field)
-    return b
-
-
-def _subquiver_root_rep(chi_root: dict, p: FamilyParams, field) -> Representation:
-    if chi_root[3] != 0:
-        raise ConstructionError("expected a subquiver-supported root")
-    return embed_subquiver_rep(kronecker_rep((chi_root[1], chi_root[2]), p.f, field), p)
-
-
-def construct(alpha: dict, p: FamilyParams, field=QQ) -> Tuple[Representation, ConstructionTrace]:
-    """Build the unique indecomposable X_alpha for a positive real root.
-
-    One path for every root: the descent word is split on the letter 3
-    and brought to the star form chi_m s_3 ... s_3 chi_1; the first stage
-    is X_{chi_1(e_j)}, and every further block chi applies sigma_{S(3)}
-    and then sigma_{X_chi'}.
+    The descent word is split on the letter 3 and brought to the star form
+    chi_m s_3 ... s_3 chi_1.  Stage 0 is X_{chi_1(e_j)}: a subquiver module,
+    or S(3) then sigma_{X_chi'} when j = 3; each further block chi adds
+    sigma_{S(3)} and then sigma_{X_chi'}.
     """
     q = build_family(p)
     word, j = root_expression(q, alpha)
@@ -476,17 +413,60 @@ def construct(alpha: dict, p: FamilyParams, field=QQ) -> Tuple[Representation, C
         blocks = [IDENTITY_E, s1_mul(blocks[1], p.f)] + blocks[2:]
     if len(blocks) >= 2:
         blocks = list(rewrite_to_star(StarForm(tuple(blocks)).flatten(), p).chis)
-    b = base_rep(blocks[-1], j, p, field)
-    s3 = simple_rep(q, 3, field)
+    chi1 = blocks[-1]
+    first = apply_e(q, chi1, unit_vector(q, j))
+    if any(x < 0 for x in first.values()):
+        raise DomainError(f"{chi1}(e_{j}) is not a positive root")
+    trace = ConstructionTrace(q)
+
+    def extend_zeta(chi: EElement):  # sigma_{X_chi'}; the identity adds no stage
+        if chi.kind != "id":
+            trace.extend(sigma_zeta_root(1 if chi.kind == "zeta1" else 2, chi.n, p))
+
+    if j == 3:
+        trace.base(unit_vector(q, 3))
+        extend_zeta(_rho_to_zeta_at_e3(chi1))
+    else:
+        trace.base(first)
     for chi in reversed(blocks[:-1]):
-        b.extend(s3)
-        _extend_zeta(b, chi, p, field)
-    return _finish(b, alpha)
+        trace.extend(unit_vector(q, 3))
+        extend_zeta(chi)
+    if trace.stages[-1].dims != alpha:
+        raise ConstructionError(f"plan ends at dims {trace.stages[-1].dims}, not {alpha}", trace)
+    return trace
 
 
-def _finish(b: _Builder, alpha: dict) -> Tuple[Representation, ConstructionTrace]:
-    if b.rep.dims != alpha:
-        raise ConstructionError(
-            f"pipeline produced dims {b.rep.dims}, expected {alpha}", b.trace
-        )
-    return b.rep, b.trace
+def _module(dims: dict, p: FamilyParams, field) -> Representation:
+    """The exceptional module of a stage: S(3), or a two-vertex subquiver
+    module built by reflection functors."""
+    q = build_family(p)
+    if dims == unit_vector(q, 3):
+        return simple_rep(q, 3, field)
+    if dims[3] != 0:
+        raise ConstructionError(f"no stage module has dims {dims}")
+    return embed_subquiver_rep(kronecker_rep((dims[1], dims[2]), p.f, field), p)
+
+
+def realise(trace: ConstructionTrace, p: FamilyParams, field=QQ) -> Representation:
+    """Build the representation a plan describes: the base module, then
+    sigma_S for each later stage, checking every stage's dims.  A
+    ConstructionError without a trace gets the stages up to the failing one."""
+    x = None
+    for k, st in enumerate(trace.stages):
+        try:
+            m = _module(st.dims if st.s_dims is None else st.s_dims, p, field)
+            x = m if st.s_dims is None else sigma(m, x)
+            if x.dims != st.dims:
+                raise ConstructionError(f"stage {k} built dims {x.dims}, planned {st.dims}")
+        except ConstructionError as exc:
+            if exc.trace is None:
+                exc.trace = ConstructionTrace(trace.quiver, trace.stages[:k + 1])
+            raise
+    return x
+
+
+def construct(alpha: dict, p: FamilyParams, field=QQ) -> Tuple[Representation, ConstructionTrace]:
+    """Build the unique indecomposable X_alpha for a positive real root,
+    with the trace of its construction: realise(plan(alpha, p))."""
+    trace = plan(alpha, p)
+    return realise(trace, p, field), trace

@@ -112,6 +112,52 @@ def test_verify_pass_and_fail(tmp_path, capsys):
             "achieved": 0, "required": 1} in doc["maxrank"]["violations"]
 
 
+def test_verify_endo_without_a_trace_checks_the_plan(tmp_path, monkeypatch, capsys):
+    # X_(0,1,2) of Q(1,1,1): plan predicts dim End 2
+    rep = tmp_path / "rep.json"
+    run(capsys, "construct", "--family", "1", "1", "1", "--root", "0,1,2", "--out", str(rep))
+    code, out, _ = run(capsys, "verify", str(rep), "--checks", "endo")
+    assert code == 0
+    assert json.loads(out) == {"endo": {"computed": 2, "predicted": 2, "ok": True}, "status": "pass"}
+
+    # the same dims with zero matrices: S(2) + S(3)^2 has dim End 1 + 4
+    doc = json.loads(rep.read_text())
+    doc["mats"] = {a: [["0"] * len(row) for row in m] for a, m in doc["mats"].items()}
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(split), "--checks", "endo")
+    assert code == 1
+    assert json.loads(out) == {"endo": {"computed": 5, "predicted": 2, "ok": False}, "status": "fail"}
+
+    # no prediction off the family quivers, nor for a vector that is no real root
+    kronecker = tmp_path / "kronecker.json"
+    kronecker.write_text(json.dumps({
+        "quiver": {"vertices": [1, 2],
+                   "arrows": [{"id": "a1", "tail": 1, "head": 2},
+                              {"id": "a2", "tail": 1, "head": 2}]},
+        "field": {"type": "rational"},
+        "dims": {"1": 1, "2": 1},
+        "mats": {"a1": [["1"]], "a2": [["0"]]},
+    }))
+    monkeypatch.setattr(cli, "plan", None)  # never reached
+    code, out, _ = run(capsys, "verify", str(kronecker), "--checks", "endo,maxrank")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["endo"] == {"computed": 1, "predicted": None, "ok": None}
+    assert doc["maxrank"]["ok"] is False and doc["status"] == "fail"
+    code, out, _ = run(capsys, "verify", str(kronecker), "--checks", "endo")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    monkeypatch.undo()
+    imaginary = tmp_path / "imaginary.json"
+    run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,0,0", "--out", str(imaginary))
+    doc = json.loads(imaginary.read_text())
+    doc["dims"], doc["mats"] = {"1": 1, "2": 1, "3": 1}, {"la1": [["0"]], "mu1": [["0"]], "nu1": [["0"]]}
+    imaginary.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(imaginary), "--checks", "endo")
+    assert code == 0
+    assert json.loads(out)["endo"] == {"computed": 3, "predicted": None, "ok": None}
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{\"quiver\": 3}")
@@ -147,14 +193,26 @@ def test_homext_euler(tmp_path, capsys):
     assert doc == {"hom": 0, "ext": 1, "euler_ok": True}
 
 
+def test_homext_builds_the_delta_map_twice(tmp_path, monkeypatch, capsys):
+    # once for homext, whose numbers the report and the Euler check share,
+    # and once for hom_dim's kernel side of the check
+    rep = tmp_path / "rep.json"
+    run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,1,2", "--out", str(rep))
+    real, calls = reps.delta_matrix, []
+    monkeypatch.setattr(reps, "delta_matrix", lambda x, y: calls.append(1) or real(x, y))
+    code, out, _ = run(capsys, "homext", str(rep), str(rep))
+    assert code == 0 and json.loads(out)["euler_ok"] is True
+    assert len(calls) == 2
+
+
 def test_euler_check_fails_when_hom_and_ext_disagree(tmp_path, monkeypatch, capsys):
     rep = tmp_path / "rep.json"
     run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,1,2", "--out", str(rep))
     x = rep_from_json(json.loads(rep.read_text()))
-    assert reps.euler_form_check(x, x)
+    assert reps.euler_form_check(x, x, reps.homext(x, x))
     hom_dim = reps.hom_dim
     monkeypatch.setattr(reps, "hom_dim", lambda x, y: hom_dim(x, y) + 1)
-    assert not reps.euler_form_check(x, x)
+    assert not reps.euler_form_check(x, x, reps.homext(x, x))
     code, out, _ = run(capsys, "verify", str(rep), "--checks", "euler")
     assert code == 1 and json.loads(out)["euler"] == {"ok": False}
     code, out, _ = run(capsys, "homext", str(rep), str(rep))

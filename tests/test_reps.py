@@ -134,7 +134,7 @@ def test_euler_identity_random_pairs(q111):
         x = random_rep(q111, rng, max_dim=3)
         y = random_rep(q111, rng, max_dim=3)
         assert hom_dim(x, y) - ext_dim(x, y) == ringel_form(q111, x.dims, y.dims)
-        assert euler_form_check(x, y)
+        assert euler_form_check(x, y, homext(x, y))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])

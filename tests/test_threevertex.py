@@ -7,24 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverforge.errors import DomainError, InputError
+from quiverforge import catalog, three_vertex
+from quiverforge.errors import ConstructionError, DomainError, InputError
 from quiverforge.linalg import GF, Mat
 from quiverforge.quiver import apply_word, enumerate_real_roots, height, unit_vector
 from quiverforge.reps import end_dim, simple_rep
 from quiverforge.serialize import parse_field_flag, rep_to_json
 from quiverforge.three_vertex import (
+    ConstructionTrace,
     EElement,
     FamilyParams,
     IDENTITY_E,
     StarForm,
     apply_e,
-    base_rep,
     build_family,
     build_subquiver,
     construct,
     f1_reduce,
     kronecker_rep,
+    plan,
     predicted_end_dim,
+    realise,
     recognize_E,
     rewrite_to_star,
     s1_mul,
@@ -172,11 +175,14 @@ def test_sigma_zeta_dims_match_word_action():
     # dims of sigma_{zeta_i(n)} S(3) must equal zeta_i(n)(e_3)
     p = FamilyParams(2, 1, 1)
     q = build_family(p)
-    # zeta_1(0) = s_1 fixes e_3, so its base is S(3) itself
+    # zeta_1(0) = s_1 fixes e_3, so its chain is S(3) alone
     for i, n in [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
-        b = base_rep(EElement(f"zeta{i}", n), 3, p)
+        trace = ConstructionTrace(q)
+        trace.base(unit_vector(q, 3))
+        if (i, n) != (1, 0):
+            trace.extend(sigma_zeta_root(i, n, p))
         expect = apply_e(q, EElement(f"zeta{i}", n), unit_vector(q, 3))
-        assert b.rep.dims == expect
+        assert realise(trace, p).dims == trace.stages[-1].dims == expect
 
 
 def test_kronecker_rep_dims_and_schur():
@@ -319,3 +325,95 @@ def test_stage_labels_follow_the_naming_rule(q111):
             assert stages[0]["tag"] == "base " + _expected_name(stages[0]["dims"], True)
             for st in stages[1:]:
                 assert st["tag"] == "sigma " + _expected_name(st["s_dims"], False)
+
+
+# sha256 over json.dumps(trace.to_json(), sort_keys=True) for the same 204
+# (family, field, root) cases, in the same order
+TRACE_DIGEST = "9e601521b53d9da355d18342f489663d1aebcc9fca6815298e830e2b90fef180"
+
+
+def test_construction_trace_is_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for fam in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)]:
+        p = FamilyParams(*fam)
+        q = build_family(p)
+        for flag in ("q", "fp:3"):
+            field = parse_field_flag(flag)
+            for r in enumerate_real_roots(q, 14):
+                _, trace = construct(r, p, field)
+                # construct realises exactly the field-free plan
+                assert plan(r, p).to_json() == trace.to_json()
+                h.update(json.dumps(trace.to_json(), sort_keys=True).encode())
+                count += 1
+    assert count == 204
+    assert h.hexdigest() == TRACE_DIGEST
+
+
+def test_plan_is_field_free_and_reaches_past_construction(q111, monkeypatch):
+    def no_matrices(self, *args, **kwargs):
+        raise AssertionError("plan must not build a matrix")
+
+    roots = enumerate_real_roots(q111, 120)
+    assert len(roots) == 437
+    monkeypatch.setattr(Mat, "__init__", no_matrices)
+    for r in roots:
+        trace = plan(r, FamilyParams(1, 1, 1))
+        assert trace.stages[-1].dims == r
+        assert ConstructionTrace.from_json(q111, trace.to_json()) == trace
+
+
+# X_(3,4,2) of Q(1,1,1) is base S(2), then sigma S(3), then sigma X_(1,1,0)
+_ALPHA_342 = {1: 3, 2: 4, 3: 2}
+
+
+def _patch_sigma_call(monkeypatch, n, replacement):
+    """Make the n-th three_vertex.sigma call return replacement(s, x)."""
+    real, calls = three_vertex.sigma, []
+
+    def patched(s, x):
+        calls.append(s)
+        return replacement(s, x) if len(calls) == n else real(s, x)
+
+    monkeypatch.setattr(three_vertex, "sigma", patched)
+
+
+def _carried_trace(p, alpha=_ALPHA_342):
+    with pytest.raises(ConstructionError) as exc:
+        construct(alpha, p)
+    assert exc.value.trace is not None
+    return exc.value
+
+
+def test_a_sigma_error_carries_the_trace_up_to_its_stage(q111, monkeypatch):
+    p = FamilyParams(1, 1, 1)
+    full = plan(_ALPHA_342, p)
+
+    def boom(s, x):
+        raise ConstructionError("sigma dimension formula violated")
+
+    _patch_sigma_call(monkeypatch, 2, boom)
+    exc = _carried_trace(p)
+    assert len(exc.trace.stages) == 3
+    assert exc.trace.to_json() == full.to_json()
+    # catalog records show the carried trace unchanged
+    _patch_sigma_call(monkeypatch, 2, boom)
+    rec = catalog.check_root((1, 1, 1, (3, 4, 2), "q", 0))
+    assert rec.error == "sigma dimension formula violated"
+    assert rec.trace == full.to_json()
+
+
+def test_a_kronecker_parity_error_carries_the_trace_up_to_its_stage(q111, monkeypatch):
+    # with reflections that do nothing, X_(1,1,0) = s_1(e_2) never leaves
+    # the reversed start orientation
+    monkeypatch.setattr(three_vertex, "bgp_reflect", lambda x, i, direction: x)
+    exc = _carried_trace(FamilyParams(1, 1, 1))
+    assert "reflection parity" in str(exc)
+    assert [st.tag for st in exc.trace.stages] == ["base S(2)", "sigma S(3)", "sigma X_(1, 1, 0)"]
+
+
+def test_a_stage_with_the_wrong_dims_carries_the_trace_up_to_it(q111, monkeypatch):
+    _patch_sigma_call(monkeypatch, 1, lambda s, x: x)
+    exc = _carried_trace(FamilyParams(1, 1, 1))
+    assert str(exc) == "stage 1 built dims {1: 0, 2: 1, 3: 0}, planned {1: 0, 2: 1, 3: 2}"
+    assert [st.tag for st in exc.trace.stages] == ["base S(2)", "sigma S(3)"]
