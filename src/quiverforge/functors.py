@@ -60,16 +60,6 @@ class MembershipReport:
         """X in M_{-S}: Hom(S, X) = 0."""
         return self.hom_s_x == 0
 
-    def to_json(self) -> dict:
-        return {
-            "hom_X_S": self.hom_x_s,
-            "hom_S_X": self.hom_s_x,
-            "ext_S_X": self.ext_s_x,
-            "ext_X_S": self.ext_x_s,
-            "in_minus_upper": self.in_minus_upper,
-            "in_minus_lower": self.in_minus_lower,
-        }
-
 
 @dataclass
 class RankViolation:

@@ -1,17 +1,20 @@
-"""Exact dense linear algebra over the rationals and over prime fields.
+"""Exact linear algebra over the rationals and over prime fields.
 
-All operations are deterministic: elimination always picks the leftmost
-nonzero pivot in the topmost remaining row, kernel bases set free
-variables to one in ascending index order, and complements are chosen by
-a greedy ascending scan over coordinate vectors.  Matrices are immutable
-after construction; 0 x n and n x 0 matrices are legal everywhere.
+Matrices are dense and immutable after construction; 0 x n and n x 0
+matrices are legal everywhere.  Every elimination is one sparse
+row-insertion RREF (_rref): rows go in one at a time and the store of
+reduced rows stays in RREF.  The RREF of a row space is unique, so its
+pivots and rows equal those of a dense leftmost-pivot elimination.
+Kernel bases set free variables to one in ascending index order, and
+complements are chosen by a greedy ascending scan over coordinate
+vectors.
 
 Scalars of Q are fractions.Fraction; scalars of F_p are plain ints in
 [0, p).  Mat sends every entry through its field's `of`, so code that
 builds matrices from sums and products (mul, add, scale, kernel_basis,
 the delta map, block sums) does plain + - * and leaves the reduction to
-Mat.  _rref is the only code doing arithmetic on raw lists; it reduces
-its own updates.
+Mat.  _rref works on sparse rows outside Mat, so it reduces its own
+updates.
 """
 
 from __future__ import annotations
@@ -239,75 +242,63 @@ def vstack(mats: Sequence[Mat], cols: Optional[int] = None, field=QQ) -> Mat:
     return Mat(sum(m.rows for m in mats), c, data, mats[0].field)
 
 
-def _rref(data, nc: int, field):
-    """Reduced row echelon form of the rows in data, each of length nc.
+def _rref(data, field) -> dict:
+    """Reduced row echelon form of the dense rows in data, by row insertion.
 
-    Returns (rows, pivot_cols) where rows is a list of lists.  Pivoting:
-    leftmost nonzero column, topmost remaining row, no size heuristics.
-    Over F_p every update is reduced mod p here and pivots are
-    normalised by a modular inverse.
+    Returns {pivot column: row}, each row a sparse {column: value} dict
+    that is one at its pivot.  Each incoming row is reduced against the
+    stored rows; its leftmost remaining entry becomes a new pivot, scaled
+    to one, and that column is cleared from the stored rows, so the store
+    is an RREF after every row.  Over F_p every update is reduced mod p
+    here.
     """
     p = field.p if isinstance(field, PrimeField) else None
-    rows = [list(r) for r in data]
-    nr = len(rows)
-    pivots = []
-    pr = 0
-    for pc in range(nc):
-        hit = None
-        for i in range(pr, nr):
-            if rows[i][pc]:
-                hit = i
-                break
-        if hit is None:
+
+    def add_multiple(row, f, prow):
+        # row += f * prow, dropping the entries that cancel
+        for c, x in prow.items():
+            v = row.get(c, 0) + f * x
+            if p:
+                v %= p
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+
+    store = {}
+    for dense in data:
+        row = {c: x for c, x in enumerate(dense) if x}
+        # a stored row is zero at every other pivot, so the order does not matter
+        for pc in [c for c in row if c in store]:
+            add_multiple(row, -row[pc], store[pc])
+        if not row:
             continue
-        if hit != pr:
-            rows[pr], rows[hit] = rows[hit], rows[pr]
-        prow = rows[pr]
-        pv = prow[pc]
-        if pv != 1:
-            inv = pow(pv, -1, p) if p else 1 / pv
-            for c in range(pc, nc):
-                if prow[c]:
-                    prow[c] = prow[c] * inv % p if p else prow[c] * inv
-        for i in range(nr):
-            if i == pr:
-                continue
-            f = rows[i][pc]
-            if f:
-                irow = rows[i]
-                for c in range(pc, nc):
-                    if prow[c]:
-                        irow[c] = (irow[c] - f * prow[c]) % p if p else irow[c] - f * prow[c]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return rows, pivots
+        pc = min(row)
+        inv = pow(row[pc], -1, p) if p else 1 / row[pc]
+        row = {c: x * inv % p if p else x * inv for c, x in row.items()}
+        for other in store.values():
+            if pc in other:
+                add_multiple(other, -other[pc], row)
+        store[pc] = row
+    return store
 
 
 def rank(m: Mat) -> int:
-    return len(_rref(m.data, m.cols, m.field)[1])
+    return len(_rref(m.data, m.field))
 
 
 def pivot_columns(m: Mat) -> list:
-    return _rref(m.data, m.cols, m.field)[1]
+    return sorted(_rref(m.data, m.field))
 
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns span ker m; echelon-derived basis, free variables in
     ascending index order, each set to one."""
-    rows, pivots = _rref(m.data, m.cols, m.field)
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    store = _rref(m.data, m.field)
+    free = [j for j in range(m.cols) if j not in store]
     z, o = m.field.zero(), m.field.one()
-    cols = []
-    for j in free:
-        v = [z] * m.cols
-        v[j] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][j]
-        cols.append(v)
-    data = [[cols[k][i] for k in range(len(cols))] for i in range(m.cols)]
+    data = [[-store[i].get(j, z) for j in free] if i in store else [o if j == i else z for j in free]
+            for i in range(m.cols)]
     return Mat(m.cols, len(free), data, m.field)
 
 
@@ -319,16 +310,13 @@ def mat_solve(m: Mat, b: Mat) -> Optional[Mat]:
     """
     if m.rows != b.rows:
         raise InputError("solve shape mismatch")
-    rows, pivots = _rref([r + s for r, s in zip(m.data, b.data)], m.cols + b.cols, m.field)
+    store = _rref([r + s for r, s in zip(m.data, b.data)], m.field)
     # a pivot beyond m's columns marks an inconsistent system
-    if any(pc >= m.cols for pc in pivots):
+    if any(pc >= m.cols for pc in store):
         return None
     z = m.field.zero()
-    out = [[z] * b.cols for _ in range(m.cols)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc][j] = rows[r][m.cols + j]
-    return Mat(m.cols, b.cols, out, m.field)
+    data = [[store[i].get(m.cols + j, z) if i in store else z for j in range(b.cols)] for i in range(m.cols)]
+    return Mat(m.cols, b.cols, data, m.field)
 
 
 def solve(m: Mat, b) -> Optional[Mat]:
@@ -360,7 +348,7 @@ def image_complement(span: Mat, ambient_dim: int) -> Mat:
         raise InputError("span rows must equal the ambient dimension")
     n = ambient_dim
     reversed_cols = [col[::-1] for col in zip(*span.data)]
-    hit = {n - 1 - pc for pc in _rref(reversed_cols, n, span.field)[1]}
+    hit = {n - 1 - pc for pc in _rref(reversed_cols, span.field)}
     chosen = [k for k in range(n) if k not in hit]
     z, o = span.field.zero(), span.field.one()
     data = [[o if i == k else z for k in chosen] for i in range(n)]

@@ -256,7 +256,9 @@ def dimvec_from_json(q: Quiver, obj: dict) -> DimVector:
     for key, val in obj.items():
         if key not in by_name:
             raise InputError(f"unknown vertex {key!r} in dimension vector")
-        out[by_name[key]] = int(val)
+        if type(val) is not int:
+            raise InputError(f"dimension {val!r} at vertex {key!r} is not an integer")
+        out[by_name[key]] = val
     if set(out) != set(q.vertices):
         raise InputError("dimension vector misses vertices")
     return out

@@ -25,7 +25,9 @@ def field_from_json(obj: Optional[dict]):
     if obj is None or obj.get("type") == "rational":
         return QQ
     if obj.get("type") == "fp":
-        return GF(int(obj["p"]))
+        if type(obj["p"]) is not int:
+            raise InputError(f"field characteristic {obj['p']!r} is not an integer")
+        return GF(obj["p"])
     raise InputError(f"unknown field spec {obj!r}")
 
 

@@ -2,11 +2,14 @@
 
 Fp and _rref are the scalar class and the dense elimination linalg used
 while F_p scalars were objects: every Fp operation reduces mod p and
-allocates a new Fp, so no reduction is left to Mat.  fp_pivot_columns,
-fp_kernel_basis, fp_mat_solve and fp_complement run the old rank,
-pivot, kernel, solve and complement code on Fp lifts of a matrix over
-GF(p) and return plain residues laid out like Mat.data, to be compared
-with linalg over GF(p).
+allocates a new Fp, so no reduction is left to Mat.  _rref is the dense
+column sweep: for each column in turn it takes the topmost remaining
+row with a nonzero there as the pivot row.  ref_pivot_columns,
+ref_kernel_basis, ref_mat_solve and ref_complement run the old rank,
+pivot, kernel, solve and complement code on a matrix over QQ or GF(p)
+and return values laid out like Mat.data, to be compared with linalg.
+Over GF(p) they run on Fp lifts of the residues and return plain
+residues; over QQ they run on the Fractions themselves.
 
 greedy_complement is the original incremental row-space scan behind
 linalg.image_complement: reduce each column of the span into a growing
@@ -109,42 +112,49 @@ def _rref(data, nc: int, field):
     return rows, pivots
 
 
-def _fp_rref(data, nc: int, p: int):
+def _ref_rref(data, nc: int, field):
+    """_rref on Fp lifts over GF(p), or on the Fractions over QQ."""
+    p = getattr(field, "p", None)
+    if p is None:
+        return _rref(data, nc, field)
     return _rref([[Fp(x, p) for x in row] for row in data], nc, _FpField(p))
 
 
-def fp_pivot_columns(m) -> list:
-    return _fp_rref(m.data, m.cols, m.field.p)[1]
+def _value(x):
+    return x.v if isinstance(x, Fp) else x
 
 
-def fp_kernel_basis(m) -> tuple:
-    p = m.field.p
-    rows, pivots = _fp_rref(m.data, m.cols, p)
+def ref_pivot_columns(m) -> list:
+    return _ref_rref(m.data, m.cols, m.field)[1]
+
+
+def ref_kernel_basis(m) -> tuple:
+    rows, pivots = _ref_rref(m.data, m.cols, m.field)
     cols = []
     for j in range(m.cols):
         if j in pivots:
             continue
-        v = [Fp(0, p)] * m.cols
-        v[j] = Fp(1, p)
+        v = [0] * m.cols
+        v[j] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][j]
+            v[pc] = _value(-rows[r][j])
         cols.append(v)
-    return tuple(tuple(c[i].v for c in cols) for i in range(m.cols))
+    return tuple(tuple(c[i] for c in cols) for i in range(m.cols))
 
 
-def fp_mat_solve(m, b):
-    rows, pivots = _fp_rref([r + s for r, s in zip(m.data, b.data)], m.cols + b.cols, m.field.p)
+def ref_mat_solve(m, b):
+    rows, pivots = _ref_rref([r + s for r, s in zip(m.data, b.data)], m.cols + b.cols, m.field)
     if any(pc >= m.cols for pc in pivots):
         return None
     out = [(0,) * b.cols for _ in range(m.cols)]
     for r, pc in enumerate(pivots):
-        out[pc] = tuple(x.v for x in rows[r][m.cols:])
+        out[pc] = tuple(_value(x) for x in rows[r][m.cols:])
     return tuple(out)
 
 
-def fp_complement(span, n: int) -> list:
+def ref_complement(span, n: int) -> list:
     reversed_cols = [col[::-1] for col in zip(*span.data)]
-    hit = {n - 1 - pc for pc in _fp_rref(reversed_cols, n, span.field.p)[1]}
+    hit = {n - 1 - pc for pc in _ref_rref(reversed_cols, n, span.field)[1]}
     return [k for k in range(n) if k not in hit]
 
 

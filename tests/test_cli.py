@@ -172,6 +172,14 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 2 and "malformed" in err
+    # non-integer dimensions and characteristic are not truncated to ints
+    rep = tmp_path / "rep.json"
+    run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,1,2", "--out", str(rep))
+    good = json.loads(rep.read_text())
+    for key, value in (("dims", {"1": 1.9, "2": 1, "3": 2.5}), ("field", {"type": "fp", "p": 3.9})):
+        bad.write_text(json.dumps({**good, key: value}))
+        code, _, _ = run(capsys, "verify", str(bad))
+        assert code == 2
 
 
 def test_verify_unknown_check_exits_2(tmp_path, capsys):
