@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import List, Optional, Tuple
 
@@ -128,6 +127,9 @@ def run_catalog(
         for r in roots
     ]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(check_root, tasks))
     else:

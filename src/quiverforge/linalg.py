@@ -1,26 +1,29 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Matrices are dense and immutable after construction; 0 x n and n x 0
-matrices are legal everywhere.  Every elimination is one sparse
-row-insertion RREF (_rref): rows go in one at a time and the store of
-reduced rows stays in RREF.  The RREF of a row space is unique, so its
-pivots and rows equal those of a dense leftmost-pivot elimination.
-Kernel bases set free variables to one in ascending index order, and
-complements are chosen by a greedy ascending scan over coordinate
-vectors.
+Mat is a dense matrix, immutable after construction; 0 x n and n x 0
+matrices are legal everywhere.  SparseRows holds a matrix as one
+{column: value} dict per row, zeros left out; rank, kernel_basis,
+complement_coordinates and image_complement take either.  Every
+elimination is one sparse row-insertion RREF (_rref): rows go in one at
+a time and the store of reduced rows stays in RREF.  The RREF of a row
+space is unique, so its pivots and rows equal those of a dense
+leftmost-pivot elimination.  Kernel bases set free variables to one in
+ascending index order, and complements are chosen by a greedy ascending
+scan over coordinate vectors.
 
 Scalars of Q are fractions.Fraction; scalars of F_p are plain ints in
-[0, p).  Mat sends every entry through its field's `of`, so code that
+[0, p).  Mat sends every entry through its field's `of`, which reduces
+an int mod p and passes a Fraction through unchanged, so code that
 builds matrices from sums and products (mul, add, scale, kernel_basis,
-the delta map, block sums) does plain + - * and leaves the reduction to
-Mat.  _rref works on sparse rows outside Mat, so it reduces its own
-updates.
+block sums) does plain + - * and leaves the reduction to Mat.  Whoever
+builds a SparseRows stores field elements in it, as Mat would.  _rref
+works on sparse rows outside Mat, so it reduces its own updates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
@@ -35,7 +38,7 @@ class RationalField:
         return Fraction(1)
 
     def of(self, v) -> Fraction:
-        return Fraction(v)
+        return v if type(v) is Fraction else Fraction(v)
 
     def __repr__(self):
         return "QQ"
@@ -130,7 +133,11 @@ class Mat:
     def __init__(self, rows: int, cols: int, data, field=QQ):
         if rows < 0 or cols < 0:
             raise InputError("negative matrix dimension")
-        data = tuple(tuple(field.of(x) for x in row) for row in data)
+        of = field.of
+        # tuple() of a list is allocated at its final size; tuple() of a
+        # generator starts at size 10 and is resized, so freed rows of other
+        # sizes pile up on CPython's tuple free lists and are never reused
+        data = tuple([tuple([of(x) for x in row]) for row in data])
         if len(data) != rows or any(len(r) != cols for r in data):
             raise InputError(f"data does not match shape {rows}x{cols}")
         self.rows = rows
@@ -242,15 +249,42 @@ def vstack(mats: Sequence[Mat], cols: Optional[int] = None, field=QQ) -> Mat:
     return Mat(sum(m.rows for m in mats), c, data, mats[0].field)
 
 
-def _rref(data, field) -> dict:
-    """Reduced row echelon form of the dense rows in data, by row insertion.
+class SparseRows(NamedTuple):
+    """A rows x cols matrix over field as one {column: value} dict per
+    row, holding the nonzero entries only."""
 
-    Returns {pivot column: row}, each row a sparse {column: value} dict
-    that is one at its pivot.  Each incoming row is reduced against the
-    stored rows; its leftmost remaining entry becomes a new pivot, scaled
-    to one, and that column is cleared from the stored rows, so the store
-    is an RREF after every row.  Over F_p every update is reduced mod p
-    here.
+    rows: int
+    cols: int
+    entries: List[dict]
+    field: object
+
+
+def _row_data(m):
+    """The rows of a Mat or a SparseRows, as _rref takes them."""
+    return m.entries if isinstance(m, SparseRows) else m.data
+
+
+def _sparse_transpose(rows, ncols: int) -> list:
+    """The columns of the matrix with the given dense or sparse rows, as
+    sparse {row: value} dicts."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items() if isinstance(row, dict) else enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _rref(data, field) -> dict:
+    """Reduced row echelon form of the rows in data, by row insertion.
+
+    A row is a sparse {column: value} dict, which is copied, or a dense
+    sequence, which is converted on entry.  Returns {pivot column: row},
+    each row a sparse dict that is one at its pivot.  Each incoming row
+    is reduced against the stored rows; its leftmost remaining entry
+    becomes a new pivot, scaled to one, and that column is cleared from
+    the stored rows, so the store is an RREF after every row.  Over F_p
+    every update is reduced mod p here.
     """
     p = field.p if isinstance(field, PrimeField) else None
 
@@ -266,8 +300,8 @@ def _rref(data, field) -> dict:
                 del row[c]
 
     store = {}
-    for dense in data:
-        row = {c: x for c, x in enumerate(dense) if x}
+    for given in data:
+        row = dict(given) if isinstance(given, dict) else {c: x for c, x in enumerate(given) if x}
         # a stored row is zero at every other pivot, so the order does not matter
         for pc in [c for c in row if c in store]:
             add_multiple(row, -row[pc], store[pc])
@@ -283,18 +317,19 @@ def _rref(data, field) -> dict:
     return store
 
 
-def rank(m: Mat) -> int:
-    return len(_rref(m.data, m.field))
+def rank(m) -> int:
+    """Rank of a Mat or a SparseRows."""
+    return len(_rref(_row_data(m), m.field))
 
 
 def pivot_columns(m: Mat) -> list:
     return sorted(_rref(m.data, m.field))
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Columns span ker m; echelon-derived basis, free variables in
-    ascending index order, each set to one."""
-    store = _rref(m.data, m.field)
+def kernel_basis(m) -> Mat:
+    """Columns span ker m, for a Mat or a SparseRows m; echelon-derived
+    basis, free variables in ascending index order, each set to one."""
+    store = _rref(_row_data(m), m.field)
     free = [j for j in range(m.cols) if j not in store]
     z, o = m.field.zero(), m.field.one()
     data = [[-store[i].get(j, z) for j in free] if i in store else [o if j == i else z for j in free]
@@ -336,8 +371,9 @@ def inverse(m: Mat) -> Mat:
     return res
 
 
-def image_complement(span: Mat, ambient_dim: int) -> Mat:
-    """Standard coordinate vectors extending im(span) to the full space.
+def complement_coordinates(span, ambient_dim: int) -> list:
+    """The k, ascending, of the standard coordinate vectors e_k that
+    extend im(span) to the full space, for a Mat or a SparseRows span.
 
     Greedy: scan e_1, e_2, ... in ascending order, keeping each vector
     that enlarges the span.  e_k enlarges it exactly when no vector of
@@ -347,9 +383,15 @@ def image_complement(span: Mat, ambient_dim: int) -> Mat:
     if span.rows != ambient_dim:
         raise InputError("span rows must equal the ambient dimension")
     n = ambient_dim
-    reversed_cols = [col[::-1] for col in zip(*span.data)]
+    reversed_cols = _sparse_transpose(_row_data(span)[::-1], span.cols)
     hit = {n - 1 - pc for pc in _rref(reversed_cols, span.field)}
-    chosen = [k for k in range(n) if k not in hit]
+    return [k for k in range(n) if k not in hit]
+
+
+def image_complement(span, ambient_dim: int) -> Mat:
+    """The coordinate vectors of complement_coordinates, as the columns
+    of an ambient_dim x k matrix."""
+    chosen = complement_coordinates(span, ambient_dim)
     z, o = span.field.zero(), span.field.one()
-    data = [[o if i == k else z for k in chosen] for i in range(n)]
-    return Mat(n, len(chosen), data, span.field)
+    data = [[o if i == k else z for k in chosen] for i in range(ambient_dim)]
+    return Mat(ambient_dim, len(chosen), data, span.field)

@@ -1,6 +1,8 @@
 """Representations, morphism spaces and extensions via the delta map.
 
 delta: C^0(X,Y) -> C^1(X,Y) has kernel Hom(X,Y) and cokernel Ext^1(X,Y).
+delta_matrix returns it as linalg.SparseRows, one row per C^1 unit, and
+it is never built dense: it is about 0.2% nonzero on catalog roots.
 Its coordinates are matrix units, listed once by _c0_units and _c1_units:
 C^0 = sum_i Hom(X_i, Y_i) has units (vertex, row, col), 0-based, and
 C^1 = sum_a Hom(X_{t(a)}, Y_{h(a)}) has units (arrow id, col, row),
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InputError
-from .linalg import Mat, PrimeField, QQ, image_complement, kernel_basis, rank
+from .linalg import Mat, PrimeField, QQ, SparseRows, complement_coordinates, kernel_basis, rank
 from .quiver import Quiver, check_dimvec, ringel_form, unit_vector
 
 
@@ -156,8 +158,9 @@ def _c1_units(x: Representation, y: Representation) -> List[Tuple[object, int, i
             for c in range(1, x.dims[a.tail] + 1) for r in range(1, y.dims[a.head] + 1)]
 
 
-def delta_matrix(x: Representation, y: Representation) -> Mat:
-    """Matrix of delta: C^0(X,Y) -> C^1(X,Y), phi |-> (phi_h(a) X_a - Y_a phi_t(a))_a.
+def delta_matrix(x: Representation, y: Representation) -> SparseRows:
+    """Matrix of delta: C^0(X,Y) -> C^1(X,Y), phi |-> (phi_h(a) X_a - Y_a phi_t(a))_a,
+    as sparse rows: one {C^0 index: value} dict per C^1 unit.
 
     The row of the C^1 unit (a, s, r) is entry (r, s) of the image; with
     s, r made 0-based it holds +X_a[k][s] at the C^0 unit (h(a), r, k) and
@@ -167,19 +170,19 @@ def delta_matrix(x: Representation, y: Representation) -> Mat:
     if x.quiver != y.quiver or x.field != y.field:
         raise InputError("delta needs the same quiver and field")
     c0 = {u: i for i, u in enumerate(_c0_units(x, y))}
-    z = x.field.zero()
+    of = x.field.of
     rows = []
     for aid, s, r in _c1_units(x, y):
         a, s, r = x.quiver.arrow(aid), s - 1, r - 1
-        row = [z] * len(c0)
+        row = {}
         for k, xrow in enumerate(x.mats[aid].data):
             if xrow[s]:
                 row[c0[a.head, r, k]] = xrow[s]
         for k, val in enumerate(y.mats[aid].data[r]):
             if val:
-                row[c0[a.tail, k, s]] = -val
+                row[c0[a.tail, k, s]] = of(-val)
         rows.append(row)
-    return Mat(len(rows), len(c0), rows, x.field)
+    return SparseRows(len(rows), len(c0), rows, x.field)
 
 
 def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
@@ -215,14 +218,13 @@ def homext(x: Representation, y: Representation) -> HomExt:
     dim Ext^1 = dim C^1 - rank(delta) is the size of the greedy complement
     of im(delta), and dim Hom = dim C^0 - rank(delta).  The units are the
     C^1 units whose classes form a basis of coker(delta), chosen by the
-    greedy ascending scan of image_complement, so the selection is
+    greedy ascending scan of complement_coordinates, so the selection is
     reproducible bit for bit.
     """
     d = delta_matrix(x, y)
-    comp = image_complement(d, d.rows)
     c1 = _c1_units(x, y)
-    units = [c1[next(i for i, row in enumerate(comp.data) if row[j])] for j in range(comp.cols)]
-    return HomExt(d.cols - d.rows + comp.cols, comp.cols, units)
+    units = [c1[k] for k in complement_coordinates(d, d.rows)]
+    return HomExt(d.cols - d.rows + len(units), len(units), units)
 
 
 def ext_dim(x: Representation, y: Representation) -> int:

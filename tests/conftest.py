@@ -38,3 +38,16 @@ def random_rep(q: Quiver, rng: random.Random, max_dim: int = 4, field=QQ) -> Rep
             field,
         )
     return Representation(q, dims, mats, field)
+
+
+def densify(d) -> Mat:
+    """The dense Mat of a linalg.SparseRows, after checking that d holds
+    one row per row index and only nonzero entries inside the width, each
+    a field element as Mat would store it (a Fraction over QQ, an int in
+    [0, p) over GF(p)), so no coercion by Mat can hide a bad entry."""
+    f = d.field
+    assert len(d.entries) == d.rows
+    for row in d.entries:
+        for j, v in row.items():
+            assert 0 <= j < d.cols and v and type(f.of(v)) is type(v) and f.of(v) == v
+    return Mat(d.rows, d.cols, [[row.get(j, f.zero()) for j in range(d.cols)] for row in d.entries], f)

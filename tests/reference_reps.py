@@ -8,13 +8,18 @@ c1_index_to_unit and the reshape of the kernel columns in hom_basis.
 ext_units labels the greedy complement of the image like the homext of
 that time.  reps now reads both orders from one list each, and must
 agree with these bit for bit.
+
+The delta matrix here is dense, and hom_dim, hom_basis and ext_units
+eliminate it with the dense column sweep of reference_linalg, so the
+whole path shares no elimination with the sparse delta rows of reps.
 """
 
 from typing import List
 
 from quiverforge.errors import InputError
-from quiverforge.linalg import Mat, image_complement, kernel_basis
+from quiverforge.linalg import Mat
 from quiverforge.reps import Morphism, Representation
+from reference_linalg import ref_complement, ref_kernel_basis, ref_pivot_columns
 
 
 def _c0_layout(x: Representation, y: Representation):
@@ -85,19 +90,23 @@ def delta_matrix(x: Representation, y: Representation) -> Mat:
     return Mat(c1_tot, c0_tot, cols, x.field)
 
 
+def hom_dim(x: Representation, y: Representation) -> int:
+    d = delta_matrix(x, y)
+    return d.cols - len(ref_pivot_columns(d))
+
+
 def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
     """Basis of Hom(X,Y) as the kernel of the delta matrix."""
-    d = delta_matrix(x, y)
-    k = kernel_basis(d)
+    k = ref_kernel_basis(delta_matrix(x, y))  # rows laid out like Mat.data
     basis = []
     c0_off, _ = _c0_layout(x, y)
-    for j in range(k.cols):
+    for j in range(len(k[0]) if k else 0):
         parts = {}
         for v in x.quiver.vertices:
             xd, yd = x.dims[v], y.dims[v]
             base = c0_off[v]
             rows = [
-                [k.data[base + s * yd + t][j] for s in range(xd)] for t in range(yd)
+                [k[base + s * yd + t][j] for s in range(xd)] for t in range(yd)
             ]
             parts[v] = Mat(yd, xd, rows, x.field)
         basis.append(Morphism(x, y, parts))
@@ -106,9 +115,4 @@ def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
 
 def ext_units(x: Representation, y: Representation):
     d = delta_matrix(x, y)
-    comp = image_complement(d, d.rows)
-    units = []
-    for j in range(comp.cols):
-        idx = next(i for i in range(comp.rows) if comp.data[i][j])
-        units.append(c1_index_to_unit(x, y, idx))
-    return units
+    return [c1_index_to_unit(x, y, idx) for idx in ref_complement(d, d.rows)]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import quiverforge
 from quiverforge import catalog
 from quiverforge.cli import main
 from quiverforge.errors import ConstructionError
@@ -45,3 +49,12 @@ def test_a_failed_record_keeps_the_carried_trace(monkeypatch):
         alpha = dict(zip((1, 2, 3), rec.alpha))
         assert rec.error == "boom"
         assert rec.trace == construct(alpha, FamilyParams(1, 1, 1))[1].to_json()
+
+
+def test_import_loads_no_process_pool():
+    # a serial catalog run never starts workers, so it should not pay for
+    # importing multiprocessing
+    src = os.path.dirname(os.path.dirname(quiverforge.__file__))
+    code = "import sys, quiverforge; assert 'concurrent.futures.process' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -17,6 +17,7 @@ from quiverforge.linalg import (
     GF,
     Mat,
     QQ,
+    SparseRows,
     hstack,
     image_complement,
     inverse,
@@ -273,3 +274,14 @@ def test_prime_field_linalg_matches_fp_reference(f, n, k, extra, zeros, data):
     assert (None if x is None else x.data) == ref_mat_solve(m, b)
     chosen = ref_complement(m, n)
     assert image_complement(m, n) == Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)], f)
+    # the same matrix as sparse rows goes through the same elimination
+    sparse = SparseRows(n, k, [{j: x for j, x in enumerate(row) if x} for row in m.data], f)
+    assert rank(sparse) == len(pivots)
+    assert kernel_basis(sparse) == kernel_basis(m)
+    assert image_complement(sparse, n) == image_complement(m, n)
+
+
+def test_rational_field_passes_fractions_through():
+    f = Fraction(-3, 7)
+    assert QQ.of(f) is f
+    assert QQ.of(2) == Fraction(2) and type(QQ.of(2)) is Fraction

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_reps
-from conftest import random_rep
+from conftest import densify, random_rep
 from quiverforge.errors import InputError
 from quiverforge.linalg import GF, Mat, QQ, kernel_basis, rank
 from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots, ringel_form
@@ -80,7 +80,7 @@ def test_delta_matrix_shape(q111):
     rng = random.Random(9)
     x = random_rep(q111, rng)
     y = random_rep(q111, rng)
-    d = delta_matrix(x, y)
+    d = densify(delta_matrix(x, y))
     assert d.cols == sum(x.dims[v] * y.dims[v] for v in q111.vertices)
     assert d.rows == sum(
         x.dims[a.tail] * y.dims[a.head] for a in q111.arrows
@@ -139,7 +139,8 @@ def test_euler_identity_random_pairs(q111):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
 def test_prime_field_results_are_reduced_ints(q111, p):
-    # Mat is where sums and products over F_p get reduced
+    # Mat is where sums and products over F_p get reduced; the sparse
+    # delta map bypasses Mat, so densify checks that it reduced its own
     def reduced(m):
         return all(type(v) is int and 0 <= v < p for row in m.data for v in row)
 
@@ -147,8 +148,8 @@ def test_prime_field_results_are_reduced_ints(q111, p):
     for _ in range(10):
         x = random_rep(q111, rng, max_dim=3, field=GF(p))
         y = random_rep(q111, rng, max_dim=3, field=GF(p))
-        d = delta_matrix(x, y)
-        k = kernel_basis(d)
+        sparse = delta_matrix(x, y)
+        d, k = densify(sparse), kernel_basis(sparse)
         couplings = [("la1", 1, 0, 1, 1)] if y.dims[2] and x.dims[1] else []
         s = block_sum([x, y, x], couplings)
         products = [d.mul(k), d.transpose().mul(d), d.add(d), d.scale(-1), d.scale(p + 2)]
@@ -229,7 +230,7 @@ def test_homext_matches_separate_eliminations(catalog_reps_q111_bound10):
     for x in reps:
         for y in reps:
             d = delta_matrix(x, y)
-            chosen = greedy_complement(d, d.rows)
+            chosen = greedy_complement(densify(d), d.rows)
             he = homext(x, y)
             assert he.hom == hom_dim(x, y) == d.cols - d.rows + len(chosen)
             assert he.ext == d.rows - rank(d) == len(chosen)
@@ -237,9 +238,13 @@ def test_homext_matches_separate_eliminations(catalog_reps_q111_bound10):
 
 
 def _assert_delta_matches_reference(x, y):
-    assert delta_matrix(x, y) == reference_reps.delta_matrix(x, y)
+    # the reference builds delta dense and eliminates it with the dense
+    # column sweep of reference_linalg
+    assert densify(delta_matrix(x, y)) == reference_reps.delta_matrix(x, y)
+    hom, units = reference_reps.hom_dim(x, y), reference_reps.ext_units(x, y)
+    assert hom_dim(x, y) == hom
     assert [m.parts for m in hom_basis(x, y)] == [m.parts for m in reference_reps.hom_basis(x, y)]
-    assert homext(x, y).ext_units == reference_reps.ext_units(x, y)
+    assert homext(x, y) == (hom, len(units), units)
 
 
 def test_delta_matches_reference_on_catalog_pairs(catalog_reps_q111_bound10):
@@ -267,3 +272,54 @@ def test_delta_matches_reference_on_random_pairs(q, field, seed):
     x = random_rep(q, rng, max_dim=3, field=field)
     y = random_rep(q, rng, max_dim=3, field=field)
     _assert_delta_matches_reference(x, y)
+
+
+def _drawn_rep(q, field, dims, entry):
+    """The representation of q with these dims whose matrix entries are
+    drawn one by one from entry()."""
+    mats = {a.id: Mat(dims[a.head], dims[a.tail],
+                      [[entry() for _ in range(dims[a.tail])] for _ in range(dims[a.head])], field)
+            for a in q.arrows}
+    return Representation(q, dims, mats, field)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(_DIFFERENTIAL_QUIVERS),
+    st.sampled_from([QQ, GF(2), GF(3)]),
+    st.lists(st.integers(0, 3), min_size=6, max_size=6),
+    st.data(),
+)
+# on the Kronecker quiver 1 => 2: C^1 empty, then C^0 empty; then the zero
+# representation, where both are; these draw no entries, so data is None
+@example(_DIFFERENTIAL_QUIVERS[1], QQ, [2, 0, 0, 3, 0, 0], None)
+@example(_DIFFERENTIAL_QUIVERS[1], GF(2), [2, 0, 0, 0, 3, 0], None)
+@example(_DIFFERENTIAL_QUIVERS[0], GF(3), [0, 0, 0, 0, 0, 0], None)
+def test_sparse_delta_matches_dense_reference_path(q, field, dims, data):
+    # X takes dims[:n] and Y dims[3:3 + n]; any vertex dimension may be 0
+    n = len(q.vertices)
+    values = st.sampled_from([field.zero(), field.zero(), field.one(), field.of(-1), field.of(2)])
+    x = _drawn_rep(q, field, dict(zip(q.vertices, dims[:n])), lambda: data.draw(values))
+    y = _drawn_rep(q, field, dict(zip(q.vertices, dims[3:3 + n])), lambda: data.draw(values))
+    _assert_delta_matches_reference(x, y)
+
+
+def test_end_dim_and_homext_never_build_delta_dense(monkeypatch):
+    # X_(5,8,4) of Q(1,1,1): C^0 has 105 units and C^1 has 104
+    x, _ = construct({1: 5, 2: 8, 3: 4}, FamilyParams(1, 1, 1))
+    d = delta_matrix(x, x)
+    assert d.rows * d.cols > 10**4
+    init, shapes = Mat.__init__, []
+
+    def recording_init(m, rows, cols, *rest, **kwargs):
+        shapes.append((rows, cols))
+        init(m, rows, cols, *rest, **kwargs)
+
+    monkeypatch.setattr(Mat, "__init__", recording_init)
+    assert end_dim(x) == 8
+    assert homext(x, x)[:2] == (8, 7)  # a real root: dim End - dim Ext^1 = 1
+    assert (d.rows, d.cols) not in shapes and (d.cols, d.rows) not in shapes
+    assert all(r * c < d.rows * d.cols for r, c in shapes)
+    # the hook sees the Mats that linalg builds: here the C^0 x 8 kernel
+    kernel_basis(d)
+    assert shapes[-1] == (d.cols, 8)
