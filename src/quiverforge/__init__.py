@@ -1,7 +1,7 @@
 """quiverforge: exact-arithmetic workbench for quiver representations."""
 
 from .errors import ConstructionError, DomainError, InputError, QuiverForgeError
-from .linalg import GF, Mat, PrimeField, QQ, hstack, image_complement, kernel_basis, rank, vstack
+from .linalg import GF, Mat, PrimeField, QQ, cokernel, hstack, kernel_basis, rank, vstack
 from .quiver import (
     Arrow,
     Quiver,

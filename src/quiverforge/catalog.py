@@ -19,7 +19,7 @@ from .reps import end_dim, is_indecomposable_oracle
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag
 from .three_vertex import FamilyParams, build_family, construct, predicted_end_dim
-from .trees import coefficient_quiver, is_tree, nonzero_count
+from .trees import coefficient_quiver, is_tree
 
 SCHEMA_VERSION = 1
 DEFAULT_ORACLE_BUDGET = 3**6
@@ -87,7 +87,7 @@ def check_root(task) -> RootRecord:
         rec.maxrank_violations = [v.to_json() for v in violations]
         cq = coefficient_quiver(rep)
         rec.tree_ok = is_tree(cq)
-        rec.nonzero_ok = nonzero_count(rep) == rep.total_dim() - 1
+        rec.nonzero_ok = len(cq.edges) == rep.total_dim() - 1
         rec.end_predicted = predicted_end_dim(trace)
         rec.end_computed = end_dim(rep)
         rec.end_ok = rec.end_predicted == rec.end_computed

@@ -19,7 +19,7 @@ from .reps import end_dim, euler_form_check, homext
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag, rep_from_json, rep_to_json
 from .three_vertex import ConstructionTrace, FamilyParams, build_family, construct, plan
-from .trees import coefficient_quiver, export_dot, is_tree, nonzero_count
+from .trees import coefficient_quiver, export_dot, is_tree
 
 
 def _family(ns) -> FamilyParams:
@@ -146,7 +146,7 @@ def cmd_verify(ns) -> int:
         ok = is_tree(cq)
         report["tree"] = {
             "ok": ok,
-            "nonzero_entries": nonzero_count(x),
+            "nonzero_entries": len(cq.edges),
             "total_dim": x.total_dim(),
         }
     if "euler" in wanted:

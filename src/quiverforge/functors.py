@@ -6,13 +6,14 @@ predicates, and the maximal-rank-type checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from .errors import ConstructionError, DomainError, InputError
 from .linalg import (
     Mat,
+    cokernel,
     hstack,
-    image_complement,
     inverse,
     kernel_basis,
     mat_solve,
@@ -79,19 +80,10 @@ class RankViolation:
         }
 
 
-def _image_basis(m: Mat) -> Mat:
-    """The pivot columns of m, a basis of its image."""
-    cols = pivot_columns(m)
-    return Mat(m.rows, len(cols), [[row[c] for c in cols] for row in m.data], m.field)
-
-
-def _cokernel(m: Mat) -> Tuple[Mat, Mat]:
-    """(comp, proj): the greedy coordinate complement of im(m) and the
-    projection onto it along im(m)."""
-    img = _image_basis(m)
-    comp = image_complement(img, m.rows)
-    basis = hstack([img, comp], rows=m.rows, field=m.field)
-    return comp, inverse(basis).submatrix(img.cols, m.rows, 0, m.rows)
+def _blocks(sizes) -> list:
+    """The (start, stop) ranges of consecutive blocks of the given sizes."""
+    ends = list(accumulate(sizes))
+    return list(zip([0] + ends, ends))
 
 
 def _fresh_vertex(q: Quiver, base="z"):
@@ -107,8 +99,8 @@ def insert_image_vertex(x: Representation, i, arrow_ids: Sequence) -> InsertionR
     """Attach a new vertex carrying the image of the stacked map into i.
 
     The subset must consist of arrows with head i.  The image basis is
-    the set of pivot columns of the column-stacked matrix, and each
-    original map is refactored through the inclusion.
+    the set of pivot columns of the column-stacked matrix, and the
+    stacked map is refactored through the inclusion by one solve.
     """
     q = x.quiver
     aset = []
@@ -119,7 +111,12 @@ def insert_image_vertex(x: Representation, i, arrow_ids: Sequence) -> InsertionR
             aset.append(a)
     if len(aset) != len(set(arrow_ids)):
         raise InputError("unknown arrow id in subset")
-    inclusion = _image_basis(hstack([x.mats[a.id] for a in aset], rows=x.dims[i], field=x.field))
+    stacked = hstack([x.mats[a.id] for a in aset], rows=x.dims[i], field=x.field)
+    cols = pivot_columns(stacked)
+    inclusion = Mat(stacked.rows, len(cols), [[row[c] for c in cols] for row in stacked.data], x.field)
+    hats = mat_solve(inclusion, stacked)
+    if hats is None:
+        raise ConstructionError("factorization through the image failed")
     z = _fresh_vertex(q)
     keep = [a for a in q.arrows if a not in aset]
     gammas = [Arrow(f"g_{a.id}", a.tail, z) for a in aset]
@@ -128,11 +125,8 @@ def insert_image_vertex(x: Representation, i, arrow_ids: Sequence) -> InsertionR
     dims = dict(x.dims)
     dims[z] = inclusion.cols
     mats = {a.id: x.mats[a.id] for a in keep}
-    for a, g in zip(aset, gammas):
-        hat = mat_solve(inclusion, x.mats[a.id])
-        if hat is None:
-            raise ConstructionError("factorization through the image failed")
-        mats[g.id] = hat
+    for g, (lo, hi) in zip(gammas, _blocks(x.dims[a.tail] for a in aset)):
+        mats[g.id] = hats.submatrix(0, hats.rows, lo, hi)
     mats[delta.id] = inclusion
     new_rep = Representation(new_q, dims, mats, x.field)
     return InsertionResult(new_q, new_rep, z, inclusion, x, i, tuple(a.id for a in aset))
@@ -164,7 +158,8 @@ def _subsets_binary(arrows: List[Arrow]):
 
 
 def maximal_rank_report(x: Representation) -> List[RankViolation]:
-    """All (vertex, subset) maximal-rank violations, incoming and outgoing."""
+    """All (vertex, subset) maximal-rank violations, incoming and outgoing:
+    one rank per nonempty subset, 2^k - 1 for a vertex side with k arrows."""
     q = x.quiver
     violations = []
     for i in q.vertices:
@@ -204,33 +199,22 @@ def bgp_reflect(x: Representation, i, direction: str) -> Representation:
     if direction == "plus":
         if q.outgoing(i):
             raise DomainError(f"vertex {i!r} is not a sink")
-        inc = q.incoming(i)
-        stacked = hstack([x.mats[a.id] for a in inc], rows=x.dims[i], field=x.field)
-        ker = kernel_basis(stacked)
-        dims = dict(x.dims)
-        dims[i] = ker.cols
-        mats = {a.id: x.mats[a.id] for a in q.arrows if a not in inc}
-        off = 0
-        for a in inc:
-            da = x.dims[a.tail]
-            mats[a.id] = ker.submatrix(off, off + da, 0, ker.cols)
-            off += da
-        return Representation(_reversed_at(q, i), dims, mats, x.field)
-    if direction == "minus":
+        arrows = q.incoming(i)
+        ker = kernel_basis(hstack([x.mats[a.id] for a in arrows], rows=x.dims[i], field=x.field))
+        blocks = _blocks(x.dims[a.tail] for a in arrows)
+        dim, parts = ker.cols, [ker.submatrix(lo, hi, 0, ker.cols) for lo, hi in blocks]
+    elif direction == "minus":
         if q.incoming(i):
             raise DomainError(f"vertex {i!r} is not a source")
-        out = q.outgoing(i)
-        _, proj = _cokernel(vstack([x.mats[a.id] for a in out], cols=x.dims[i], field=x.field))
-        dims = dict(x.dims)
-        dims[i] = proj.rows
-        mats = {a.id: x.mats[a.id] for a in q.arrows if a not in out}
-        off = 0
-        for a in out:
-            da = x.dims[a.head]
-            mats[a.id] = proj.submatrix(0, proj.rows, off, off + da)
-            off += da
-        return Representation(_reversed_at(q, i), dims, mats, x.field)
-    raise InputError("direction must be 'plus' or 'minus'")
+        arrows = q.outgoing(i)
+        _, proj = cokernel(vstack([x.mats[a.id] for a in arrows], cols=x.dims[i], field=x.field))
+        blocks = _blocks(x.dims[a.head] for a in arrows)
+        dim, parts = proj.rows, [proj.submatrix(0, proj.rows, lo, hi) for lo, hi in blocks]
+    else:
+        raise InputError("direction must be 'plus' or 'minus'")
+    mats = {a.id: x.mats[a.id] for a in q.arrows if a not in arrows}
+    mats.update(zip([a.id for a in arrows], parts))
+    return Representation(_reversed_at(q, i), {**x.dims, i: dim}, mats, x.field)
 
 
 def assert_exceptional(s: Representation) -> None:
@@ -345,15 +329,11 @@ def sigma_under_inv(s: Representation, u: Representation) -> Representation:
     assert_exceptional(s)
     psis = hom_basis(s, u)
     q = u.quiver
-    proj = {}
-    rep_inj = {}
+    rep_inj, proj = {}, {}
     for v in q.vertices:
-        spans = hstack([p.parts[v] for p in psis], rows=u.dims[v], field=u.field)
-        rep_inj[v], proj[v] = _cokernel(spans)
+        rep_inj[v], proj[v] = cokernel(hstack([p.parts[v] for p in psis], rows=u.dims[v], field=u.field))
     dims = {v: proj[v].rows for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        mats[a.id] = proj[a.head].mul(u.mats[a.id]).mul(rep_inj[a.tail])
+    mats = {a.id: proj[a.head].mul(u.mats[a.id]).mul(rep_inj[a.tail]) for a in q.arrows}
     return Representation(q, dims, mats, u.field)
 
 

@@ -3,13 +3,14 @@
 Mat is a dense matrix, immutable after construction; 0 x n and n x 0
 matrices are legal everywhere.  SparseRows holds a matrix as one
 {column: value} dict per row, zeros left out; rank, kernel_basis,
-complement_coordinates and image_complement take either.  Every
+complement_coordinates and cokernel take either.  Every
 elimination is one sparse row-insertion RREF (_rref): rows go in one at
 a time and the store of reduced rows stays in RREF.  The RREF of a row
 space is unique, so its pivots and rows equal those of a dense
 leftmost-pivot elimination.  Kernel bases set free variables to one in
 ascending index order, and complements are chosen by a greedy ascending
-scan over coordinate vectors.
+scan over coordinate vectors; cokernel reads its projection along the
+image from the same RREF.
 
 Scalars of Q are fractions.Fraction; scalars of F_p are plain ints in
 [0, p).  Mat sends every entry through its field's `of`, which reduces
@@ -371,7 +372,7 @@ def inverse(m: Mat) -> Mat:
     return res
 
 
-def complement_coordinates(span, ambient_dim: int) -> list:
+def complement_coordinates(span) -> list:
     """The k, ascending, of the standard coordinate vectors e_k that
     extend im(span) to the full space, for a Mat or a SparseRows span.
 
@@ -380,18 +381,24 @@ def complement_coordinates(span, ambient_dim: int) -> list:
     im(span) has its last nonzero coordinate at k, so the kept k are the
     non-pivots of the RREF of span^T with its coordinates reversed.
     """
-    if span.rows != ambient_dim:
-        raise InputError("span rows must equal the ambient dimension")
-    n = ambient_dim
+    n = span.rows
     reversed_cols = _sparse_transpose(_row_data(span)[::-1], span.cols)
     hit = {n - 1 - pc for pc in _rref(reversed_cols, span.field)}
     return [k for k in range(n) if k not in hit]
 
 
-def image_complement(span, ambient_dim: int) -> Mat:
-    """The coordinate vectors of complement_coordinates, as the columns
-    of an ambient_dim x k matrix."""
-    chosen = complement_coordinates(span, ambient_dim)
-    z, o = span.field.zero(), span.field.one()
-    data = [[o if i == k else z for k in chosen] for i in range(ambient_dim)]
-    return Mat(ambient_dim, len(chosen), data, span.field)
+def cokernel(span) -> tuple:
+    """(comp, proj): the e_k of complement_coordinates as columns, and
+    the projection onto their span along im(span).  The RREF row w_h at
+    hit coordinate h is an image vector that is one at h and zero at
+    every other hit, so the row of proj for kept k is e_k - sum_h w_h[k] e_h.
+    """
+    n, field = span.rows, span.field
+    reversed_cols = _sparse_transpose(_row_data(span)[::-1], span.cols)
+    w = {n - 1 - pc: row for pc, row in _rref(reversed_cols, field).items()}
+    kept = [k for k in range(n) if k not in w]
+    z, o = field.zero(), field.one()
+    comp = Mat(n, len(kept), [[o if i == k else z for k in kept] for i in range(n)], field)
+    # w_h is indexed by reversed coordinates: w_h[k] is w[h][n - 1 - k]
+    proj = [[-w[h].get(n - 1 - k, z) if h in w else o if h == k else z for h in range(n)] for k in kept]
+    return comp, Mat(len(kept), n, proj, field)

@@ -223,7 +223,7 @@ def homext(x: Representation, y: Representation) -> HomExt:
     """
     d = delta_matrix(x, y)
     c1 = _c1_units(x, y)
-    units = [c1[k] for k in complement_coordinates(d, d.rows)]
+    units = [c1[k] for k in complement_coordinates(d)]
     return HomExt(d.cols - d.rows + len(units), len(units), units)
 
 

@@ -1,11 +1,13 @@
 """JSON forms for representations and matrices.
 
 Scalars serialize as exact strings: "3/2" style fractions over the
-rationals, plain residues over a prime field.
+rationals, plain residues over a prime field.  Only those forms and JSON
+integers are read back: Fraction("1e50000000") would not finish.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -44,9 +46,18 @@ def mat_to_json(m: Mat) -> list:
     return [[str(x) for x in row] for row in m.data]
 
 
+_SCALAR = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _scalar_from_json(x):
+    if type(x) is int or isinstance(x, str) and _SCALAR.fullmatch(x):
+        return Fraction(x)
+    raise InputError(f"malformed matrix entry {x!r}")
+
+
 def mat_from_json(rows: int, cols: int, obj: list, field) -> Mat:
     # Mat puts each entry into the field: a fraction reduces mod p there
-    return Mat(rows, cols, [[Fraction(str(x)) for x in row] for row in obj], field)
+    return Mat(rows, cols, [[_scalar_from_json(x) for x in row] for row in obj], field)
 
 
 def rep_to_json(x: Representation) -> dict:

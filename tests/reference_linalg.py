@@ -8,16 +8,20 @@ row with a nonzero there as the pivot row.  ref_pivot_columns,
 ref_kernel_basis, ref_mat_solve and ref_complement run the old rank,
 pivot, kernel, solve and complement code on a matrix over QQ or GF(p)
 and return values laid out like Mat.data, to be compared with linalg.
+ref_cokernel composes them as the functors once did: image basis, then
+complement, then the bottom rows of the inverse of [image | complement].
 Over GF(p) they run on Fp lifts of the residues and return plain
 residues; over QQ they run on the Fractions themselves.
 
 greedy_complement is the original incremental row-space scan behind
-linalg.image_complement: reduce each column of the span into a growing
-echelon set, then try e_1, e_2, ... in ascending order and keep each
-one that raises the rank.  It returns the kept coordinate indices.
+the complement of linalg.cokernel: reduce each column of the span into
+a growing echelon set, then try e_1, e_2, ... in ascending order and
+keep each one that raises the rank.  It returns the kept coordinate
+indices.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 
 class Fp:
@@ -156,6 +160,19 @@ def ref_complement(span, n: int) -> list:
     reversed_cols = [col[::-1] for col in zip(*span.data)]
     hit = {n - 1 - pc for pc in _ref_rref(reversed_cols, n, span.field)[1]}
     return [k for k in range(n) if k not in hit]
+
+
+def ref_cokernel(m) -> tuple:
+    """(comp, proj) of linalg.cokernel from three eliminations: pivot
+    columns, complement, and the solve of [img | comp] x = I."""
+    n, z, o = m.rows, m.field.zero(), m.field.one()
+    pivots = ref_pivot_columns(m)
+    img = [[row[c] for c in pivots] for row in m.data]
+    chosen = ref_complement(SimpleNamespace(data=img, field=m.field), n)
+    comp = [[o if i == k else z for k in chosen] for i in range(n)]
+    basis = SimpleNamespace(data=[a + c for a, c in zip(img, comp)], cols=n, field=m.field)
+    ident = SimpleNamespace(data=[[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
+    return tuple(map(tuple, comp)), ref_mat_solve(basis, ident)[len(pivots):]
 
 
 class _RowSpace:

@@ -163,15 +163,17 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
     bad.write_text("{\"quiver\": 3}")
     code, _, _ = run(capsys, "verify", str(bad))
     assert code == 2
-    # an entry with a zero denominator
-    bad.write_text(json.dumps({
-        "quiver": {"vertices": [1, 2], "arrows": [{"id": "a", "tail": 1, "head": 2}]},
-        "field": {"type": "rational"},
-        "dims": {"1": 1, "2": 1},
-        "mats": {"a": [["1/0"]]},
-    }))
-    code, _, err = run(capsys, "verify", str(bad))
-    assert code == 2 and "malformed" in err
+    # an entry with a zero denominator, and an exponent form that Fraction
+    # would expand into a 50-million-digit integer
+    for entry in ("1/0", "1e50000000"):
+        bad.write_text(json.dumps({
+            "quiver": {"vertices": [1, 2], "arrows": [{"id": "a", "tail": 1, "head": 2}]},
+            "field": {"type": "rational"},
+            "dims": {"1": 1, "2": 1},
+            "mats": {"a": [[entry]]},
+        }))
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 2 and "malformed" in err
     # non-integer dimensions and characteristic are not truncated to ints
     rep = tmp_path / "rep.json"
     run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,1,2", "--out", str(rep))

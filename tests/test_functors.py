@@ -123,6 +123,21 @@ def test_bgp_minus_at_source():
     assert x.dims == {1: 2, 2: 1}
 
 
+def test_cokernel_and_insertion_eliminate_once_per_matrix(monkeypatch):
+    # a reflection's cokernel is one RREF; an insertion is one RREF for
+    # the image basis and one solve of every arrow through it
+    from quiverforge import linalg
+
+    x = kronecker_rep((2, 3), 2)
+    rref, calls = linalg._rref, []
+    monkeypatch.setattr(linalg, "_rref", lambda data, field: calls.append(1) or rref(data, field))
+    bgp_reflect(x, 1, "minus")
+    assert len(calls) == 1
+    calls.clear()
+    res = insert_image_vertex(x, 2, ["la1", "la2"])
+    assert len(calls) == 2 and collapse(res.new_rep, res) == x
+
+
 def test_bgp_rejects_concentrated_and_wrong_orientation():
     q = build_subquiver(2)
     with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_linalg import (
     greedy_complement,
+    ref_cokernel,
     ref_complement,
     ref_kernel_basis,
     ref_mat_solve,
@@ -18,8 +19,8 @@ from quiverforge.linalg import (
     Mat,
     QQ,
     SparseRows,
+    cokernel,
     hstack,
-    image_complement,
     inverse,
     kernel_basis,
     mat_solve,
@@ -61,19 +62,19 @@ def test_kernel_normalization_free_variable_one():
 
 
 def test_image_complement_already_spanning():
-    c = image_complement(Mat.identity(2), 2)
+    c = cokernel(Mat.identity(2))[0]
     assert (c.rows, c.cols) == (2, 0)
 
 
 def test_image_complement_of_zero_subspace():
-    assert image_complement(Mat.zeros(3, 0), 3) == Mat.identity(3)
+    assert cokernel(Mat.zeros(3, 0))[0] == Mat.identity(3)
 
 
 def test_image_complement_greedy_scan():
     # span (1,1,0): e1 enlarges the span, e2 = (1,1,0) - e1 does not,
     # e3 completes it
     span = Mat(3, 1, [[1], [1], [0]])
-    c = image_complement(span, 3)
+    c = cokernel(span)[0]
     assert c == Mat(3, 2, [[1, 0], [0, 0], [0, 1]])
     assert rank(hstack([span, c])) == 3
 
@@ -181,9 +182,11 @@ def test_image_complement_completes_basis():
     for _ in range(40):
         n = rng.randint(1, 6)
         span = _random_mat(rng, n, rng.randint(0, n))
-        c = image_complement(span, n)
+        c, proj = cokernel(span)
         assert c.cols == n - rank(span)
         assert rank(hstack([span, c], rows=n)) == n
+        # proj kills the image and is the identity on the complement
+        assert proj.mul(span).is_zero() and proj.mul(c) == Mat.identity(c.cols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,7 +242,7 @@ def test_image_complement_matches_greedy_reference(field, n, k, data):
     entries = st.sampled_from([0, 0, 0, 1, -1, 2])
     rows = [[data.draw(entries) for _ in range(k)] for _ in range(n)]
     span = Mat(n, k, rows, field)
-    c = image_complement(span, n)
+    c = cokernel(span)[0]
     chosen = greedy_complement(span, n)
     assert c == Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)], field)
 
@@ -273,12 +276,14 @@ def test_prime_field_linalg_matches_fp_reference(f, n, k, extra, zeros, data):
     x = mat_solve(m, b)
     assert (None if x is None else x.data) == ref_mat_solve(m, b)
     chosen = ref_complement(m, n)
-    assert image_complement(m, n) == Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)], f)
+    comp, proj = cokernel(m)
+    assert comp == Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)], f)
+    assert (comp.data, proj.data) == ref_cokernel(m)
     # the same matrix as sparse rows goes through the same elimination
     sparse = SparseRows(n, k, [{j: x for j, x in enumerate(row) if x} for row in m.data], f)
     assert rank(sparse) == len(pivots)
     assert kernel_basis(sparse) == kernel_basis(m)
-    assert image_complement(sparse, n) == image_complement(m, n)
+    assert cokernel(sparse) == cokernel(m)
 
 
 def test_rational_field_passes_fractions_through():
