@@ -18,7 +18,12 @@ an int mod p and passes a Fraction through unchanged, so code that
 builds matrices from sums and products (mul, add, scale, kernel_basis,
 block sums) does plain + - * and leaves the reduction to Mat.  Whoever
 builds a SparseRows stores field elements in it, as Mat would.  _rref
-works on sparse rows outside Mat, so it reduces its own updates.
+works on sparse rows outside Mat, so it keeps its own values: over F_p
+it reduces every update mod p; over Q it keeps integral values as ints
+(delta's entries are +-1, so that is most of them) and creates a
+Fraction only when it scales a row by a pivot other than +-1.  Every
+caller builds its result as a Mat, so each Mat returned here still
+holds Fractions over Q.
 """
 
 from __future__ import annotations
@@ -276,6 +281,11 @@ def _sparse_transpose(rows, ncols: int) -> list:
     return cols
 
 
+def _integral(x: Fraction):
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _rref(data, field) -> dict:
     """Reduced row echelon form of the rows in data, by row insertion.
 
@@ -285,7 +295,11 @@ def _rref(data, field) -> dict:
     is reduced against the stored rows; its leftmost remaining entry
     becomes a new pivot, scaled to one, and that column is cleared from
     the stored rows, so the store is an RREF after every row.  Over F_p
-    every update is reduced mod p here.
+    every update is reduced mod p here.  Over Q an integral Fraction
+    enters as its int numerator and int arithmetic stays int; a pivot of
+    +-1 is scaled by a sign change, any other by Fraction(1, lead) (never
+    1 / lead, which is a float for ints), after which integral values go
+    back to int.  A stored value is an int or a Fraction, never a float.
     """
     p = field.p if isinstance(field, PrimeField) else None
 
@@ -302,15 +316,28 @@ def _rref(data, field) -> dict:
 
     store = {}
     for given in data:
-        row = dict(given) if isinstance(given, dict) else {c: x for c, x in enumerate(given) if x}
+        if p:
+            row = dict(given) if isinstance(given, dict) else {c: x for c, x in enumerate(given) if x}
+        else:
+            # an integral Fraction enters as its numerator
+            items = given.items() if isinstance(given, dict) else enumerate(given)
+            row = {c: _integral(x) for c, x in items if x}
         # a stored row is zero at every other pivot, so the order does not matter
         for pc in [c for c in row if c in store]:
             add_multiple(row, -row[pc], store[pc])
         if not row:
             continue
         pc = min(row)
-        inv = pow(row[pc], -1, p) if p else 1 / row[pc]
-        row = {c: x * inv % p if p else x * inv for c, x in row.items()}
+        lead = row[pc]
+        if p:
+            inv = pow(lead, -1, p)
+            row = {c: x * inv % p for c, x in row.items()}
+        elif lead == -1:
+            row = {c: -x for c, x in row.items()}
+        elif lead != 1:
+            # Fraction(1, lead), not 1 / lead: int / int is a float
+            inv = Fraction(1, lead)
+            row = {c: _integral(x * inv) for c, x in row.items()}
         for other in store.values():
             if pc in other:
                 add_multiple(other, -other[pc], row)

@@ -165,23 +165,26 @@ def delta_matrix(x: Representation, y: Representation) -> SparseRows:
     The row of the C^1 unit (a, s, r) is entry (r, s) of the image; with
     s, r made 0-based it holds +X_a[k][s] at the C^0 unit (h(a), r, k) and
     -Y_a[r][k] at (t(a), k, s).  A quiver has no loops, so h(a) != t(a)
-    and no two terms share a cell.
+    and no two terms share a cell.  Each arrow's nonzeros are listed once,
+    per column of X_a and per row of -Y_a, and every row is built from
+    those lists.
     """
     if x.quiver != y.quiver or x.field != y.field:
         raise InputError("delta needs the same quiver and field")
     c0 = {u: i for i, u in enumerate(_c0_units(x, y))}
     of = x.field.of
     rows = []
-    for aid, s, r in _c1_units(x, y):
-        a, s, r = x.quiver.arrow(aid), s - 1, r - 1
-        row = {}
-        for k, xrow in enumerate(x.mats[aid].data):
-            if xrow[s]:
-                row[c0[a.head, r, k]] = xrow[s]
-        for k, val in enumerate(y.mats[aid].data[r]):
-            if val:
-                row[c0[a.tail, k, s]] = of(-val)
-        rows.append(row)
+    # the rows follow _c1_units: arrows in quiver order, then s, then r
+    for a in x.quiver.arrows:
+        xa, ya = x.mats[a.id].data, y.mats[a.id].data
+        x_cols = [[(k, xrow[s]) for k, xrow in enumerate(xa) if xrow[s]] for s in range(x.dims[a.tail])]
+        y_rows = [[(k, of(-val)) for k, val in enumerate(yrow) if val] for yrow in ya]
+        for s, x_col in enumerate(x_cols):
+            for r, y_row in enumerate(y_rows):
+                row = {c0[a.head, r, k]: val for k, val in x_col}
+                for k, val in y_row:
+                    row[c0[a.tail, k, s]] = val
+                rows.append(row)
     return SparseRows(len(rows), len(c0), rows, x.field)
 
 

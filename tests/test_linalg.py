@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_linalg import _rref as dense_rref
 from reference_linalg import (
     greedy_complement,
     ref_cokernel,
@@ -19,6 +20,7 @@ from quiverforge.linalg import (
     Mat,
     QQ,
     SparseRows,
+    _rref,
     cokernel,
     hstack,
     inverse,
@@ -284,9 +286,64 @@ def test_prime_field_linalg_matches_fp_reference(f, n, k, extra, zeros, data):
     assert rank(sparse) == len(pivots)
     assert kernel_basis(sparse) == kernel_basis(m)
     assert cokernel(sparse) == cokernel(m)
+    if f == QQ:
+        # _rref may hold ints over QQ; every Mat returned holds Fractions
+        returned = [kernel_basis(m), comp, proj, kernel_basis(sparse), *cokernel(sparse)]
+        returned += [x] if x is not None else []
+        assert all(type(v) is Fraction for r in returned for row in r.data for v in row)
 
 
 def test_rational_field_passes_fractions_through():
     f = Fraction(-3, 7)
     assert QQ.of(f) is f
     assert QQ.of(2) == Fraction(2) and type(QQ.of(2)) is Fraction
+
+
+@pytest.mark.parametrize("rows", [
+    # integer pivots 2, 3 and -1
+    [[2, 4, 1, 0], [0, 3, 1, 5], [0, 0, -1, 7], [2, 7, 1, 5]],
+    # integral Fraction entries
+    [[Fraction(2), Fraction(6), 0, Fraction(-4)], [Fraction(-1), 0, Fraction(3), Fraction(1)]],
+    # a mix of ints, integral and non-integral Fractions
+    [[Fraction(1, 2), 3, Fraction(4), 0], [2, Fraction(-1), 0, Fraction(2, 3)], [-1, 3, 2, 1]],
+    [[0, Fraction(3), -1, 2], [0, 0, 2, Fraction(-5, 7)], [3, 1, 0, 0]],
+])
+def test_rref_over_q_holds_ints_and_fractions_only(rows):
+    ref_rows, ref_pivots = dense_rref([[Fraction(x) for x in row] for row in rows], 4, QQ)
+    for given in (rows, [{c: x for c, x in enumerate(row) if x} for row in rows]):
+        store = _rref(given, QQ)
+        assert sorted(store) == ref_pivots
+        for pc, row in store.items():
+            assert all(type(v) in (int, Fraction) for v in row.values())
+            assert row[pc] == 1 and min(row) == pc
+        assert [[store[pc].get(c, 0) for c in range(4)] for pc in ref_pivots] == ref_rows[:len(ref_pivots)]
+
+
+_BIG = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 3), st.booleans(), st.data())
+@example(0, 5, 2, False, None)
+@example(5, 0, 1, True, None)
+def test_q_linalg_with_large_entries_matches_reference(n, k, extra, consistent, data):
+    # entries up to 10^6 make nearly every pivot other than +-1, so scaled
+    # rows hold Fractions with large numerators and denominators that the
+    # later pivots mix with the int entries; a consistent right-hand side
+    # is m times an integer vector, so mat_solve returns a solution; the
+    # explicit 0 x k and n x 0 examples draw nothing, so data may be None
+    m = Mat(n, k, [[data.draw(_BIG) for _ in range(k)] for _ in range(n)])
+    if consistent:
+        b = m.mul(Mat(k, extra, [[data.draw(_BIG) for _ in range(extra)] for _ in range(k)]))
+    else:
+        b = Mat(n, extra, [[data.draw(_BIG) for _ in range(extra)] for _ in range(n)])
+    pivots = ref_pivot_columns(m)
+    assert rank(m) == len(pivots) and pivot_columns(m) == pivots
+    assert kernel_basis(m).data == ref_kernel_basis(m)
+    x = mat_solve(m, b)
+    assert (None if x is None else x.data) == ref_mat_solve(m, b)
+    assert x is not None or not consistent
+    comp, proj = cokernel(m)
+    assert (comp.data, proj.data) == ref_cokernel(m)
+    returned = [kernel_basis(m), comp, proj] + ([x] if x is not None else [])
+    assert all(type(v) is Fraction for r in returned for row in r.data for v in row)

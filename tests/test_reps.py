@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,12 +296,21 @@ def _drawn_rep(q, field, dims, entry):
 @example(_DIFFERENTIAL_QUIVERS[1], QQ, [2, 0, 0, 3, 0, 0], None)
 @example(_DIFFERENTIAL_QUIVERS[1], GF(2), [2, 0, 0, 0, 3, 0], None)
 @example(_DIFFERENTIAL_QUIVERS[0], GF(3), [0, 0, 0, 0, 0, 0], None)
+# Kronecker X, Y of dims (2, 2) given entry by entry: column 1 of X_la1 and
+# row 0 of Y_la1 are zero, so the C^1 row (la1, 2, 1) is empty
+@example(_DIFFERENTIAL_QUIVERS[1], QQ, [2, 2, 0, 2, 2, 0], [
+    1, 0, Fraction(1, 2), 0, Fraction(-2, 3), 2, 0, 1,
+    0, 0, 1, -1, 1, Fraction(1, 2), 0, 0,
+])
 def test_sparse_delta_matches_dense_reference_path(q, field, dims, data):
-    # X takes dims[:n] and Y dims[3:3 + n]; any vertex dimension may be 0
+    # X takes dims[:n] and Y dims[3:3 + n]; any vertex dimension may be 0;
+    # an explicit example passes its entries as a list in place of data
     n = len(q.vertices)
-    values = st.sampled_from([field.zero(), field.zero(), field.one(), field.of(-1), field.of(2)])
-    x = _drawn_rep(q, field, dict(zip(q.vertices, dims[:n])), lambda: data.draw(values))
-    y = _drawn_rep(q, field, dict(zip(q.vertices, dims[3:3 + n])), lambda: data.draw(values))
+    fractions = [Fraction(1, 2), Fraction(-2, 3)] if field == QQ else []
+    values = st.sampled_from([field.zero(), field.zero(), field.one(), field.of(-1), field.of(2), *fractions])
+    entry = iter(data).__next__ if isinstance(data, list) else lambda: data.draw(values)
+    x = _drawn_rep(q, field, dict(zip(q.vertices, dims[:n])), entry)
+    y = _drawn_rep(q, field, dict(zip(q.vertices, dims[3:3 + n])), entry)
     _assert_delta_matches_reference(x, y)
 
 
