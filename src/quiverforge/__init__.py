@@ -16,6 +16,7 @@ from .quiver import (
 from .reps import (
     Morphism,
     Representation,
+    certify_indecomposable,
     direct_sum,
     end_dim,
     euler_form_check,

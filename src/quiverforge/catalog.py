@@ -15,14 +15,16 @@ from typing import List, Optional, Tuple
 from .errors import QuiverForgeError
 from .linalg import PrimeField
 from .quiver import enumerate_real_roots
-from .reps import end_dim, is_indecomposable_oracle
+from .reps import certify_indecomposable, end_dim, is_indecomposable_oracle
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag
 from .three_vertex import FamilyParams, build_family, construct, predicted_end_dim
 from .trees import coefficient_quiver, is_tree
 
 SCHEMA_VERSION = 1
-DEFAULT_ORACLE_BUDGET = 3**6
+# the exhaustive idempotent search is an opt-in cross-check of the
+# certificate: 0 leaves it off
+DEFAULT_ORACLE_BUDGET = 0
 
 
 @dataclass
@@ -70,7 +72,13 @@ class CatalogReport:
 
 def check_root(task) -> RootRecord:
     """Construct and verify a single root.  Takes a picklable tuple
-    (f, g, h, alpha, field_flag, oracle_budget)."""
+    (f, g, h, alpha, field_flag, oracle_budget).
+
+    Over a prime field one elimination of delta(X, X) gives dim End and
+    the indecomposability certificate, and the record is ok only when X
+    is certified indecomposable; an oracle_budget > 0 adds the
+    exhaustive idempotent search as a cross-check.  Over Q nothing
+    certifies indecomposability, so the verdict is "skipped"."""
     f, g, h, alpha_t, field_flag, budget = task
     start = time.perf_counter()
     p = FamilyParams(f, g, h)
@@ -89,11 +97,22 @@ def check_root(task) -> RootRecord:
         rec.tree_ok = is_tree(cq)
         rec.nonzero_ok = len(cq.edges) == rep.total_dim() - 1
         rec.end_predicted = predicted_end_dim(trace)
-        rec.end_computed = end_dim(rep)
+        prime = isinstance(field, PrimeField)
+        if prime:
+            cert = certify_indecomposable(rep)
+            rec.end_computed, rec.oracle = cert.end_dim, cert.verdict
+        else:
+            rec.end_computed = end_dim(rep)
         rec.end_ok = rec.end_predicted == rec.end_computed
-        if isinstance(field, PrimeField):
-            rec.oracle = is_indecomposable_oracle(rep, budget).verdict
-        oracle_ok = rec.oracle in ("indecomposable", "inconclusive", "skipped")
+        if prime and budget > 0:
+            # the search decides where the certificate could not, and must
+            # agree with it where both are conclusive
+            search = is_indecomposable_oracle(rep, budget).verdict
+            if rec.oracle == "inconclusive":
+                rec.oracle = search
+            elif search not in ("inconclusive", rec.oracle):
+                rec.error = f"the certificate says {rec.oracle}, the idempotent search {search}"
+        oracle_ok = rec.error is None and rec.oracle == ("indecomposable" if prime else "skipped")
         rec.ok = (
             rec.dims_match
             and rec.maxrank_ok

@@ -269,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default $QUIVERFORGE_JOBS or 1)",
     )
     sp.add_argument("--oracle-budget", type=_int_at_least(0), default=DEFAULT_ORACLE_BUDGET,
-                    help="idempotent search budget for the indecomposability oracle")
+                    help="budget for the exhaustive idempotent search over a prime field: "
+                         "0 (default) leaves it off; N > 0 also runs it where p^dim End <= N, "
+                         "as a cross-check of the indecomposability certificate")
     sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.set_defaults(func=cmd_catalog)
     return ap

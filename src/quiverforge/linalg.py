@@ -2,8 +2,8 @@
 
 Mat is a dense matrix, immutable after construction; 0 x n and n x 0
 matrices are legal everywhere.  SparseRows holds a matrix as one
-{column: value} dict per row, zeros left out; rank, kernel_basis,
-complement_coordinates and cokernel take either.  Every
+{column: value} dict per row, zeros left out; rank, kernel_vectors,
+kernel_basis, complement_coordinates and cokernel take either.  Every
 elimination is one sparse row-insertion RREF (_rref): rows go in one at
 a time and the store of reduced rows stays in RREF.  The RREF of a row
 space is unique, so its pivots and rows equal those of a dense
@@ -354,15 +354,27 @@ def pivot_columns(m: Mat) -> list:
     return sorted(_rref(m.data, m.field))
 
 
-def kernel_basis(m) -> Mat:
-    """Columns span ker m, for a Mat or a SparseRows m; echelon-derived
-    basis, free variables in ascending index order, each set to one."""
+def kernel_vectors(m) -> List[dict]:
+    """A basis of ker m, for a Mat or a SparseRows m, as sparse
+    {index: value} vectors of field elements: one per free variable j,
+    in ascending order, that is one at j and minus the RREF row of pivot
+    pc at column j at each pivot pc."""
     store = _rref(_row_data(m), m.field)
-    free = [j for j in range(m.cols) if j not in store]
-    z, o = m.field.zero(), m.field.one()
-    data = [[-store[i].get(j, z) for j in free] if i in store else [o if j == i else z for j in free]
-            for i in range(m.cols)]
-    return Mat(m.cols, len(free), data, m.field)
+    of = m.field.of
+    vecs = {j: {j: m.field.one()} for j in range(m.cols) if j not in store}
+    for pc, row in store.items():
+        for j, x in row.items():
+            if j != pc:  # a stored row is zero at every other pivot, so j is free
+                vecs[j][pc] = of(-x)
+    return list(vecs.values())
+
+
+def kernel_basis(m) -> Mat:
+    """Columns span ker m, for a Mat or a SparseRows m: the vectors of
+    kernel_vectors, in order."""
+    vecs = kernel_vectors(m)
+    z = m.field.zero()
+    return Mat(m.cols, len(vecs), [[v.get(i, z) for v in vecs] for i in range(m.cols)], m.field)
 
 
 def mat_solve(m: Mat, b: Mat) -> Optional[Mat]:

@@ -22,6 +22,7 @@ from quiverforge.quiver import (
 )
 from quiverforge.reps import (
     Representation,
+    certify_indecomposable,
     end_dim,
     ext_dim,
     hom_dim,
@@ -205,31 +206,38 @@ def test_criterion_6_functor_roundtrips(corpus):
 def test_criterion_7_indecomposability(corpus):
     catalogs, _ = corpus
     ok = True
-    checked = 0
+    certified = searched = 0
     for fam, entries in catalogs.items():
         p = FamilyParams(*fam)
         for alpha, _, trace in entries:
-            if predicted_end_dim(trace) > 6:
-                continue
             for prime in (2, 3):
                 rep_p, _ = construct(alpha, p, GF(prime))
-                verdict = is_indecomposable_oracle(rep_p, ORACLE_BUDGET).verdict
-                checked += 1
-                if verdict != "indecomposable":
+                cert = certify_indecomposable(rep_p)
+                certified += 1
+                if cert.verdict != "indecomposable" or cert.end_dim != predicted_end_dim(trace):
                     ok = False
+                # the exhaustive search cross-checks the roots it fits
+                if predicted_end_dim(trace) <= 6:
+                    searched += 1
+                    if is_indecomposable_oracle(rep_p, ORACLE_BUDGET).verdict != "indecomposable":
+                        ok = False
     # the opening counterexample: indecomposable but not of maximal rank type
     cq = Quiver((1, 2), [Arrow("a1", 1, 2), Arrow("a2", 1, 2)])
     for prime in (2, 3):
         f = GF(prime)
         x = Representation(cq, {1: 1, 2: 1},
                            {"a1": Mat(1, 1, [[1]], f), "a2": Mat(1, 1, [[0]], f)}, f)
+        if certify_indecomposable(x).verdict != "indecomposable":
+            ok = False
         if is_indecomposable_oracle(x, ORACLE_BUDGET).verdict != "indecomposable":
             ok = False
         violations = [v.to_json() for v in maximal_rank_report(x)]
         if {"vertex": 2, "arrows": ["a2"], "side": "in",
                 "achieved": 0, "required": 1} not in violations:
             ok = False
-    report(7, f"indecomposability oracle on {checked} modular constructions", ok)
+    ok = ok and searched > 0
+    report(7, f"indecomposability certified on {certified} modular constructions, "
+              f"{searched} also by idempotent search", ok)
 
 
 def test_criterion_8_insertion_mechanism(corpus):

@@ -4,9 +4,10 @@ import subprocess
 import sys
 
 import quiverforge
-from quiverforge import catalog
+from quiverforge import catalog, reps
 from quiverforge.cli import main
 from quiverforge.errors import ConstructionError
+from quiverforge.reps import Certificate, OracleResult
 from quiverforge.three_vertex import FamilyParams, construct
 
 
@@ -58,3 +59,49 @@ def test_import_loads_no_process_pool():
     code = "import sys, quiverforge; assert 'concurrent.futures.process' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_fp_root_eliminates_delta_of_x_once(monkeypatch):
+    built, calls = [], []
+    construct_, delta_ = catalog.construct, reps.delta_matrix
+
+    def recording_construct(alpha, p, field):
+        out = construct_(alpha, p, field)
+        built.append(out[0])
+        return out
+
+    def recording_delta(x, y):
+        calls.append((x, y))
+        return delta_(x, y)
+
+    def forbidden(*args):
+        raise AssertionError("called on the default path")
+
+    monkeypatch.setattr(catalog, "construct", recording_construct)
+    monkeypatch.setattr(reps, "delta_matrix", recording_delta)
+    monkeypatch.setattr(catalog, "end_dim", forbidden)
+    monkeypatch.setattr(reps, "hom_basis", forbidden)
+    rec = catalog.check_root((1, 1, 1, (3, 4, 2), "fp:3", catalog.DEFAULT_ORACLE_BUDGET))
+    assert rec.ok and rec.oracle == "indecomposable" and rec.end_computed == 4
+    x = built[0]
+    assert sum(1 for a, b in calls if a is x and b is x) == 1
+
+
+def test_oracle_budget_cross_checks_the_certificate():
+    report = catalog.run_catalog(FamilyParams(1, 1, 1), 8, "fp:3", oracle_budget=3**6)
+    assert report.ok and all(r.oracle == "indecomposable" for r in report.records)
+
+
+def test_a_conclusive_search_decides_an_inconclusive_certificate(monkeypatch):
+    monkeypatch.setattr(catalog, "certify_indecomposable", lambda x: Certificate(1, "inconclusive"))
+    rec = catalog.check_root((1, 1, 1, (0, 0, 1), "fp:3", 3**6))
+    assert rec.ok and rec.oracle == "indecomposable"
+    rec = catalog.check_root((1, 1, 1, (0, 0, 1), "fp:3", catalog.DEFAULT_ORACLE_BUDGET))
+    assert not rec.ok and rec.oracle == "inconclusive" and rec.error is None
+
+
+def test_a_search_that_disagrees_fails_the_record(monkeypatch):
+    monkeypatch.setattr(catalog, "is_indecomposable_oracle", lambda x, budget: OracleResult("decomposable"))
+    rec = catalog.check_root((1, 1, 1, (0, 0, 1), "fp:3", 3**6))
+    assert not rec.ok and rec.oracle == "indecomposable"
+    assert rec.error == "the certificate says indecomposable, the idempotent search decomposable"

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import reference_reps
 from conftest import densify, random_rep
-from quiverforge.errors import InputError
+from quiverforge.errors import DomainError, InputError
 from quiverforge.linalg import GF, Mat, QQ, kernel_basis, rank
 from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots, ringel_form
 from quiverforge.reps import (
     Representation,
     block_sum,
+    certify_indecomposable,
     delta_matrix,
     direct_sum,
     end_dim,
@@ -22,6 +23,7 @@ from quiverforge.reps import (
     hom_basis,
     hom_dim,
     homext,
+    identity_morphism,
     is_indecomposable_oracle,
     simple_rep,
     zero_rep,
@@ -205,6 +207,79 @@ def test_oracle_budget_exhaustion(q111):
     f3 = GF(3)
     x = direct_sum(simple_rep(q111, 1, f3), simple_rep(q111, 1, f3))
     assert is_indecomposable_oracle(x, 3).verdict == "inconclusive"
+
+
+def _assert_witness(x, cert):
+    e = cert.idempotent
+    assert cert.verdict == "decomposable" and e.is_valid() and e.compose(e) == e
+    assert not e.is_zero() and e != identity_morphism(x)
+
+
+def test_certificate_when_p_divides_every_dim(counterexample_quiver):
+    # over F_2 with dims (2, 2) and (4, 4) the trace gives no scalar part;
+    # a is the Kronecker module with a1 = I and a2 = J_2(0)
+    f2 = GF(2)
+    a = Representation(counterexample_quiver, {1: 2, 2: 2},
+                       {"a1": Mat(2, 2, [[1, 0], [0, 1]], f2), "a2": Mat(2, 2, [[0, 1], [0, 0]], f2)}, f2)
+    assert certify_indecomposable(a) == (2, "indecomposable", None)
+    aa = direct_sum(a, a)
+    cert = certify_indecomposable(aa)
+    assert cert.end_dim == 8
+    _assert_witness(aa, cert)
+
+
+def test_certificate_splits_a_sum_of_simples(q111):
+    # End = M_2(F_3): each b - tr(b)/2 is nilpotent or invertible, so the
+    # witness comes from a basis element itself
+    x = direct_sum(simple_rep(q111, 1, GF(3)), simple_rep(q111, 1, GF(3)))
+    cert = certify_indecomposable(x)
+    assert cert.end_dim == 4
+    _assert_witness(x, cert)
+
+
+def test_certificate_inconclusive_without_a_witness(counterexample_quiver):
+    # a2 acts on F_2^2 as the companion matrix of t^2 + t + 1: End = F_4,
+    # indecomposable but not absolutely, and no element has a Fitting split
+    f2 = GF(2)
+    x = Representation(counterexample_quiver, {1: 2, 2: 2},
+                       {"a1": Mat(2, 2, [[1, 0], [0, 1]], f2), "a2": Mat(2, 2, [[0, 1], [1, 1]], f2)}, f2)
+    assert certify_indecomposable(x) == (2, "inconclusive", None)
+    assert is_indecomposable_oracle(x, 3**6).verdict == "indecomposable"
+
+
+def test_certificate_rejects_q_and_zero(q111):
+    with pytest.raises(InputError):
+        certify_indecomposable(simple_rep(q111, 1, QQ))
+    with pytest.raises(DomainError):
+        certify_indecomposable(zero_rep(q111, GF(2)))
+
+
+_CERTIFICATE_QUIVERS = [
+    build_family(FamilyParams(1, 1, 1)),
+    Quiver((1, 2), [Arrow("a1", 1, 2), Arrow("a2", 1, 2)]),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_CERTIFICATE_QUIVERS),
+    st.sampled_from([GF(2), GF(3)]),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_certificate_agrees_with_the_oracle(q, field, summands, seed):
+    # one random rep, or the direct sum of two or three smaller ones
+    rng = random.Random(seed)
+    parts = [random_rep(q, rng, max_dim=3 if summands == 1 else 2, field=field)
+             for _ in range(summands)]
+    x = parts[0] if len(parts) == 1 else block_sum(parts)
+    cert = certify_indecomposable(x)
+    assert cert.end_dim == end_dim(x)
+    if cert.verdict == "decomposable":
+        _assert_witness(x, cert)
+    oracle = is_indecomposable_oracle(x, 3**6).verdict
+    if oracle != "inconclusive":
+        assert cert.verdict in (oracle, "inconclusive")
 
 
 @pytest.fixture(scope="module")
