@@ -112,8 +112,7 @@ def insert_image_vertex(x: Representation, i, arrow_ids: Sequence) -> InsertionR
     if len(aset) != len(set(arrow_ids)):
         raise InputError("unknown arrow id in subset")
     stacked = hstack([x.mats[a.id] for a in aset], rows=x.dims[i], field=x.field)
-    cols = pivot_columns(stacked)
-    inclusion = Mat(stacked.rows, len(cols), [[row[c] for c in cols] for row in stacked.data], x.field)
+    inclusion = stacked.columns(pivot_columns(stacked))
     hats = mat_solve(inclusion, stacked)
     if hats is None:
         raise ConstructionError("factorization through the image failed")

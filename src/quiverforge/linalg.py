@@ -1,35 +1,35 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Mat is a dense matrix, immutable after construction; 0 x n and n x 0
-matrices are legal everywhere.  SparseRows holds a matrix as one
-{column: value} dict per row, zeros left out; rank, kernel_vectors,
-kernel_basis, complement_coordinates and cokernel take either.  Every
-elimination is one sparse row-insertion RREF (_rref): rows go in one at
-a time and the store of reduced rows stays in RREF.  The RREF of a row
-space is unique, so its pivots and rows equal those of a dense
-leftmost-pivot elimination.  Kernel bases set free variables to one in
-ascending index order, and complements are chosen by a greedy ascending
-scan over coordinate vectors; cokernel reads its projection along the
-image from the same RREF.
+Mat is a sparse matrix, immutable after construction; 0 x n and n x 0
+matrices are legal everywhere.  Its only storage is `entries`, one
+{column: value} dict per row holding the nonzero entries; `data` is a
+dense view of it, built on each read, for serialisation and the test
+references.  Every elimination is one sparse row-insertion RREF (_rref):
+rows go in one at a time and the store of reduced rows stays in RREF.
+The RREF of a row space is unique, so its pivots and rows equal those of
+a dense leftmost-pivot elimination.  Kernel bases set free variables to
+one in ascending index order, and complements are chosen by a greedy
+ascending scan over coordinate vectors; cokernel reads its projection
+along the image from the same RREF.
 
 Scalars of Q are fractions.Fraction; scalars of F_p are plain ints in
-[0, p).  Mat sends every entry through its field's `of`, which reduces
-an int mod p and passes a Fraction through unchanged, so code that
-builds matrices from sums and products (mul, add, scale, kernel_basis,
-block sums) does plain + - * and leaves the reduction to Mat.  Whoever
-builds a SparseRows stores field elements in it, as Mat would.  _rref
-works on sparse rows outside Mat, so it keeps its own values: over F_p
-it reduces every update mod p; over Q it keeps integral values as ints
-(delta's entries are +-1, so that is most of them) and creates a
-Fraction only when it scales a row by a pivot other than +-1.  Every
-caller builds its result as a Mat, so each Mat returned here still
-holds Fractions over Q.
+[0, p).  Mat takes dense rows or dict rows of numbers, sends each entry
+through its field's `of`, which reduces an int mod p and passes a
+Fraction through unchanged, and keeps what is nonzero there; so code
+that builds matrices from sums and products (mul, add, scale,
+kernel_basis, block sums) does plain + - * on nonzeros and leaves the
+reduction, and dropping what cancels, to Mat.  _rref works on sparse
+rows outside Mat, so it keeps its own values: over F_p it reduces every
+update mod p; over Q it keeps integral values as ints (delta's entries
+are +-1, so that is most of them) and creates a Fraction only when it
+scales a row by a pivot other than +-1.  Every caller builds its result
+as a Mat, so each Mat returned here still holds Fractions over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import InputError
 
@@ -132,34 +132,64 @@ def GF(p: int) -> PrimeField:
 
 
 class Mat:
-    """Immutable dense matrix over a fixed field."""
+    """Immutable sparse matrix over a fixed field: entries[i] is row i as
+    a {column: value} dict of its nonzeros, never to be changed."""
 
-    __slots__ = ("rows", "cols", "data", "field")
+    __slots__ = ("rows", "cols", "entries", "field")
 
     def __init__(self, rows: int, cols: int, data, field=QQ):
+        """data holds one row per row index: a dense sequence of cols
+        entries, or a {column: value} dict; zeros are dropped either way."""
         if rows < 0 or cols < 0:
             raise InputError("negative matrix dimension")
+        p = field.p if isinstance(field, PrimeField) else None
         of = field.of
-        # tuple() of a list is allocated at its final size; tuple() of a
-        # generator starts at size 10 and is resized, so freed rows of other
-        # sizes pile up on CPython's tuple free lists and are never reused
-        data = tuple([tuple([of(x) for x in row]) for row in data])
-        if len(data) != rows or any(len(r) != cols for r in data):
+        entries = []
+        for row in data:
+            if isinstance(row, dict):
+                items = row.items()
+            elif len(row) == cols:
+                items = enumerate(row)
+            else:
+                raise InputError(f"data does not match shape {rows}x{cols}")
+            kept = {}
+            for j, x in items:
+                if not 0 <= j < cols:
+                    raise InputError(f"column {j} outside shape {rows}x{cols}")
+                # field.of(x), inlined for an int over F_p and a Fraction
+                # over Q; a zero int over Q stays 0, which is dropped
+                if p:
+                    x = x % p if type(x) is int else of(x)
+                elif type(x) is not Fraction:
+                    x = x and of(x)
+                if x:
+                    kept[j] = x
+            entries.append(kept)
+        if len(entries) != rows:
             raise InputError(f"data does not match shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.entries = tuple(entries)
         self.field = field
+
+    @property
+    def data(self) -> tuple:
+        """The dense rows as tuples, zeros included; built on each read."""
+        z, out = self.field.zero(), []
+        for row in self.entries:
+            dense = [z] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field=QQ) -> "Mat":
-        z = field.zero()
-        return cls(rows, cols, [[z] * cols for _ in range(rows)], field)
+        return cls(rows, cols, [{}] * rows, field)
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "Mat":
-        z, o = field.zero(), field.one()
-        return cls(n, n, [[o if i == j else z for j in range(n)] for i in range(n)], field)
+        return cls(n, n, [{i: field.one()} for i in range(n)], field)
 
     @classmethod
     def column(cls, entries: Sequence, field=QQ) -> "Mat":
@@ -171,7 +201,7 @@ class Mat:
             and self.rows == other.rows
             and self.cols == other.cols
             and self.field == other.field
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __hash__(self):
@@ -181,50 +211,55 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {self.data})"
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(self.entries)
 
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise InputError("shape mismatch in matrix product")
-        z = self.field.zero()
         out = []
-        bdata = other.data
-        for arow in self.data:
-            row = [z] * other.cols
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = bdata[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        row[j] = row[j] + a * b
+        bent = other.entries
+        for arow in self.entries:
+            row = {}
+            for k, a in arow.items():
+                for j, b in bent[k].items():
+                    row[j] = row.get(j, 0) + a * b
             out.append(row)
         return Mat(self.rows, other.cols, out, self.field)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch in matrix sum")
-        return Mat(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.field,
-        )
+        out = []
+        for r1, r2 in zip(self.entries, other.entries):
+            row = dict(r1)
+            for j, b in r2.items():
+                row[j] = row.get(j, 0) + b
+            out.append(row)
+        return Mat(self.rows, self.cols, out, self.field)
 
     def scale(self, c) -> "Mat":
         c = self.field.of(c)
-        return Mat(self.rows, self.cols, [[c * x for x in row] for row in self.data], self.field)
+        return Mat(self.rows, self.cols, [{j: c * x for j, x in row.items()} for row in self.entries], self.field)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, list(zip(*self.data)) if self.rows else [[] for _ in range(self.cols)], self.field)
+        return Mat(self.cols, self.rows, _sparse_transpose(self.entries, self.cols), self.field)
 
     def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "Mat":
+        if not (0 <= row_start <= row_stop <= self.rows and 0 <= col_start <= col_stop <= self.cols):
+            raise InputError("submatrix range outside the matrix")
         return Mat(
             row_stop - row_start,
             col_stop - col_start,
-            [row[col_start:col_stop] for row in self.data[row_start:row_stop]],
+            [{j - col_start: x for j, x in row.items() if col_start <= j < col_stop}
+             for row in self.entries[row_start:row_stop]],
             self.field,
         )
+
+    def columns(self, js: Sequence[int]) -> "Mat":
+        """The matrix of the columns js of self, in that order."""
+        pos = {j: k for k, j in enumerate(js)}
+        rows = [{pos[j]: x for j, x in row.items() if j in pos} for row in self.entries]
+        return Mat(self.rows, len(js), rows, self.field)
 
 
 def hstack(mats: Sequence[Mat], rows: Optional[int] = None, field=QQ) -> Mat:
@@ -236,8 +271,14 @@ def hstack(mats: Sequence[Mat], rows: Optional[int] = None, field=QQ) -> Mat:
     r = mats[0].rows
     if any(m.rows != r for m in mats):
         raise InputError("hstack row mismatch")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(r)]
-    return Mat(r, sum(m.cols for m in mats), data, mats[0].field)
+    data = [{} for _ in range(r)]
+    offset = 0
+    for m in mats:
+        for row, mrow in zip(data, m.entries):
+            for j, x in mrow.items():
+                row[offset + j] = x
+        offset += m.cols
+    return Mat(r, offset, data, mats[0].field)
 
 
 def vstack(mats: Sequence[Mat], cols: Optional[int] = None, field=QQ) -> Mat:
@@ -249,35 +290,16 @@ def vstack(mats: Sequence[Mat], cols: Optional[int] = None, field=QQ) -> Mat:
     c = mats[0].cols
     if any(m.cols != c for m in mats):
         raise InputError("vstack column mismatch")
-    data = []
-    for m in mats:
-        data.extend(list(row) for row in m.data)
-    return Mat(sum(m.rows for m in mats), c, data, mats[0].field)
-
-
-class SparseRows(NamedTuple):
-    """A rows x cols matrix over field as one {column: value} dict per
-    row, holding the nonzero entries only."""
-
-    rows: int
-    cols: int
-    entries: List[dict]
-    field: object
-
-
-def _row_data(m):
-    """The rows of a Mat or a SparseRows, as _rref takes them."""
-    return m.entries if isinstance(m, SparseRows) else m.data
+    return Mat(sum(m.rows for m in mats), c, [row for m in mats for row in m.entries], mats[0].field)
 
 
 def _sparse_transpose(rows, ncols: int) -> list:
-    """The columns of the matrix with the given dense or sparse rows, as
-    sparse {row: value} dicts."""
+    """The columns of the matrix with the given sparse rows, as sparse
+    {row: value} dicts, each in ascending row order."""
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for j, x in row.items() if isinstance(row, dict) else enumerate(row):
-            if x:
-                cols[j][i] = x
+        for j, x in row.items():
+            cols[j][i] = x
     return cols
 
 
@@ -289,17 +311,17 @@ def _integral(x: Fraction):
 def _rref(data, field) -> dict:
     """Reduced row echelon form of the rows in data, by row insertion.
 
-    A row is a sparse {column: value} dict, which is copied, or a dense
-    sequence, which is converted on entry.  Returns {pivot column: row},
-    each row a sparse dict that is one at its pivot.  Each incoming row
-    is reduced against the stored rows; its leftmost remaining entry
-    becomes a new pivot, scaled to one, and that column is cleared from
-    the stored rows, so the store is an RREF after every row.  Over F_p
-    every update is reduced mod p here.  Over Q an integral Fraction
-    enters as its int numerator and int arithmetic stays int; a pivot of
-    +-1 is scaled by a sign change, any other by Fraction(1, lead) (never
-    1 / lead, which is a float for ints), after which integral values go
-    back to int.  A stored value is an int or a Fraction, never a float.
+    Each row is a sparse {column: value} dict of nonzero field elements,
+    and is copied.  Returns {pivot column: row}, each row a sparse dict
+    that is one at its pivot.  Each incoming row is reduced against the
+    stored rows; its leftmost remaining entry becomes a new pivot, scaled
+    to one, and that column is cleared from the stored rows, so the store
+    is an RREF after every row.  Over F_p every update is reduced mod p
+    here.  Over Q an integral Fraction enters as its int numerator and int
+    arithmetic stays int; a pivot of +-1 is scaled by a sign change, any
+    other by Fraction(1, lead) (never 1 / lead, which is a float for ints),
+    after which integral values go back to int.  A stored value is an int
+    or a Fraction, never a float.
     """
     p = field.p if isinstance(field, PrimeField) else None
 
@@ -316,12 +338,8 @@ def _rref(data, field) -> dict:
 
     store = {}
     for given in data:
-        if p:
-            row = dict(given) if isinstance(given, dict) else {c: x for c, x in enumerate(given) if x}
-        else:
-            # an integral Fraction enters as its numerator
-            items = given.items() if isinstance(given, dict) else enumerate(given)
-            row = {c: _integral(x) for c, x in items if x}
+        # over Q an integral Fraction enters as its numerator
+        row = dict(given) if p else {c: _integral(x) for c, x in given.items()}
         # a stored row is zero at every other pivot, so the order does not matter
         for pc in [c for c in row if c in store]:
             add_multiple(row, -row[pc], store[pc])
@@ -345,21 +363,19 @@ def _rref(data, field) -> dict:
     return store
 
 
-def rank(m) -> int:
-    """Rank of a Mat or a SparseRows."""
-    return len(_rref(_row_data(m), m.field))
+def rank(m: Mat) -> int:
+    return len(_rref(m.entries, m.field))
 
 
 def pivot_columns(m: Mat) -> list:
-    return sorted(_rref(m.data, m.field))
+    return sorted(_rref(m.entries, m.field))
 
 
-def kernel_vectors(m) -> List[dict]:
-    """A basis of ker m, for a Mat or a SparseRows m, as sparse
-    {index: value} vectors of field elements: one per free variable j,
-    in ascending order, that is one at j and minus the RREF row of pivot
-    pc at column j at each pivot pc."""
-    store = _rref(_row_data(m), m.field)
+def kernel_vectors(m: Mat) -> List[dict]:
+    """A basis of ker m as sparse {index: value} vectors of field
+    elements: one per free variable j, in ascending order, that is one at
+    j and minus the RREF row of pivot pc at column j at each pivot pc."""
+    store = _rref(m.entries, m.field)
     of = m.field.of
     vecs = {j: {j: m.field.one()} for j in range(m.cols) if j not in store}
     for pc, row in store.items():
@@ -369,12 +385,10 @@ def kernel_vectors(m) -> List[dict]:
     return list(vecs.values())
 
 
-def kernel_basis(m) -> Mat:
-    """Columns span ker m, for a Mat or a SparseRows m: the vectors of
-    kernel_vectors, in order."""
+def kernel_basis(m: Mat) -> Mat:
+    """Columns span ker m: the vectors of kernel_vectors, in order."""
     vecs = kernel_vectors(m)
-    z = m.field.zero()
-    return Mat(m.cols, len(vecs), [[v.get(i, z) for v in vecs] for i in range(m.cols)], m.field)
+    return Mat(m.cols, len(vecs), _sparse_transpose(vecs, m.cols), m.field)
 
 
 def mat_solve(m: Mat, b: Mat) -> Optional[Mat]:
@@ -385,13 +399,13 @@ def mat_solve(m: Mat, b: Mat) -> Optional[Mat]:
     """
     if m.rows != b.rows:
         raise InputError("solve shape mismatch")
-    store = _rref([r + s for r, s in zip(m.data, b.data)], m.field)
+    n = m.cols
+    store = _rref([{**r, **{n + j: x for j, x in s.items()}} for r, s in zip(m.entries, b.entries)], m.field)
     # a pivot beyond m's columns marks an inconsistent system
-    if any(pc >= m.cols for pc in store):
+    if any(pc >= n for pc in store):
         return None
-    z = m.field.zero()
-    data = [[store[i].get(m.cols + j, z) if i in store else z for j in range(b.cols)] for i in range(m.cols)]
-    return Mat(m.cols, b.cols, data, m.field)
+    data = [{j - n: x for j, x in store[i].items() if j >= n} if i in store else {} for i in range(n)]
+    return Mat(n, b.cols, data, m.field)
 
 
 def solve(m: Mat, b) -> Optional[Mat]:
@@ -411,9 +425,9 @@ def inverse(m: Mat) -> Mat:
     return res
 
 
-def complement_coordinates(span) -> list:
+def complement_coordinates(span: Mat) -> list:
     """The k, ascending, of the standard coordinate vectors e_k that
-    extend im(span) to the full space, for a Mat or a SparseRows span.
+    extend im(span) to the full space.
 
     Greedy: scan e_1, e_2, ... in ascending order, keeping each vector
     that enlarges the span.  e_k enlarges it exactly when no vector of
@@ -421,23 +435,28 @@ def complement_coordinates(span) -> list:
     non-pivots of the RREF of span^T with its coordinates reversed.
     """
     n = span.rows
-    reversed_cols = _sparse_transpose(_row_data(span)[::-1], span.cols)
+    reversed_cols = _sparse_transpose(span.entries[::-1], span.cols)
     hit = {n - 1 - pc for pc in _rref(reversed_cols, span.field)}
     return [k for k in range(n) if k not in hit]
 
 
-def cokernel(span) -> tuple:
+def cokernel(span: Mat) -> tuple:
     """(comp, proj): the e_k of complement_coordinates as columns, and
     the projection onto their span along im(span).  The RREF row w_h at
     hit coordinate h is an image vector that is one at h and zero at
     every other hit, so the row of proj for kept k is e_k - sum_h w_h[k] e_h.
     """
     n, field = span.rows, span.field
-    reversed_cols = _sparse_transpose(_row_data(span)[::-1], span.cols)
+    reversed_cols = _sparse_transpose(span.entries[::-1], span.cols)
     w = {n - 1 - pc: row for pc, row in _rref(reversed_cols, field).items()}
-    kept = [k for k in range(n) if k not in w]
-    z, o = field.zero(), field.one()
-    comp = Mat(n, len(kept), [[o if i == k else z for k in kept] for i in range(n)], field)
-    # w_h is indexed by reversed coordinates: w_h[k] is w[h][n - 1 - k]
-    proj = [[-w[h].get(n - 1 - k, z) if h in w else o if h == k else z for h in range(n)] for k in kept]
-    return comp, Mat(len(kept), n, proj, field)
+    proj = {k: {k: 1} for k in range(n) if k not in w}
+    comp = [{} for _ in range(n)]
+    for i, k in enumerate(proj):
+        comp[k][i] = 1
+    for h, wh in w.items():
+        # w_h is indexed by reversed coordinates: w_h[k] is wh[n - 1 - k],
+        # and every k other than h where it is nonzero is kept
+        for c, x in wh.items():
+            if n - 1 - c != h:
+                proj[n - 1 - c][h] = -x
+    return Mat(n, len(proj), comp, field), Mat(len(proj), n, list(proj.values()), field)

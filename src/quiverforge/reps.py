@@ -1,8 +1,8 @@
 """Representations, morphism spaces and extensions via the delta map.
 
 delta: C^0(X,Y) -> C^1(X,Y) has kernel Hom(X,Y) and cokernel Ext^1(X,Y).
-delta_matrix returns it as linalg.SparseRows, one row per C^1 unit, and
-it is never built dense: it is about 0.2% nonzero on catalog roots.
+delta_matrix returns it as a sparse Mat, one row per C^1 unit, and its
+dense view is never read: it is about 0.2% nonzero on catalog roots.
 Its coordinates are matrix units, listed once by _c0_units and _c1_units:
 C^0 = sum_i Hom(X_i, Y_i) has units (vertex, row, col), 0-based, and
 C^1 = sum_a Hom(X_{t(a)}, Y_{h(a)}) has units (arrow id, col, row),
@@ -22,7 +22,6 @@ from .linalg import (
     Mat,
     PrimeField,
     QQ,
-    SparseRows,
     _rref,
     complement_coordinates,
     hstack,
@@ -141,13 +140,13 @@ def block_sum(summands: Sequence[Representation], couplings=()) -> Representatio
     offsets = {v: list(itertools.accumulate((x.dims[v] for x in summands), initial=0))
                for v in q.vertices}
     dims = {v: offsets[v][-1] for v in q.vertices}
-    z = field.zero()
     grids = {}
     for a in q.arrows:
-        grid = grids[a.id] = [[z] * dims[a.tail] for _ in range(dims[a.head])]
+        grid = grids[a.id] = [{} for _ in range(dims[a.head])]
         for x, ro, co in zip(summands, offsets[a.head], offsets[a.tail]):
-            for r, row in enumerate(x.mats[a.id].data):
-                grid[ro + r][co:co + len(row)] = row
+            for r, row in enumerate(x.mats[a.id].entries, ro):
+                for c, val in row.items():
+                    grid[r][co + c] = val
     for aid, k, l, row, col in couplings:
         a = q.arrow(aid)
         grids[aid][offsets[a.head][k] + row - 1][offsets[a.tail][l] + col - 1] = field.one()
@@ -171,47 +170,54 @@ def _c1_units(x: Representation, y: Representation) -> List[Tuple[object, int, i
             for c in range(1, x.dims[a.tail] + 1) for r in range(1, y.dims[a.head] + 1)]
 
 
-def delta_matrix(x: Representation, y: Representation) -> SparseRows:
+def delta_matrix(x: Representation, y: Representation) -> Mat:
     """Matrix of delta: C^0(X,Y) -> C^1(X,Y), phi |-> (phi_h(a) X_a - Y_a phi_t(a))_a,
-    as sparse rows: one {C^0 index: value} dict per C^1 unit.
+    built from sparse rows: one {C^0 index: value} dict per C^1 unit.
 
     The row of the C^1 unit (a, s, r) is entry (r, s) of the image; with
     s, r made 0-based it holds +X_a[k][s] at the C^0 unit (h(a), r, k) and
     -Y_a[r][k] at (t(a), k, s).  A quiver has no loops, so h(a) != t(a)
-    and no two terms share a cell.  Each arrow's nonzeros are listed once,
-    per column of X_a and per row of -Y_a, and every row is built from
-    those lists.
+    and no two terms share a cell.  In the layout of _c0_units the unit
+    (v, r, c) has index off_v + c dim Y_v + r, off_v being the start of
+    vertex v's block.  Each arrow's nonzeros are listed once, per column
+    of X_a and per row of -Y_a, with the part of that index they fix, and
+    every row is built from those lists; Mat reduces -Y_a mod p.
     """
     if x.quiver != y.quiver or x.field != y.field:
         raise InputError("delta needs the same quiver and field")
-    c0 = {u: i for i, u in enumerate(_c0_units(x, y))}
-    of = x.field.of
+    vertices = x.quiver.vertices
+    sizes = [x.dims[v] * y.dims[v] for v in vertices]
+    off = dict(zip(vertices, itertools.accumulate(sizes, initial=0)))
     rows = []
     # the rows follow _c1_units: arrows in quiver order, then s, then r
     for a in x.quiver.arrows:
-        xa, ya = x.mats[a.id].data, y.mats[a.id].data
-        x_cols = [[(k, xrow[s]) for k, xrow in enumerate(xa) if xrow[s]] for s in range(x.dims[a.tail])]
-        y_rows = [[(k, of(-val)) for k, val in enumerate(yrow) if val] for yrow in ya]
+        yh, yt = y.dims[a.head], y.dims[a.tail]
+        x_cols = [[] for _ in range(x.dims[a.tail])]
+        for k, xrow in enumerate(x.mats[a.id].entries):
+            for s, val in xrow.items():
+                x_cols[s].append((off[a.head] + k * yh, val))
+        y_rows = [[(off[a.tail] + k, -val) for k, val in yrow.items()] for yrow in y.mats[a.id].entries]
         for s, x_col in enumerate(x_cols):
             for r, y_row in enumerate(y_rows):
-                row = {c0[a.head, r, k]: val for k, val in x_col}
-                for k, val in y_row:
-                    row[c0[a.tail, k, s]] = val
+                row = {}
+                for i, val in x_col:
+                    row[i + r] = val
+                for i, val in y_row:
+                    row[i + s * yt] = val
                 rows.append(row)
-    return SparseRows(len(rows), len(c0), rows, x.field)
+    return Mat(len(rows), sum(sizes), rows, x.field)
 
 
 def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
     """Basis of Hom(X,Y): the kernel of the delta matrix, each kernel
-    column read back into one matrix per vertex through the C^0 units."""
-    k = kernel_basis(delta_matrix(x, y))
+    vector read back into one matrix per vertex through the C^0 units."""
     units = _c0_units(x, y)
     basis = []
-    for j in range(k.cols):
-        # every cell is set below: the units cover each block exactly once
-        grids = {v: [[0] * x.dims[v] for _ in range(y.dims[v])] for v in x.quiver.vertices}
-        for (v, r, c), row in zip(units, k.data):
-            grids[v][r][c] = row[j]
+    for vec in kernel_vectors(delta_matrix(x, y)):
+        grids = {v: [{} for _ in range(y.dims[v])] for v in x.quiver.vertices}
+        for i, val in vec.items():
+            v, r, c = units[i]
+            grids[v][r][c] = val
         parts = {v: Mat(y.dims[v], x.dims[v], g, x.field) for v, g in grids.items()}
         basis.append(Morphism(x, y, parts))
     return basis
@@ -363,7 +369,7 @@ def certify_indecomposable(x: Representation) -> Certificate:
 def _block(x: Representation, offsets, cols, v) -> Mat:
     """The vertex-v block of an operator on V given by its sparse columns."""
     o, d = offsets[v], x.dims[v]
-    return Mat(d, d, [[cols[o + c].get(o + r, 0) for c in range(d)] for r in range(d)], x.field)
+    return Mat(d, d, [{r - o: val for r, val in col.items()} for col in cols[o:o + d]], x.field).transpose()
 
 
 def _scalar_candidates(x: Representation, offsets, cols) -> list:
@@ -431,7 +437,7 @@ def _fitting_idempotent(x: Representation, offsets, cols) -> Optional[Morphism]:
         while k < d:
             power, k = power.mul(power), 2 * k
         piv = pivot_columns(power)
-        image = Mat(d, len(piv), [[row[j] for j in piv] for row in power.data], f)
+        image = power.columns(piv)
         basis = hstack([image, kernel_basis(power)])
         keep = hstack([image, Mat.zeros(d, d - len(piv), f)])
         parts[v] = keep.mul(inverse(basis))

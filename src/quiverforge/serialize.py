@@ -56,8 +56,14 @@ def _scalar_from_json(x):
 
 
 def mat_from_json(rows: int, cols: int, obj: list, field) -> Mat:
-    # Mat puts each entry into the field: a fraction reduces mod p there
-    return Mat(rows, cols, [[_scalar_from_json(x) for x in row] for row in obj], field)
+    """The matrix of a list of rows, each a list of cols entries.  The
+    rows go to Mat as dicts without the "0" cells, and Mat puts each
+    entry into the field: a fraction reduces mod p there."""
+    if type(obj) is not list or any(type(row) is not list for row in obj):
+        raise InputError("malformed matrix: not a list of lists")
+    if any(len(row) != cols for row in obj):
+        raise InputError(f"matrix data does not match shape {rows}x{cols}")
+    return Mat(rows, cols, [{j: _scalar_from_json(x) for j, x in enumerate(row) if x != "0"} for row in obj], field)
 
 
 def rep_to_json(x: Representation) -> dict:

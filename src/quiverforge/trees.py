@@ -32,12 +32,9 @@ def coefficient_quiver(x: Representation) -> CoeffQuiver:
             nodes.append((_node_id(v, k), v))
     edges = []
     for a in x.quiver.arrows:
-        m = x.mats[a.id]
-        for s in range(m.cols):
-            for t in range(m.rows):
-                val = m.data[t][s]
-                if val:
-                    edges.append((a.id, _node_id(a.tail, s), _node_id(a.head, t), val))
+        for s, col in enumerate(x.mats[a.id].transpose().entries):
+            for t, val in col.items():
+                edges.append((a.id, _node_id(a.tail, s), _node_id(a.head, t), val))
     return CoeffQuiver(nodes, edges)
 
 
@@ -63,9 +60,7 @@ def is_tree(c: CoeffQuiver) -> bool:
 
 
 def nonzero_count(x: Representation) -> int:
-    return sum(
-        1 for a in x.quiver.arrows for row in x.mats[a.id].data for val in row if val
-    )
+    return sum(len(row) for a in x.quiver.arrows for row in x.mats[a.id].entries)
 
 
 def export_dot(c: CoeffQuiver) -> str:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,14 +41,19 @@ def random_rep(q: Quiver, rng: random.Random, max_dim: int = 4, field=QQ) -> Rep
     return Representation(q, dims, mats, field)
 
 
-def densify(d) -> Mat:
-    """The dense Mat of a linalg.SparseRows, after checking that d holds
-    one row per row index and only nonzero entries inside the width, each
-    a field element as Mat would store it (a Fraction over QQ, an int in
-    [0, p) over GF(p)), so no coercion by Mat can hide a bad entry."""
-    f = d.field
-    assert len(d.entries) == d.rows
-    for row in d.entries:
+def check_storage(m: Mat) -> Mat:
+    """m itself, after checking Mat's storage invariant: one dict per row
+    index, each column in range, each stored value a nonzero field element
+    (a Fraction over QQ, an int in [1, p) over GF(p)), so no zero or
+    unreduced value hides behind the dense view."""
+    f = m.field
+    assert type(m.entries) is tuple and len(m.entries) == m.rows
+    for row in m.entries:
+        assert type(row) is dict
         for j, v in row.items():
-            assert 0 <= j < d.cols and v and type(f.of(v)) is type(v) and f.of(v) == v
-    return Mat(d.rows, d.cols, [[row.get(j, f.zero()) for j in range(d.cols)] for row in d.entries], f)
+            assert type(j) is int and 0 <= j < m.cols
+            if f == QQ:
+                assert type(v) is Fraction and v
+            else:
+                assert type(v) is int and 0 < v < f.p
+    return m

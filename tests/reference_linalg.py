@@ -13,6 +13,9 @@ complement, then the bottom rows of the inverse of [image | complement].
 Over GF(p) they run on Fp lifts of the residues and return plain
 residues; over QQ they run on the Fractions themselves.
 
+ref_mul, ref_add and ref_scale are the dense arithmetic of the old Mat,
+cell by cell over every cell, zeros included, on the same lifts.
+
 greedy_complement is the original incremental row-space scan behind
 the complement of linalg.cokernel: reduce each column of the span into
 a growing echelon set, then try e_1, e_2, ... in ascending order and
@@ -126,6 +129,39 @@ def _ref_rref(data, nc: int, field):
 
 def _value(x):
     return x.v if isinstance(x, Fp) else x
+
+
+def _lift(m) -> list:
+    """The dense rows of m as Fp lifts over GF(p), as Fractions over QQ."""
+    p = getattr(m.field, "p", None)
+    return [[Fp(x, p) if p else Fraction(x) for x in row] for row in m.data]
+
+
+def _lower(rows) -> tuple:
+    return tuple(tuple(_value(x) for x in row) for row in rows)
+
+
+def ref_mul(a, b) -> tuple:
+    p = getattr(a.field, "p", None)
+    zero = Fp(0, p) if p else Fraction(0)
+    la, lb = _lift(a), _lift(b)
+    out = []
+    for row in la:
+        acc = [zero] * b.cols
+        for k, x in enumerate(row):
+            acc = [s + x * y for s, y in zip(acc, lb[k])]
+        out.append(acc)
+    return _lower(out)
+
+
+def ref_add(a, b) -> tuple:
+    return _lower([[x + y for x, y in zip(r, s)] for r, s in zip(_lift(a), _lift(b))])
+
+
+def ref_scale(a, c: int) -> tuple:
+    p = getattr(a.field, "p", None)
+    c = Fp(c, p) if p else Fraction(c)
+    return _lower([[c * x for x in row] for row in _lift(a)])
 
 
 def ref_pivot_columns(m) -> list:

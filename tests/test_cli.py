@@ -184,6 +184,24 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
         assert code == 2
 
 
+def test_verify_matrix_rows_must_be_json_lists(tmp_path, capsys):
+    # the 1x1 matrix [[1]] makes a tree module; iterated as a sequence, the
+    # row "1" would read as [1] and the row {"0": 1} as its key, [0]
+    bad = tmp_path / "rows.json"
+    doc = {
+        "quiver": {"vertices": [1, 2], "arrows": [{"id": "a", "tail": 1, "head": 2}]},
+        "field": {"type": "rational"},
+        "dims": {"1": 1, "2": 1},
+        "mats": {"a": [[1]]},
+    }
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(bad))[0] == 0
+    for mat in (["1"], [{"0": 1}], {"0": [1]}):
+        bad.write_text(json.dumps({**doc, "mats": {"a": mat}}))
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 2 and "malformed" in err, mat
+
+
 def test_verify_unknown_check_exits_2(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     run(capsys, "construct", "--family", "1", "1", "1", "--root", "0,0,1",

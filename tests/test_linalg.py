@@ -1,17 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import check_storage
 from reference_linalg import _rref as dense_rref
 from reference_linalg import (
     greedy_complement,
+    ref_add,
     ref_cokernel,
     ref_complement,
     ref_kernel_basis,
     ref_mat_solve,
+    ref_mul,
     ref_pivot_columns,
+    ref_scale,
 )
 
 from quiverforge.errors import InputError
@@ -19,7 +24,6 @@ from quiverforge.linalg import (
     GF,
     Mat,
     QQ,
-    SparseRows,
     _rref,
     cokernel,
     hstack,
@@ -281,8 +285,9 @@ def test_prime_field_linalg_matches_fp_reference(f, n, k, extra, zeros, data):
     comp, proj = cokernel(m)
     assert comp == Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)], f)
     assert (comp.data, proj.data) == ref_cokernel(m)
-    # the same matrix as sparse rows goes through the same elimination
-    sparse = SparseRows(n, k, [{j: x for j, x in enumerate(row) if x} for row in m.data], f)
+    # the same matrix given as dict rows is the same Mat
+    sparse = Mat(n, k, [{j: x for j, x in enumerate(row) if x} for row in m.data], f)
+    assert sparse == m and hash(sparse) == hash(m)
     assert rank(sparse) == len(pivots)
     assert kernel_basis(sparse) == kernel_basis(m)
     assert cokernel(sparse) == cokernel(m)
@@ -291,6 +296,65 @@ def test_prime_field_linalg_matches_fp_reference(f, n, k, extra, zeros, data):
         returned = [kernel_basis(m), comp, proj, kernel_basis(sparse), *cokernel(sparse)]
         returned += [x] if x is not None else []
         assert all(type(v) is Fraction for r in returned for row in r.data for v in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3)]),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 4),
+    st.integers(-3, 5),
+    st.lists(st.integers(0, 7), min_size=1, max_size=40),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+# 0 x k, n x 0 and 0 x 0 operands, and a zero scale
+@example(QQ, 0, 4, 2, 2, [3], 1, 2)
+@example(GF(3), 4, 0, 3, 3, [4, 0], 2, 0)
+@example(GF(2), 3, 3, 0, 2, [0], 0, 3)
+@example(QQ, 0, 0, 0, 0, [1], 0, 0)
+def test_sparse_mat_ops_match_dense_reference(f, n, k, extra, c, codes, s1, s2):
+    # the matrices are filled from codes, cycled, mapped to mostly zeros,
+    # +-1 and 2, and two values that differ from their reduction over F_p
+    big = (Fraction(1, 2), Fraction(-2, 3)) if f == QQ else (f.p - 1, f.p + 3)
+    values, code = [0, 0, 0, 1, -1, 2, *big], itertools.cycle(codes)
+
+    def draw(rows, cols):
+        return check_storage(Mat(rows, cols, [[values[next(code)] for _ in range(cols)] for _ in range(rows)], f))
+
+    a, a2, b, rhs = draw(n, k), draw(n, k), draw(k, extra), draw(n, extra)
+    assert check_storage(a.mul(b)).data == ref_mul(a, b)
+    assert check_storage(a.add(a2)).data == ref_add(a, a2)
+    assert check_storage(a.scale(c)).data == ref_scale(a, c)
+    assert check_storage(a.transpose()).data == tuple(tuple(row[j] for row in a.data) for j in range(k))
+    r0, r1 = sorted((s1 % (n + 1), s2 % (n + 1)))
+    c0, c1 = sorted((s2 % (k + 1), s1 % (k + 1)))
+    sub = check_storage(a.submatrix(r0, r1, c0, c1))
+    assert (sub.rows, sub.cols, sub.data) == (r1 - r0, c1 - c0, tuple(row[c0:c1] for row in a.data[r0:r1]))
+    wide = check_storage(hstack([a, a2, Mat.zeros(n, 0, f)]))
+    assert wide.data == tuple(r + s for r, s in zip(a.data, a2.data)) and wide.cols == 2 * k
+    tall = check_storage(vstack([a, a2]))
+    assert tall.data == a.data + a2.data and tall.rows == 2 * n
+    assert a.is_zero() == all(not x for row in a.data for x in row)
+    assert check_storage(kernel_basis(a)).data == ref_kernel_basis(a)
+    x = mat_solve(a, rhs)
+    assert (None if x is None else check_storage(x).data) == ref_mat_solve(a, rhs)
+    comp, proj = cokernel(a)
+    assert (check_storage(comp).data, check_storage(proj).data) == ref_cokernel(a)
+    # the same matrix given as dict rows is the same Mat, with the same hash
+    sparse = Mat(n, k, [{j: x for j, x in enumerate(row) if x} for row in a.data], f)
+    assert check_storage(sparse) == a and hash(sparse) == hash(a)
+
+
+def test_mat_rejects_rows_that_do_not_fit_its_shape():
+    # a short dense row, dict rows with a column past either end, a short
+    # second row, and too few rows
+    for data in ([[1, 2], [0, 0, 1]], [{3: 1}, {}], [{-1: 1}, {}], [[1, 2, 3], [1]], [{0: 1}]):
+        with pytest.raises(InputError):
+            Mat(2, 3, data)
+    with pytest.raises(InputError):
+        Mat.identity(2).submatrix(0, 3, 0, 2)
 
 
 def test_rational_field_passes_fractions_through():
@@ -310,7 +374,8 @@ def test_rational_field_passes_fractions_through():
 ])
 def test_rref_over_q_holds_ints_and_fractions_only(rows):
     ref_rows, ref_pivots = dense_rref([[Fraction(x) for x in row] for row in rows], 4, QQ)
-    for given in (rows, [{c: x for c, x in enumerate(row) if x} for row in rows]):
+    # the rows as Mat stores them (Fractions), and as raw ints and Fractions
+    for given in (Mat(len(rows), 4, rows).entries, [{c: x for c, x in enumerate(row) if x} for row in rows]):
         store = _rref(given, QQ)
         assert sorted(store) == ref_pivots
         for pc, row in store.items():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_reps
-from conftest import densify, random_rep
+from conftest import check_storage, random_rep
 from quiverforge.errors import DomainError, InputError
 from quiverforge.linalg import GF, Mat, QQ, kernel_basis, rank
 from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots, ringel_form
@@ -83,7 +83,7 @@ def test_delta_matrix_shape(q111):
     rng = random.Random(9)
     x = random_rep(q111, rng)
     y = random_rep(q111, rng)
-    d = densify(delta_matrix(x, y))
+    d = check_storage(delta_matrix(x, y))
     assert d.cols == sum(x.dims[v] * y.dims[v] for v in q111.vertices)
     assert d.rows == sum(
         x.dims[a.tail] * y.dims[a.head] for a in q111.arrows
@@ -142,17 +142,18 @@ def test_euler_identity_random_pairs(q111):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
 def test_prime_field_results_are_reduced_ints(q111, p):
-    # Mat is where sums and products over F_p get reduced; the sparse
-    # delta map bypasses Mat, so densify checks that it reduced its own
+    # Mat is where sums and products over F_p get reduced; check_storage
+    # checks the stored nonzeros and reduced checks the dense view
     def reduced(m):
+        check_storage(m)
         return all(type(v) is int and 0 <= v < p for row in m.data for v in row)
 
     rng = random.Random(p)
     for _ in range(10):
         x = random_rep(q111, rng, max_dim=3, field=GF(p))
         y = random_rep(q111, rng, max_dim=3, field=GF(p))
-        sparse = delta_matrix(x, y)
-        d, k = densify(sparse), kernel_basis(sparse)
+        d = delta_matrix(x, y)
+        k = kernel_basis(d)
         couplings = [("la1", 1, 0, 1, 1)] if y.dims[2] and x.dims[1] else []
         s = block_sum([x, y, x], couplings)
         products = [d.mul(k), d.transpose().mul(d), d.add(d), d.scale(-1), d.scale(p + 2)]
@@ -306,7 +307,7 @@ def test_homext_matches_separate_eliminations(catalog_reps_q111_bound10):
     for x in reps:
         for y in reps:
             d = delta_matrix(x, y)
-            chosen = greedy_complement(densify(d), d.rows)
+            chosen = greedy_complement(check_storage(d), d.rows)
             he = homext(x, y)
             assert he.hom == hom_dim(x, y) == d.cols - d.rows + len(chosen)
             assert he.ext == d.rows - rank(d) == len(chosen)
@@ -316,7 +317,7 @@ def test_homext_matches_separate_eliminations(catalog_reps_q111_bound10):
 def _assert_delta_matches_reference(x, y):
     # the reference builds delta dense and eliminates it with the dense
     # column sweep of reference_linalg
-    assert densify(delta_matrix(x, y)) == reference_reps.delta_matrix(x, y)
+    assert check_storage(delta_matrix(x, y)) == reference_reps.delta_matrix(x, y)
     hom, units = reference_reps.hom_dim(x, y), reference_reps.ext_units(x, y)
     assert hom_dim(x, y) == hom
     assert [m.parts for m in hom_basis(x, y)] == [m.parts for m in reference_reps.hom_basis(x, y)]
@@ -392,19 +393,21 @@ def test_sparse_delta_matches_dense_reference_path(q, field, dims, data):
 def test_end_dim_and_homext_never_build_delta_dense(monkeypatch):
     # X_(5,8,4) of Q(1,1,1): C^0 has 105 units and C^1 has 104
     x, _ = construct({1: 5, 2: 8, 3: 4}, FamilyParams(1, 1, 1))
+    x3, _ = construct({1: 5, 2: 8, 3: 4}, FamilyParams(1, 1, 1), GF(3))
     d = delta_matrix(x, x)
     assert d.rows * d.cols > 10**4
-    init, shapes = Mat.__init__, []
+    view, shapes = Mat.data, []
 
-    def recording_init(m, rows, cols, *rest, **kwargs):
-        shapes.append((rows, cols))
-        init(m, rows, cols, *rest, **kwargs)
+    def recording_view(m):
+        shapes.append((m.rows, m.cols))
+        return view.fget(m)
 
-    monkeypatch.setattr(Mat, "__init__", recording_init)
+    monkeypatch.setattr(Mat, "data", property(recording_view))
     assert end_dim(x) == 8
     assert homext(x, x)[:2] == (8, 7)  # a real root: dim End - dim Ext^1 = 1
+    assert certify_indecomposable(x3) == (8, "indecomposable", None)
     assert (d.rows, d.cols) not in shapes and (d.cols, d.rows) not in shapes
     assert all(r * c < d.rows * d.cols for r, c in shapes)
-    # the hook sees the Mats that linalg builds: here the C^0 x 8 kernel
-    kernel_basis(d)
-    assert shapes[-1] == (d.cols, 8)
+    # the hook sees every read of a dense view: here delta's own
+    check_storage(d).data
+    assert shapes[-1] == (d.rows, d.cols)
