@@ -134,6 +134,8 @@ def _planned_end_dim(x):
 def cmd_verify(ns) -> int:
     x = rep_from_json(_load_json(ns.rep))
     wanted = [c.strip() for c in ns.checks.split(",") if c.strip()]
+    if not wanted:
+        raise InputError(f"--checks {ns.checks!r} names no check (choose from {','.join(CHECKS)})")
     for c in wanted:
         if c not in CHECKS:
             raise InputError(f"unknown check {c!r} (choose from {','.join(CHECKS)})")

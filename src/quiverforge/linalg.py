@@ -12,18 +12,16 @@ one in ascending index order, and complements are chosen by a greedy
 ascending scan over coordinate vectors; cokernel reads its projection
 along the image from the same RREF.
 
-Scalars of Q are fractions.Fraction; scalars of F_p are plain ints in
-[0, p).  Mat takes dense rows or dict rows of numbers, sends each entry
-through its field's `of`, which reduces an int mod p and passes a
-Fraction through unchanged, and keeps what is nonzero there; so code
-that builds matrices from sums and products (mul, add, scale,
-kernel_basis, block sums) does plain + - * on nonzeros and leaves the
-reduction, and dropping what cancels, to Mat.  _rref works on sparse
-rows outside Mat, so it keeps its own values: over F_p it reduces every
-update mod p; over Q it keeps integral values as ints (delta's entries
-are +-1, so that is most of them) and creates a Fraction only when it
-scales a row by a pivot other than +-1.  Every caller builds its result
-as a Mat, so each Mat returned here still holds Fractions over Q.
+Scalars of Q are ints when integral and fractions.Fraction otherwise;
+scalars of F_p are plain ints in [0, p).  Mat takes dense rows or dict
+rows of numbers, sends each entry through its field's `of`, and keeps
+what is nonzero there; so code that builds matrices from sums and
+products (mul, add, scale, kernel_basis, block sums) does plain + - *
+on nonzeros and leaves the normalising, and dropping what cancels, to
+Mat.  _rref works on sparse rows outside Mat, so it keeps its own
+values: over F_p it reduces every update mod p; over Q int arithmetic
+stays int (delta's entries are +-1) and a Fraction appears only when a
+row is scaled by a pivot other than +-1.
 """
 
 from __future__ import annotations
@@ -35,16 +33,21 @@ from .errors import InputError
 
 
 class RationalField:
-    """The field Q; scalars are fractions.Fraction in lowest terms."""
+    """The field Q.  A scalar is an int when it is integral, else a
+    fractions.Fraction in lowest terms whose denominator is not 1."""
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
-    def of(self, v) -> Fraction:
-        return v if type(v) is Fraction else Fraction(v)
+    def of(self, v):
+        if type(v) is int:
+            return v
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     def __repr__(self):
         return "QQ"
@@ -156,12 +159,11 @@ class Mat:
             for j, x in items:
                 if not 0 <= j < cols:
                     raise InputError(f"column {j} outside shape {rows}x{cols}")
-                # field.of(x), inlined for an int over F_p and a Fraction
-                # over Q; a zero int over Q stays 0, which is dropped
-                if p:
-                    x = x % p if type(x) is int else of(x)
-                elif type(x) is not Fraction:
-                    x = x and of(x)
+                # field.of(x), inlined for an int
+                if type(x) is not int:
+                    x = of(x)
+                elif p:
+                    x %= p
                 if x:
                     kept[j] = x
             entries.append(kept)
@@ -190,10 +192,6 @@ class Mat:
     @classmethod
     def identity(cls, n: int, field=QQ) -> "Mat":
         return cls(n, n, [{i: field.one()} for i in range(n)], field)
-
-    @classmethod
-    def column(cls, entries: Sequence, field=QQ) -> "Mat":
-        return cls(len(entries), 1, [[x] for x in entries], field)
 
     def __eq__(self, other):
         return (
@@ -303,11 +301,6 @@ def _sparse_transpose(rows, ncols: int) -> list:
     return cols
 
 
-def _integral(x: Fraction):
-    """x as an int when it is integral, else x itself."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _rref(data, field) -> dict:
     """Reduced row echelon form of the rows in data, by row insertion.
 
@@ -317,13 +310,13 @@ def _rref(data, field) -> dict:
     stored rows; its leftmost remaining entry becomes a new pivot, scaled
     to one, and that column is cleared from the stored rows, so the store
     is an RREF after every row.  Over F_p every update is reduced mod p
-    here.  Over Q an integral Fraction enters as its int numerator and int
-    arithmetic stays int; a pivot of +-1 is scaled by a sign change, any
-    other by Fraction(1, lead) (never 1 / lead, which is a float for ints),
-    after which integral values go back to int.  A stored value is an int
-    or a Fraction, never a float.
+    here.  Over Q a pivot of +-1 is scaled by a sign change, any other by
+    Fraction(1, lead) (never 1 / lead, which is a float for ints), and the
+    scaled values go through QQ.of, so integral ones are ints again.  A
+    stored value is an int or a Fraction, never a float.
     """
     p = field.p if isinstance(field, PrimeField) else None
+    of = field.of
 
     def add_multiple(row, f, prow):
         # row += f * prow, dropping the entries that cancel
@@ -338,8 +331,7 @@ def _rref(data, field) -> dict:
 
     store = {}
     for given in data:
-        # over Q an integral Fraction enters as its numerator
-        row = dict(given) if p else {c: _integral(x) for c, x in given.items()}
+        row = dict(given)
         # a stored row is zero at every other pivot, so the order does not matter
         for pc in [c for c in row if c in store]:
             add_multiple(row, -row[pc], store[pc])
@@ -355,7 +347,7 @@ def _rref(data, field) -> dict:
         elif lead != 1:
             # Fraction(1, lead), not 1 / lead: int / int is a float
             inv = Fraction(1, lead)
-            row = {c: _integral(x * inv) for c, x in row.items()}
+            row = {c: of(x * inv) for c, x in row.items()}
         for other in store.values():
             if pc in other:
                 add_multiple(other, -other[pc], row)
@@ -406,13 +398,6 @@ def mat_solve(m: Mat, b: Mat) -> Optional[Mat]:
         return None
     data = [{j - n: x for j, x in store[i].items() if j >= n} if i in store else {} for i in range(n)]
     return Mat(n, b.cols, data, m.field)
-
-
-def solve(m: Mat, b) -> Optional[Mat]:
-    """Solve m x = b for a single right-hand side column."""
-    if not isinstance(b, Mat):
-        b = Mat.column(list(b), m.field)
-    return mat_solve(m, b)
 
 
 def inverse(m: Mat) -> Mat:

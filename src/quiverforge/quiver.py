@@ -118,13 +118,16 @@ def sym_form(q: Quiver, a: DimVector, b: DimVector) -> int:
     return ringel_form(q, a, b) + ringel_form(q, b, a)
 
 
+def _sym_with_unit(q: Quiver, a: DimVector, i) -> int:
+    """(a, e_i) = 2 a_i - sum, over the arrows at i, of a at the other end."""
+    return 2 * a[i] - sum(a[b.head] if b.tail == i else a[b.tail] for b in q.arrows if i in (b.tail, b.head))
+
+
 def reflect(q: Quiver, i, a: DimVector) -> DimVector:
     """Simple reflection s_i(a) = a - (a, e_i) e_i."""
     check_dimvec(q, a)
-    c = sym_form(q, a, unit_vector(q, i))
-    out = dict(a)
-    out[i] -= c
-    return out
+    q.index(i)
+    return {**a, i: a[i] - _sym_with_unit(q, a, i)}
 
 
 def apply_word(q: Quiver, w: Sequence, a: DimVector) -> DimVector:
@@ -173,11 +176,7 @@ def _descend(q: Quiver, a: DimVector):
             v = next(iter(sup))
             if cur[v] == 1:
                 return (SIMPLE if not word else REAL), tuple(word), v
-        pick = None
-        for i in q.vertices:
-            if sym_form(q, cur, unit_vector(q, i)) > 0:
-                pick = i
-                break
+        pick = next((i for i in q.vertices if _sym_with_unit(q, cur, i) > 0), None)
         if pick is None:
             if _connected_support(q, cur):
                 return IMAGINARY, tuple(word), None
@@ -251,6 +250,8 @@ def dimvec_to_json(q: Quiver, d: DimVector) -> dict:
 
 
 def dimvec_from_json(q: Quiver, obj: dict) -> DimVector:
+    if type(obj) is not dict:
+        raise InputError(f"dimension vector {obj!r} is not an object")
     by_name = {str(v): v for v in q.vertices}
     out = {}
     for key, val in obj.items():

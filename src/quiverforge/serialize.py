@@ -24,7 +24,12 @@ def field_to_json(field) -> dict:
 
 
 def field_from_json(obj: Optional[dict]):
-    if obj is None or obj.get("type") == "rational":
+    """The field of a field spec object; a missing spec (None) is QQ."""
+    if obj is None:
+        return QQ
+    if type(obj) is not dict:
+        raise InputError(f"field spec {obj!r} is not an object")
+    if obj.get("type") == "rational":
         return QQ
     if obj.get("type") == "fp":
         if type(obj["p"]) is not int:

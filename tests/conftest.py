@@ -44,8 +44,9 @@ def random_rep(q: Quiver, rng: random.Random, max_dim: int = 4, field=QQ) -> Rep
 def check_storage(m: Mat) -> Mat:
     """m itself, after checking Mat's storage invariant: one dict per row
     index, each column in range, each stored value a nonzero field element
-    (a Fraction over QQ, an int in [1, p) over GF(p)), so no zero or
-    unreduced value hides behind the dense view."""
+    in its one form (over QQ an int, or a Fraction whose denominator is
+    not 1; over GF(p) an int in [1, p)), so no zero, unreduced or integral
+    Fraction value hides behind the dense view."""
     f = m.field
     assert type(m.entries) is tuple and len(m.entries) == m.rows
     for row in m.entries:
@@ -53,7 +54,7 @@ def check_storage(m: Mat) -> Mat:
         for j, v in row.items():
             assert type(j) is int and 0 <= j < m.cols
             if f == QQ:
-                assert type(v) is Fraction and v
+                assert type(v) is int and v or type(v) is Fraction and v.denominator != 1
             else:
                 assert type(v) is int and 0 < v < f.p
     return m

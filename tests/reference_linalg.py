@@ -11,7 +11,7 @@ and return values laid out like Mat.data, to be compared with linalg.
 ref_cokernel composes them as the functors once did: image basis, then
 complement, then the bottom rows of the inverse of [image | complement].
 Over GF(p) they run on Fp lifts of the residues and return plain
-residues; over QQ they run on the Fractions themselves.
+residues; over QQ they run on Fraction lifts of the entries.
 
 ref_mul, ref_add and ref_scale are the dense arithmetic of the old Mat,
 cell by cell over every cell, zeros included, on the same lifts.
@@ -120,10 +120,11 @@ def _rref(data, nc: int, field):
 
 
 def _ref_rref(data, nc: int, field):
-    """_rref on Fp lifts over GF(p), or on the Fractions over QQ."""
+    """_rref on Fp lifts over GF(p), or on Fractions over QQ (an int
+    entry is lifted too, since int / int is a float)."""
     p = getattr(field, "p", None)
     if p is None:
-        return _rref(data, nc, field)
+        return _rref([[Fraction(x) for x in row] for row in data], nc, field)
     return _rref([[Fp(x, p) for x in row] for row in data], nc, _FpField(p))
 
 

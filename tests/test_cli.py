@@ -1,12 +1,15 @@
 import json
+from fractions import Fraction
 
 import pytest
+from conftest import check_storage
 
 from quiverforge import cli, reps
 from quiverforge.cli import main
 from quiverforge.errors import ConstructionError
-from quiverforge.serialize import rep_from_json
-from quiverforge.three_vertex import FamilyParams, construct
+from quiverforge.quiver import quiver_to_json
+from quiverforge.serialize import rep_from_json, rep_to_json
+from quiverforge.three_vertex import FamilyParams, build_family, construct
 
 
 def run(capsys, *args):
@@ -182,6 +185,14 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps({**good, key: value}))
         code, _, _ = run(capsys, "verify", str(bad))
         assert code == 2
+    # a field spec or dimension vector that is not a JSON object
+    for key, value in (("field", "q"), ("field", [1]), ("dims", [1, 1, 2]), ("dims", "x")):
+        bad.write_text(json.dumps({**good, key: value}))
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 2 and "not an object" in err, (key, value)
+    # a missing field spec still means the rationals
+    bad.write_text(json.dumps({k: v for k, v in good.items() if k != "field"}))
+    assert run(capsys, "verify", str(bad))[0] == 0
 
 
 def test_verify_matrix_rows_must_be_json_lists(tmp_path, capsys):
@@ -208,6 +219,32 @@ def test_verify_unknown_check_exits_2(tmp_path, capsys):
         "--out", str(rep))
     code, _, _ = run(capsys, "verify", str(rep), "--checks", "bogus")
     assert code == 2
+    # a check list that names no check runs nothing, so it is no pass
+    for checks in (",", "", " , "):
+        code, out, err = run(capsys, "verify", str(rep), "--checks", checks)
+        assert code == 2 and out == "" and "names no check" in err, checks
+
+
+def test_rep_json_round_trips_fractions_in_lowest_terms(tmp_path, capsys):
+    # X over Q(1,1,1) with dims (1,1,0): one nonzero map, -4/6 = -2/3;
+    # a "6/3" entry reads back as the int 2
+    doc = {
+        "quiver": quiver_to_json(build_family(FamilyParams(1, 1, 1))),
+        "field": {"type": "rational"},
+        "dims": {"1": 1, "2": 1, "3": 0},
+        "mats": {"la1": [["-4/6"]], "mu1": [], "nu1": [[]]},
+    }
+    rep = tmp_path / "frac.json"
+    rep.write_text(json.dumps(doc))
+    x = rep_from_json(doc)
+    assert check_storage(x.mats["la1"]).entries == ({0: Fraction(-2, 3)},)
+    assert rep_to_json(x)["mats"]["la1"] == [["-2/3"]]
+    doc["mats"]["la1"] = [["6/3"]]
+    y = rep_from_json(doc)
+    assert check_storage(y.mats["la1"]).entries == ({0: 2},)
+    assert rep_to_json(y)["mats"]["la1"] == [["2"]]
+    assert run(capsys, "verify", str(rep))[0] == 0
+    assert run(capsys, "homext", str(rep), str(rep))[0] == 0
 
 
 def test_homext_euler(tmp_path, capsys):

@@ -32,7 +32,6 @@ from quiverforge.linalg import (
     mat_solve,
     pivot_columns,
     rank,
-    solve,
     vstack,
 )
 from quiverforge.serialize import mat_from_json, mat_to_json
@@ -86,15 +85,15 @@ def test_image_complement_greedy_scan():
 
 
 def test_solve_identity():
-    assert solve(Mat.identity(2), [3, 4]) == Mat(2, 1, [[3], [4]])
+    assert mat_solve(Mat.identity(2), Mat(2, 1, [[3], [4]])) == Mat(2, 1, [[3], [4]])
 
 
 def test_solve_inconsistent():
-    assert solve(Mat.zeros(2, 2), [1, 0]) is None
+    assert mat_solve(Mat.zeros(2, 2), Mat(2, 1, [[1], [0]])) is None
 
 
 def test_solve_free_variables_zero():
-    assert solve(Mat(1, 2, [[1, 1]]), [3]) == Mat(2, 1, [[3], [0]])
+    assert mat_solve(Mat(1, 2, [[1, 1]]), Mat(1, 1, [[3]])) == Mat(2, 1, [[3], [0]])
 
 
 def test_mat_solve_multiple_columns():
@@ -291,11 +290,10 @@ def test_prime_field_linalg_matches_fp_reference(f, n, k, extra, zeros, data):
     assert rank(sparse) == len(pivots)
     assert kernel_basis(sparse) == kernel_basis(m)
     assert cokernel(sparse) == cokernel(m)
-    if f == QQ:
-        # _rref may hold ints over QQ; every Mat returned holds Fractions
-        returned = [kernel_basis(m), comp, proj, kernel_basis(sparse), *cokernel(sparse)]
-        returned += [x] if x is not None else []
-        assert all(type(v) is Fraction for r in returned for row in r.data for v in row)
+    # _rref may hold integral Fractions over QQ; every Mat returned holds
+    # each value in its field's one form
+    for r in [kernel_basis(m), comp, proj, kernel_basis(sparse), *cokernel(sparse), *([x] if x is not None else [])]:
+        check_storage(r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -360,7 +358,25 @@ def test_mat_rejects_rows_that_do_not_fit_its_shape():
 def test_rational_field_passes_fractions_through():
     f = Fraction(-3, 7)
     assert QQ.of(f) is f
-    assert QQ.of(2) == Fraction(2) and type(QQ.of(2)) is Fraction
+    # an integral value is an int, whatever it is given as
+    for v in (Fraction(2), Fraction(6, 3), 2, "4/2"):
+        assert QQ.of(v) == 2 and type(QQ.of(v)) is int
+    assert QQ.of("-4/6") == Fraction(-2, 3)
+    assert (QQ.zero(), QQ.one()) == (0, 1) and type(QQ.zero()) is type(QQ.one()) is int
+
+
+def test_rational_mat_results_hold_the_normalised_form():
+    # integral Fractions are stored as ints; sums, products and the
+    # eliminations that meet the non-integral entries keep the same form
+    m = check_storage(Mat(2, 3, [[Fraction(2), Fraction(6, 3), Fraction(1, 2)], [Fraction(-4, 2), 0, Fraction(3, 2)]]))
+    assert m.entries == ({0: 2, 1: 2, 2: Fraction(1, 2)}, {0: -2, 2: Fraction(3, 2)})
+    sq = Mat(3, 3, [[Fraction(1, 2), 0, 0], [0, 2, 0], [Fraction(3, 2), 0, Fraction(1, 3)]])
+    b = Mat(2, 1, [[Fraction(1, 2)], [Fraction(5, 2)]])
+    for r in (m.mul(sq), m.add(m), m.scale(Fraction(2, 3)), m.scale(2), kernel_basis(m),
+              mat_solve(m, b), *cokernel(m.transpose()), inverse(sq)):
+        check_storage(r)
+    # 1/2 + 1/2 is the int 1
+    assert m.add(m).entries[0][2] == 1 and type(m.add(m).entries[0][2]) is int
 
 
 @pytest.mark.parametrize("rows", [
@@ -374,7 +390,8 @@ def test_rational_field_passes_fractions_through():
 ])
 def test_rref_over_q_holds_ints_and_fractions_only(rows):
     ref_rows, ref_pivots = dense_rref([[Fraction(x) for x in row] for row in rows], 4, QQ)
-    # the rows as Mat stores them (Fractions), and as raw ints and Fractions
+    # the rows as Mat stores them, and as raw ints and Fractions, integral
+    # ones included
     for given in (Mat(len(rows), 4, rows).entries, [{c: x for c, x in enumerate(row) if x} for row in rows]):
         store = _rref(given, QQ)
         assert sorted(store) == ref_pivots
@@ -410,5 +427,5 @@ def test_q_linalg_with_large_entries_matches_reference(n, k, extra, consistent, 
     assert x is not None or not consistent
     comp, proj = cokernel(m)
     assert (comp.data, proj.data) == ref_cokernel(m)
-    returned = [kernel_basis(m), comp, proj] + ([x] if x is not None else [])
-    assert all(type(v) is Fraction for r in returned for row in r.data for v in row)
+    for r in [kernel_basis(m), comp, proj] + ([x] if x is not None else []):
+        check_storage(r)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverforge.errors import DomainError, InputError
 from quiverforge.quiver import (
@@ -131,6 +133,28 @@ def test_reflection_is_involution(q111):
         a = dv(q111, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
         for i in q111.vertices:
             assert reflect(q111, i, reflect(q111, i, a)) == a
+
+
+_SMALL_QUIVERS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]), max_size=8),
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+    st.integers(0, n - 1),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SMALL_QUIVERS)
+# parallel arrows together with arrows antiparallel to them
+@example((2, [(0, 1), (0, 1), (1, 0)], [3, -2], 0))
+@example((3, [(0, 1), (1, 0), (1, 2), (1, 2)], [1, 4, -1], 1))
+def test_reflect_subtracts_sym_form_with_the_unit_vector(case):
+    # edges may repeat and run both ways; there are no loops, as Quiver rejects them
+    n, edges, coords, i = case
+    q = Quiver(range(n), [Arrow(k, t, h) for k, (t, h) in enumerate(edges)])
+    a = dict(zip(q.vertices, coords))
+    c = sym_form(q, a, unit_vector(q, i))
+    assert reflect(q, i, a) == {v: a[v] - c * (v == i) for v in q.vertices}
 
 
 def test_ringel_form_bilinearity(q111):

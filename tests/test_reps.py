@@ -329,6 +329,8 @@ def test_delta_matches_reference_on_catalog_pairs(catalog_reps_q111_bound10):
     for x in reps:
         for y in reps:
             _assert_delta_matches_reference(x, y)
+            # the X_alpha over QQ hold only +-1, so delta stores only ints
+            assert all(type(v) is int for row in delta_matrix(x, y).entries for v in row.values())
 
 
 _DIFFERENTIAL_QUIVERS = [
