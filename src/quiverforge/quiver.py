@@ -239,6 +239,9 @@ def quiver_to_json(q: Quiver) -> dict:
 
 def quiver_from_json(obj: dict) -> Quiver:
     try:
+        for key in ("vertices", "arrows"):
+            if type(obj[key]) is not list:
+                raise InputError(f"quiver {key} {obj[key]!r} is not a list")
         arrows = [Arrow(a["id"], a["tail"], a["head"]) for a in obj["arrows"]]
         return Quiver(obj["vertices"], arrows)
     except (KeyError, TypeError) as exc:

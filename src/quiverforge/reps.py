@@ -208,19 +208,25 @@ def delta_matrix(x: Representation, y: Representation) -> Mat:
     return Mat(len(rows), sum(sizes), rows, x.field)
 
 
-def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
-    """Basis of Hom(X,Y): the kernel of the delta matrix, each kernel
-    vector read back into one matrix per vertex through the C^0 units."""
+def _hom_blocks(x: Representation, y: Representation) -> List[dict]:
+    """The kernel vectors of delta(X, Y), each read back through the C^0
+    units as {vertex: rows}: row r of the vertex-v block is row r of
+    phi_v: X_v -> Y_v as a {col: value} dict of its nonzeros."""
     units = _c0_units(x, y)
-    basis = []
+    out = []
     for vec in kernel_vectors(delta_matrix(x, y)):
-        grids = {v: [{} for _ in range(y.dims[v])] for v in x.quiver.vertices}
+        blocks = {v: [{} for _ in range(y.dims[v])] for v in x.quiver.vertices}
         for i, val in vec.items():
             v, r, c = units[i]
-            grids[v][r][c] = val
-        parts = {v: Mat(y.dims[v], x.dims[v], g, x.field) for v, g in grids.items()}
-        basis.append(Morphism(x, y, parts))
-    return basis
+            blocks[v][r][c] = val
+        out.append(blocks)
+    return out
+
+
+def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
+    """Basis of Hom(X,Y): the kernel of the delta matrix, one Mat per vertex."""
+    return [Morphism(x, y, {v: Mat(y.dims[v], x.dims[v], rows, x.field) for v, rows in b.items()})
+            for b in _hom_blocks(x, y)]
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
@@ -316,21 +322,24 @@ class Certificate(NamedTuple):
 
 def certify_indecomposable(x: Representation) -> Certificate:
     """dim End(X) and an indecomposability verdict over a prime field,
-    from one elimination of delta(X, X) and matrix-vector products.
+    from one elimination of delta(X, X) and vector-matrix products.
 
-    The End basis is kernel_vectors(delta_matrix(x, x)).  Each basis
-    element b gets a scalar lambda_b (see _scalar_candidates); let
-    N = {b - lambda_b}.  On V = sum_v X_v the chain V, NV, N^2 V, ... is
-    computed, one RREF of the images per step.  If it reaches 0, every
+    The End basis is read by _hom_blocks.  Each basis element b gets a
+    scalar lambda_b (see _scalar_candidates); let N = {b - lambda_b}.
+    Endomorphisms are block-diagonal, so on V = sum_v X_v the chain
+    V, NV, N^2 V, ... is sum_v N_v^k X_v and reaches 0 when it does at
+    every vertex.  At v it runs on row vectors, X_v^*, under the
+    transposes, which generate a nilpotent algebra exactly when N_v does;
+    one RREF of the images per step.  If every chain reaches 0, every
     product of elements of N vanishes, so N spans a nilpotent subalgebra
     of End that misses 1; with End = k.1 + span N it is an ideal of
     codimension 1, End is local and X is indecomposable.  If X is
     absolutely indecomposable, each b - lambda_b is in the radical, so
-    the chain reaches 0: the test is complete for such X, which every
+    the chains reach 0: the test is complete for such X, which every
     X_alpha of the construction is.
 
-    When the chain stalls, or some b has no unique lambda_b, the Fitting
-    split V = im n^d + ker n^d of n = b - lambda is tried for each
+    When a chain stalls, or some b has no unique lambda_b, the Fitting
+    split X_v = im n_v^d + ker n_v^d of n = b - lambda is tried for each
     candidate lambda of each b and for lambda = 0 (a kernel vector is
     zero at every other free coordinate, so b itself is often singular);
     the first non-trivial one gives the "decomposable" idempotent,
@@ -342,37 +351,28 @@ def certify_indecomposable(x: Representation) -> Certificate:
         raise InputError("indecomposability certificate requires a prime-field representation")
     if x.total_dim() == 0:
         raise DomainError("zero representation is neither")
-    vertices = x.quiver.vertices
-    offsets = dict(zip(vertices, itertools.accumulate((x.dims[v] for v in vertices), initial=0)))
-    units = _c0_units(x, x)
-    basis = []
-    for vec in kernel_vectors(delta_matrix(x, x)):
-        # b as an operator on V: cols[j] is its column j, {row: value}
-        cols = [{} for _ in range(x.total_dim())]
-        for i, val in vec.items():
-            v, r, c = units[i]
-            cols[offsets[v] + c][offsets[v] + r] = val
-        basis.append(cols)
-    candidates = [_scalar_candidates(x, offsets, cols) for cols in basis]
+    basis = _hom_blocks(x, x)
+    candidates = [_scalar_candidates(x, b) for b in basis]
     if all(len(lams) == 1 for lams in candidates):
-        nil = [_shift(cols, -lam, field.p) for cols, (lam,) in zip(basis, candidates)]
-        if _chain_reaches_zero([op for op in nil if any(op)], x.total_dim(), field):
+        lams = [lam for (lam,) in candidates]
+        if all(_chain_reaches_zero([b[v] for b in basis], lams, x.dims[v], field)
+               for v in x.quiver.vertices):
             return Certificate(len(basis), "indecomposable")
-    for cols, lams in zip(basis, candidates):
+    for b, lams in zip(basis, candidates):
         for lam in dict.fromkeys([*lams, 0]):
-            e = _fitting_idempotent(x, offsets, _shift(cols, -lam, field.p))
+            e = _fitting_idempotent(x, b, lam)
             if e is not None:
                 return Certificate(len(basis), "decomposable", e)
     return Certificate(len(basis), "inconclusive")
 
 
-def _block(x: Representation, offsets, cols, v) -> Mat:
-    """The vertex-v block of an operator on V given by its sparse columns."""
-    o, d = offsets[v], x.dims[v]
-    return Mat(d, d, [{r - o: val for r, val in col.items()} for col in cols[o:o + d]], x.field).transpose()
+def _minus_scalar(rows, lam, field) -> Mat:
+    """b_v - lam.1 as a Mat, b_v given by its rows."""
+    d = len(rows)
+    return Mat(d, d, [{**row, r: row.get(r, 0) - lam} for r, row in enumerate(rows)], field)
 
 
-def _scalar_candidates(x: Representation, offsets, cols) -> list:
+def _scalar_candidates(x: Representation, b) -> list:
     """The lambda in F_p that can make b - lambda nilpotent.
 
     At the first vertex v with p not dividing d_v this is tr(b_v) / d_v
@@ -382,58 +382,46 @@ def _scalar_candidates(x: Representation, offsets, cols) -> list:
     """
     p = x.field.p
     for v in x.quiver.vertices:
-        d, o = x.dims[v], offsets[v]
+        d = x.dims[v]
         if d % p:
-            return [sum(cols[o + r].get(o + r, 0) for r in range(d)) * pow(d, -1, p) % p]
+            return [sum(row.get(r, 0) for r, row in enumerate(b[v])) * pow(d, -1, p) % p]
     v = next(v for v in x.quiver.vertices if x.dims[v])
-    d, bv = x.dims[v], _block(x, offsets, cols, v)
-    return [lam for lam in range(p) if rank(bv.add(Mat.identity(d, x.field).scale(-lam))) < d]
+    return [lam for lam in range(p) if rank(_minus_scalar(b[v], lam, x.field)) < x.dims[v]]
 
 
-def _shift(cols, c, p: int) -> list:
-    """The operator b + c.1 on V, b given by its sparse columns."""
-    out = []
-    for j, col in enumerate(cols):
-        col = dict(col)
-        val = (col.get(j, 0) + c) % p
-        if val:
-            col[j] = val
-        else:
-            col.pop(j, None)
-        out.append(col)
-    return out
-
-
-def _chain_reaches_zero(ops, n: int, field) -> bool:
-    """Whether V, NV, N^2 V, ... reaches 0 on V = F^n, N being the
-    operators ops given by their sparse columns; each step keeps the RREF
-    rows of the images as the basis of the next space."""
+def _chain_reaches_zero(blocks, lams, d: int, field) -> bool:
+    """Whether W, WN, WN^2, ... reaches 0 from W = F^d, N being the
+    b_v - lambda_b acting on row vectors, each b_v given by its rows;
+    each step keeps the RREF rows of the images as the basis of the next
+    space."""
     p = field.p
-    layer = [{j: 1} for j in range(n)]
+    layer = [{j: 1} for j in range(d)]
     while layer:
         images = []
-        for cols in ops:
+        for rows, lam in zip(blocks, lams):
             for w in layer:
-                img = {}
+                img = {j: -lam * a for j, a in w.items()} if lam else {}
                 for j, a in w.items():
-                    for r, b in cols[j].items():
-                        img[r] = (img.get(r, 0) + a * b) % p
-                images.append({r: v for r, v in img.items() if v})
+                    for c, val in rows[j].items():
+                        img[c] = img.get(c, 0) + a * val
+                img = {c: val % p for c, val in img.items() if val % p}
+                if img:  # _rref would drop it too, at a higher cost
+                    images.append(img)
         nxt = list(_rref(images, field).values())
-        if len(nxt) == len(layer):  # NW is inside W, so equal sizes mean NW = W != 0
+        if len(nxt) == len(layer):  # WN is inside W, so equal sizes mean WN = W != 0
             return False
         layer = nxt
     return True
 
 
-def _fitting_idempotent(x: Representation, offsets, cols) -> Optional[Morphism]:
-    """The projection onto im n^d along ker n^d at each vertex (d = d_v,
-    past the Fitting index), n given by its sparse columns on V; None
-    when that split is trivial, as for nilpotent or invertible n."""
+def _fitting_idempotent(x: Representation, b, lam) -> Optional[Morphism]:
+    """The projection onto im n_v^d along ker n_v^d at each vertex
+    (d = d_v, past the Fitting index) for n = b - lam; None when that
+    split is trivial, as for nilpotent or invertible n."""
     f = x.field
     parts = {}
     for v in x.quiver.vertices:
-        d, power, k = x.dims[v], _block(x, offsets, cols, v), 1
+        d, power, k = x.dims[v], _minus_scalar(b[v], lam, f), 1
         while k < d:
             power, k = power.mul(power), 2 * k
         piv = pivot_columns(power)

@@ -296,6 +296,11 @@ class ConstructionTrace:
                 s = None if st["s_dims"] is None else vec(k, st["s_dims"])
                 if (s is None) != (k == 0):
                     raise InputError(f"trace stage {k}: only stage 0 is a base (s_dims null)")
+                if type(st["tag"]) is not str:
+                    raise InputError(f"trace stage {k}: tag {st['tag']!r} is not a string")
+                if type(st["predicted_end_dim"]) is not int:
+                    raise InputError(f"trace stage {k}: predicted_end_dim "
+                                     f"{st['predicted_end_dim']!r} is not an integer")
                 got = trace.base(dims, st["tag"]) if s is None else trace.extend(s, st["tag"])
                 if got.dims != dims:
                     raise InputError(f"trace stage {k}: dims are not stage {k - 1}'s "

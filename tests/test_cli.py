@@ -335,7 +335,9 @@ def _usage_error(*args):
 def test_roots_missing_or_malformed_quiver_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "roots", "--quiver", str(tmp_path / "none.json"), "--bound", "3")
     assert code == 2 and "cannot read" in err
-    for text in ("{not json", "[1, 2]", '{"vertices": 5, "arrows": []}'):
+    for text in ("{not json", "[1, 2]", '{"vertices": 5, "arrows": []}',
+                 '{"vertices": "12", "arrows": []}', '{"vertices": {"a": 1}, "arrows": []}',
+                 '{"vertices": [1, 2], "arrows": {}}'):
         bad = tmp_path / "q.json"
         bad.write_text(text)
         code, _, err = run(capsys, "roots", "--quiver", str(bad), "--bound", "3")
@@ -366,6 +368,18 @@ def _set_both_predictions(stages):
     stages[0]["predicted_end_dim"] = stages[1]["predicted_end_dim"] = 2
 
 
+def _set_a_float_prediction(stages):
+    stages[1]["predicted_end_dim"] = 2.0
+
+
+def _set_a_bool_prediction(stages):
+    stages[0]["predicted_end_dim"] = True
+
+
+def _set_a_number_tag(stages):
+    stages[1]["tag"] = 5
+
+
 def _drop_the_base(stages):
     del stages[0]
 
@@ -382,10 +396,14 @@ def _drop_every_stage(stages):
     (_set_s_dims, "stage 1: dims"),
     (_set_prediction, "stage 1: predicted_end_dim"),
     (_set_both_predictions, "stage 0: predicted_end_dim"),
+    (_set_a_float_prediction, "stage 1: predicted_end_dim 2.0 is not an integer"),
+    (_set_a_bool_prediction, "stage 0: predicted_end_dim True is not an integer"),
+    (_set_a_number_tag, "stage 1: tag 5 is not a string"),
     (_drop_the_base, "stage 0: only stage 0 is a base"),
     (_drop_the_last_stage, "trace ends at dims"),
     (_drop_every_stage, "no stages"),
-], ids=["s_dims", "prediction", "both_predictions", "no_base", "no_last_stage", "empty"])
+], ids=["s_dims", "prediction", "both_predictions", "float_prediction", "bool_prediction",
+        "number_tag", "no_base", "no_last_stage", "empty"])
 def test_verify_rejects_an_edited_trace(edit, where, tmp_path, capsys):
     # X_(0,1,2) of Q(1,1,1): base S(2), then sigma S(3); End dimension 2
     rep, tr = tmp_path / "rep.json", tmp_path / "tr.json"

@@ -238,6 +238,18 @@ def test_certificate_splits_a_sum_of_simples(q111):
     _assert_witness(x, cert)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_certificate_splits_summands_at_different_vertices(q111, p):
+    # End(S(1) + S(2)) = F_p x F_p: the chain reaches 0 at vertex 1 and
+    # stalls at vertex 2; for b the identity of S(1), zero on S(2), the
+    # Fitting split of b - 1 projects onto S(2)
+    x = direct_sum(simple_rep(q111, 1, GF(p)), simple_rep(q111, 2, GF(p)))
+    cert = certify_indecomposable(x)
+    assert cert[:2] == (2, "decomposable")
+    _assert_witness(x, cert)
+    assert {v: m.data for v, m in cert.idempotent.parts.items()} == {1: ((0,),), 2: ((1,),), 3: ()}
+
+
 def test_certificate_inconclusive_without_a_witness(counterexample_quiver):
     # a2 acts on F_2^2 as the companion matrix of t^2 + t + 1: End = F_4,
     # indecomposable but not absolutely, and no element has a Fitting split
