@@ -6,6 +6,8 @@ matrices are legal everywhere.  Its only storage is `entries`, one
 dense view of it, built on each read, for serialisation and the test
 references.  Every elimination is one sparse row-insertion RREF (_rref):
 rows go in one at a time and the store of reduced rows stays in RREF.
+A new pivot clears its column only from the stored rows listed for that
+column, so the work follows the fill-in, not the square of the rank.
 The RREF of a row space is unique, so its pivots and rows equal those of
 a dense leftmost-pivot elimination.  Kernel bases set free variables to
 one in ascending index order, and complements are chosen by a greedy
@@ -26,6 +28,7 @@ row is scaled by a pivot other than +-1.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -305,23 +308,39 @@ def _rref(data, field) -> dict:
     """Reduced row echelon form of the rows in data, by row insertion.
 
     Each row is a sparse {column: value} dict of nonzero field elements,
-    and is copied.  Returns {pivot column: row}, each row a sparse dict
-    that is one at its pivot.  Each incoming row is reduced against the
-    stored rows; its leftmost remaining entry becomes a new pivot, scaled
-    to one, and that column is cleared from the stored rows, so the store
-    is an RREF after every row.  Over F_p every update is reduced mod p
-    here.  Over Q a pivot of +-1 is scaled by a sign change, any other by
-    Fraction(1, lead) (never 1 / lead, which is a float for ints), and the
-    scaled values go through QQ.of, so integral ones are ints again.  A
-    stored value is an int or a Fraction, never a float.
+    and is copied unless it is empty.  Returns {pivot column: row}, each
+    row a sparse dict that is one at its pivot.  Each incoming row is
+    reduced against the stored rows; its leftmost remaining entry becomes
+    a new pivot, scaled to one, and that column is cleared from the stored
+    rows, so the store is an RREF after every row.  Only the stored rows
+    listed for the column in occ are visited: a row is listed for each of
+    its columns when it is stored, and for each column it gains when a
+    later pivot is cleared from it, so the back-substitution costs as
+    much as its fill-in, not one probe per stored row.
+
+    Over F_p every update is reduced mod p here.  Over Q a pivot of +-1
+    is scaled by a sign change, any other by Fraction(1, lead) (never
+    1 / lead, which is a float for ints), and the scaled values go
+    through QQ.of, so integral ones are ints again.  A stored value is an
+    int or a Fraction, never a float.
     """
     p = field.p if isinstance(field, PrimeField) else None
     of = field.of
+    # occ[c] lists the pivots of stored rows that may hold column c: every
+    # one that does, perhaps more, and perhaps one twice
+    occ = defaultdict(list)
 
-    def add_multiple(row, f, prow):
-        # row += f * prow, dropping the entries that cancel
+    def add_multiple(row, f, prow, key=None):
+        # row += f * prow, dropping the entries that cancel; a stored row
+        # (pivot key) that gains a column is listed for it in occ
         for c, x in prow.items():
-            v = row.get(c, 0) + f * x
+            v = row.get(c)
+            if v is None:
+                v = f * x
+                if key is not None:
+                    occ[c].append(key)
+            else:
+                v += f * x
             if p:
                 v %= p
             if v:
@@ -331,6 +350,8 @@ def _rref(data, field) -> dict:
 
     store = {}
     for given in data:
+        if not given:
+            continue
         row = dict(given)
         # a stored row is zero at every other pivot, so the order does not matter
         for pc in [c for c in row if c in store]:
@@ -348,9 +369,14 @@ def _rref(data, field) -> dict:
             # Fraction(1, lead), not 1 / lead: int / int is a float
             inv = Fraction(1, lead)
             row = {c: of(x * inv) for c, x in row.items()}
-        for other in store.values():
+        # no stored row holds a pivot column again, so its list can go
+        for key in occ.pop(pc, ()):
+            other = store[key]
             if pc in other:
-                add_multiple(other, -other[pc], row)
+                add_multiple(other, -other[pc], row, key)
+        for c in row:
+            if c != pc:
+                occ[c].append(pc)
         store[pc] = row
     return store
 

@@ -405,7 +405,7 @@ def _chain_reaches_zero(blocks, lams, d: int, field) -> bool:
                     for c, val in rows[j].items():
                         img[c] = img.get(c, 0) + a * val
                 img = {c: val % p for c, val in img.items() if val % p}
-                if img:  # _rref would drop it too, at a higher cost
+                if img:  # _rref skips it too, but passing it on costs a few percent more
                     images.append(img)
         nxt = list(_rref(images, field).values())
         if len(nxt) == len(layer):  # WN is inside W, so equal sizes mean WN = W != 0

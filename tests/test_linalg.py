@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import check_storage
 from reference_linalg import _rref as dense_rref
 from reference_linalg import (
+    _lower,
+    _ref_rref,
     greedy_complement,
     ref_add,
     ref_cokernel,
@@ -429,3 +431,32 @@ def test_q_linalg_with_large_entries_matches_reference(n, k, extra, consistent, 
     assert (comp.data, proj.data) == ref_cokernel(m)
     for r in [kernel_basis(m), comp, proj] + ([x] if x is not None else []):
         check_storage(r)
+
+
+@st.composite
+def _delta_shaped(draw):
+    """(rows, cols): 20-80 sparse rows of 1-3 nonzeros, mostly +-1, over
+    at most 30 columns, shaped like the rows of the delta map."""
+    cols = draw(st.integers(1, 30))
+    value = st.sampled_from([1, -1] * 4 + [2, -2])
+    row = st.dictionaries(st.integers(0, cols - 1), value, min_size=1, max_size=3)
+    return draw(st.lists(row, min_size=20, max_size=80)), cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3)]), _delta_shaped())
+# in both, row 1 is stored under pivot 0 and gains column 2 when row 2
+# clears column 1 from it; a later row makes column 2 a pivot, which has
+# to clear it from row 1 too
+@example(QQ, ([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1}], 3))
+@example(GF(2), ([{0: 1, 1: 1}, {1: 1, 2: 1}, {3: 1}, {2: 1, 3: 1}], 4))
+def test_rref_of_delta_shaped_rows_matches_reference(field, shaped):
+    # back-substitution fills stored rows in with columns they did not
+    # have; the pivot made later in such a column has to clear it from them
+    rows, cols = shaped
+    m = Mat(len(rows), cols, rows, field)
+    ref_rows, ref_pivots = _ref_rref(m.data, cols, field)
+    store = _rref(m.entries, field)
+    assert sorted(store) == ref_pivots
+    got = [tuple(store[pc].get(c, 0) for c in range(cols)) for pc in ref_pivots]
+    assert got == list(_lower(ref_rows[:len(ref_pivots)]))

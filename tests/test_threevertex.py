@@ -254,6 +254,20 @@ def test_construct_matches_prediction_beyond_height_12(case):
     assert end_dim(rep) == predicted_end_dim(trace)
 
 
+def test_construct_matches_prediction_at_the_tallest_roots_to_height_70(q111):
+    # delta(X, X) of these has rank 1,500 to 1,950; X_(7,39,24) has
+    # dim End 200
+    p = FamilyParams(1, 1, 1)
+    tallest = sorted(enumerate_real_roots(q111, 70), key=lambda r: (height(r), tuple(r.values())))[-3:]
+    assert [tuple(r.values()) for r in tallest] == [(24, 26, 19), (7, 39, 24), (23, 23, 24)]
+    ends = []
+    for alpha in tallest:
+        rep, trace = construct(alpha, p)
+        ends.append(end_dim(rep))
+        assert ends[-1] == predicted_end_dim(trace)
+    assert ends == [90, 200, 24]
+
+
 def test_star_form_grammar_checks():
     assert not StarForm((IDENTITY_E,)).grammar_ok(2)
     assert StarForm((IDENTITY_E, EElement("rho1", 1))).grammar_ok(2)
