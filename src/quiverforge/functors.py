@@ -237,17 +237,14 @@ def _require_no_hom(dim: int, what: str) -> None:
         raise DomainError(f"{what} = 0 is required, got dim {dim}")
 
 
-def _extend_top(s: Representation, x: Representation, units) -> Representation:
-    """X, then one copy of S per unit of Ext(S,X), coupled by that unit."""
-    couplings = [(aid, 0, k + 1, row, col) for k, (aid, col, row) in enumerate(units)]
-    return block_sum([x] + [s] * len(units), couplings)
-
-
-def _extend_below(s: Representation, y: Representation, units) -> Representation:
-    """One copy of S per unit of Ext(Y,S), coupled by that unit, then Y."""
-    t = len(units)
-    couplings = [(aid, k, t, row, col) for k, (aid, col, row) in enumerate(units)]
-    return block_sum([s] * t + [y], couplings)
+def _extend(s: Representation, x: Representation, below, above) -> Representation:
+    """t = len(below) copies of S, then X, then r = len(above) copies of S.
+    The k-th unit of Ext(X,S) in below couples X into S copy k, and the
+    k-th unit of Ext(S,X) in above couples S copy t + k + 1 into X."""
+    t = len(below)
+    couplings = [(aid, k, t, row, col) for k, (aid, col, row) in enumerate(below)]
+    couplings += [(aid, t, t + k + 1, row, col) for k, (aid, col, row) in enumerate(above)]
+    return block_sum([s] * t + [x] + [s] * len(above), couplings)
 
 
 def sigma_bar(s: Representation, x: Representation) -> Representation:
@@ -259,7 +256,7 @@ def sigma_bar(s: Representation, x: Representation) -> Representation:
     """
     assert_exceptional(s)
     _require_no_hom(hom_dim(x, s), "sigma_bar: Hom(X,S)")
-    return _extend_top(s, x, homext(s, x).ext_units)
+    return _extend(s, x, (), homext(s, x).ext_units)
 
 
 def sigma_under(s: Representation, y: Representation) -> Representation:
@@ -270,29 +267,25 @@ def sigma_under(s: Representation, y: Representation) -> Representation:
     """
     assert_exceptional(s)
     _require_no_hom(hom_dim(s, y), "sigma_under: Hom(S,Y)")
-    return _extend_below(s, y, homext(y, s).ext_units)
+    return _extend(s, y, homext(y, s).ext_units, ())
 
 
 def sigma(s: Representation, x: Representation) -> Representation:
-    """sigma_S = sigma_under o sigma_bar on M^{-S} cap M_{-S}.
+    """sigma_S = sigma_under o sigma_bar on M^{-S} cap M_{-S}, built as the
+    one block sum S^t + X + S^r with t = dim Ext(X,S), r = dim Ext(S,X).
 
-    Builds five delta maps: (S,S) for exceptionality, (S,X) and (X,S)
-    for the domain and the units of Ext(S,X), (S,Z) for the intermediate
-    vanishing Hom(S, sigma_bar(S,X)) = 0 and (Z,S) for the units of
-    Ext(Z,S).  Verifies the dimension formula
-    dim out = dim in - (dim in, dim S) dim S.
+    Builds three delta maps, (S,S), (S,X) and (X,S), and none of
+    Z = sigma_bar(S,X): Hom(S,Z) = 0 as the connecting map
+    Hom(S,S^r) -> Ext(S,X) is onto, and restriction C^1(Z,S) -> C^1(X,S)
+    is an isomorphism on cokernels, so Ext(Z,S) has the units of Ext(X,S).
+    Verifies the dimension formula dim out = dim in - (dim in, dim S) dim S.
     """
     assert_exceptional(s)
     sx = homext(s, x)
     _require_no_hom(sx.hom, "sigma: Hom(S,X)")
-    _require_no_hom(hom_dim(x, s), "sigma: Hom(X,S)")
-    z = _extend_top(s, x, sx.ext_units)
-    mid = hom_dim(s, z)
-    if mid != 0:
-        raise ConstructionError(
-            f"intermediate vanishing failed: dim Hom(S, sigma_bar) = {mid}"
-        )
-    u = _extend_below(s, z, homext(z, s).ext_units)
+    xs = homext(x, s)
+    _require_no_hom(xs.hom, "sigma: Hom(X,S)")
+    u = _extend(s, x, xs.ext_units, sx.ext_units)
     q = x.quiver
     c = sym_form(q, x.dims, s.dims)
     expected = {v: x.dims[v] - c * s.dims[v] for v in q.vertices}

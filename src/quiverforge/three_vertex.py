@@ -455,11 +455,16 @@ def _module(dims: dict, p: FamilyParams, field) -> Representation:
 def realise(trace: ConstructionTrace, p: FamilyParams, field=QQ) -> Representation:
     """Build the representation a plan describes: the base module, then
     sigma_S for each later stage, checking every stage's dims.  A
-    ConstructionError without a trace gets the stages up to the failing one."""
-    x = None
+    ConstructionError without a trace gets the stages up to the failing one.
+    Each distinct stage module is built once per call."""
+    x, modules = None, {}
     for k, st in enumerate(trace.stages):
         try:
-            m = _module(st.dims if st.s_dims is None else st.s_dims, p, field)
+            dims = st.dims if st.s_dims is None else st.s_dims
+            key = frozenset(dims.items())
+            if key not in modules:
+                modules[key] = _module(dims, p, field)
+            m = modules[key]
             x = m if st.s_dims is None else sigma(m, x)
             if x.dims != st.dims:
                 raise ConstructionError(f"stage {k} built dims {x.dims}, planned {st.dims}")

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_rep
 from quiverforge.errors import DomainError, InputError
-from quiverforge.linalg import GF, Mat
+from quiverforge.linalg import GF, QQ, Mat
 from quiverforge.quiver import ringel_form, sym_form, unit_vector
 from quiverforge.reps import (
     Representation,
@@ -12,6 +12,7 @@ from quiverforge.reps import (
     end_dim,
     ext_dim,
     hom_dim,
+    homext,
     is_indecomposable_oracle,
     simple_rep,
 )
@@ -34,8 +35,10 @@ from quiverforge.three_vertex import (
     FamilyParams,
     build_family,
     build_subquiver,
+    _module,
     embed_subquiver_rep,
     kronecker_rep,
+    plan,
 )
 from quiverforge.trees import nonzero_count
 from quiverforge.quiver import enumerate_real_roots
@@ -239,8 +242,8 @@ def test_sigma_error_types(q111):
         (s3, top3),
         (s3, soc3),
     ]
-    # DomainError, never ConstructionError, which is reserved for
-    # intermediate-vanishing and dimension-formula failures
+    # DomainError, never ConstructionError, which sigma raises only when
+    # the dimension formula fails
     for s, x in cases:
         with pytest.raises(DomainError):
             sigma(s, x)
@@ -248,6 +251,29 @@ def test_sigma_error_types(q111):
         sigma_bar(s3, top3)
     with pytest.raises(DomainError):
         sigma_under(s3, soc3)
+
+
+@pytest.mark.parametrize("fgh, bound, field, n_stages", [
+    ((1, 1, 1), 30, QQ, 431),
+    ((2, 1, 1), 20, GF(3), 127),
+    ((2, 2, 2), 14, GF(2), 6),
+])
+def test_sigma_stages_satisfy_the_theorems_that_spare_z(fgh, bound, field, n_stages):
+    # sigma builds no delta map of Z = sigma_bar(S,X): Hom(S,Z) = 0 and
+    # Ext(Z,S) has the units of Ext(X,S), so its one block sum is sigma_under(S,Z)
+    p, stages = FamilyParams(*fgh), 0
+    for r in enumerate_real_roots(build_family(p), bound):
+        trace = plan(r, p)
+        x = _module(trace.stages[0].dims, p, field)
+        for st in trace.stages[1:]:
+            s = _module(st.s_dims, p, field)
+            z = sigma_bar(s, x)
+            assert hom_dim(s, z) == 0
+            assert homext(x, s).ext_units == homext(z, s).ext_units
+            u = sigma(s, x)
+            assert u == sigma_under(s, z)
+            x, stages = u, stages + 1
+    assert stages == n_stages
 
 
 def test_sigma_bar_inverse_roundtrip(q111):

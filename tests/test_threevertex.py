@@ -364,6 +364,23 @@ def test_construction_trace_is_pinned():
     assert h.hexdigest() == TRACE_DIGEST
 
 
+def test_realise_builds_each_distinct_stage_module_once(monkeypatch):
+    # 15 stages alternating S(3) and X_(2,1,0) need two stage modules
+    real, built = three_vertex._module, []
+
+    def counted(dims, p, field):
+        built.append(dict(dims))
+        return real(dims, p, field)
+
+    monkeypatch.setattr(three_vertex, "_module", counted)
+    p = FamilyParams(2, 1, 1)
+    rep, trace = construct({1: 28, 2: 14, 3: 15}, p, GF(3))
+    assert rep.dims == {1: 28, 2: 14, 3: 15}
+    assert len(trace.stages) == 15
+    assert {st.tag for st in trace.stages[1:]} == {"sigma S(3)", "sigma X_(2, 1, 0)"}
+    assert built == [{1: 0, 2: 0, 3: 1}, {1: 2, 2: 1, 3: 0}]
+
+
 def test_plan_is_field_free_and_reaches_past_construction(q111, monkeypatch):
     def no_matrices(self, *args, **kwargs):
         raise AssertionError("plan must not build a matrix")
