@@ -20,8 +20,6 @@ from .reps import (
     direct_sum,
     end_dim,
     euler_form_check,
-    ext_dim,
-    ext_unit_basis,
     hom_basis,
     hom_dim,
     homext,

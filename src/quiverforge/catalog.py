@@ -18,7 +18,7 @@ from .quiver import enumerate_real_roots
 from .reps import certify_indecomposable, end_dim, is_indecomposable_oracle
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag
-from .three_vertex import FamilyParams, build_family, construct, predicted_end_dim
+from .three_vertex import FamilyParams, build_family, construct
 from .trees import coefficient_quiver, is_tree
 
 SCHEMA_VERSION = 1
@@ -96,7 +96,7 @@ def check_root(task) -> RootRecord:
         cq = coefficient_quiver(rep)
         rec.tree_ok = is_tree(cq)
         rec.nonzero_ok = len(cq.edges) == rep.total_dim() - 1
-        rec.end_predicted = predicted_end_dim(trace)
+        rec.end_predicted = trace.stages[-1].predicted_end
         prime = isinstance(field, PrimeField)
         if prime:
             cert = certify_indecomposable(rep)

@@ -63,13 +63,20 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path, obj):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path == "-" or path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_file(path, text)
 
 
 def cmd_roots(ns) -> int:
@@ -104,9 +111,7 @@ def cmd_construct(ns) -> int:
     if ns.trace:
         _write_json(ns.trace, trace.to_json())
     if ns.dot:
-        cq = coefficient_quiver(rep)
-        with open(ns.dot, "w") as fh:
-            fh.write(export_dot(cq))
+        _write_file(ns.dot, export_dot(coefficient_quiver(rep)))
     print(
         f"constructed X_({ns.root}) over {ns.field}: "
         f"total dim {rep.total_dim()}, dim End {trace.stages[-1].predicted_end} (predicted)",

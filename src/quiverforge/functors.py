@@ -21,7 +21,7 @@ from .linalg import (
     rank,
     vstack,
 )
-from .quiver import Arrow, Quiver, sym_form
+from .quiver import Arrow, Quiver
 from .reps import (
     Morphism,
     Representation,
@@ -252,7 +252,7 @@ def sigma_bar(s: Representation, x: Representation) -> Representation:
 
     Requires Hom(X,S) = 0 and S exceptional.  Basis order: basis of X,
     then r copies of the basis of S; couplings are the matrix units
-    selected by ext_unit_basis(S, X).
+    selected by homext(S, X).ext_units.
     """
     assert_exceptional(s)
     _require_no_hom(hom_dim(x, s), "sigma_bar: Hom(X,S)")
@@ -278,22 +278,15 @@ def sigma(s: Representation, x: Representation) -> Representation:
     Z = sigma_bar(S,X): Hom(S,Z) = 0 as the connecting map
     Hom(S,S^r) -> Ext(S,X) is onto, and restriction C^1(Z,S) -> C^1(X,S)
     is an isomorphism on cokernels, so Ext(Z,S) has the units of Ext(X,S).
-    Verifies the dimension formula dim out = dim in - (dim in, dim S) dim S.
+    dim out = x - (x, s) s holds by arithmetic: homext's hom - ext is the
+    Euler form, so with both Homs zero t + r = -<x,s> - <s,x> = -(x, s).
     """
     assert_exceptional(s)
     sx = homext(s, x)
     _require_no_hom(sx.hom, "sigma: Hom(S,X)")
     xs = homext(x, s)
     _require_no_hom(xs.hom, "sigma: Hom(X,S)")
-    u = _extend(s, x, xs.ext_units, sx.ext_units)
-    q = x.quiver
-    c = sym_form(q, x.dims, s.dims)
-    expected = {v: x.dims[v] - c * s.dims[v] for v in q.vertices}
-    if u.dims != expected:
-        raise ConstructionError(
-            f"sigma dimension formula violated: got {u.dims}, expected {expected}"
-        )
-    return u
+    return _extend(s, x, xs.ext_units, sx.ext_units)
 
 
 def sigma_bar_inv(s: Representation, z: Representation) -> Representation:

@@ -255,14 +255,6 @@ def homext(x: Representation, y: Representation) -> HomExt:
     return HomExt(d.cols - d.rows + len(units), len(units), units)
 
 
-def ext_dim(x: Representation, y: Representation) -> int:
-    return homext(x, y).ext
-
-
-def ext_unit_basis(x: Representation, y: Representation) -> List[Tuple[object, int, int]]:
-    return homext(x, y).ext_units
-
-
 def end_dim(x: Representation) -> int:
     return hom_dim(x, x)
 

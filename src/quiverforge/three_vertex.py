@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, DomainError, InputError
 from .linalg import QQ, Mat
-from .quiver import Arrow, Quiver, apply_word, ringel_form, root_expression, sym_form, unit_vector
+from .quiver import Arrow, Quiver, apply_word, ringel_form, root_expression, unit_vector
 from .reps import Representation, simple_rep
 from .functors import bgp_reflect, sigma
 
@@ -265,10 +265,9 @@ class ConstructionTrace:
         s = s_dims: dims become dims - (dims, s) s, and by Ringel's End
         formula the predicted End grows by <dims, s><s, dims>."""
         q, prev = self.quiver, self.stages[-1].dims
-        c = sym_form(q, prev, s_dims)
-        dims = {v: prev[v] - c * s_dims[v] for v in q.vertices}
-        gain = ringel_form(q, prev, s_dims) * ringel_form(q, s_dims, prev)
-        end = self.stages[-1].predicted_end + gain
+        a, b = ringel_form(q, prev, s_dims), ringel_form(q, s_dims, prev)
+        dims = {v: prev[v] - (a + b) * s_dims[v] for v in q.vertices}
+        end = self.stages[-1].predicted_end + a * b
         if tag is None:
             tag = "sigma " + _module_name(s_dims, base=False)
         self.stages.append(Stage(tag, dict(s_dims), dims, end))
@@ -316,8 +315,9 @@ class ConstructionTrace:
 
 
 def predicted_end_dim(trace: ConstructionTrace) -> int:
-    """The endomorphism dimension the trace predicts, checked by replaying
-    its stages through ConstructionTrace.from_json."""
+    """The endomorphism dimension a trace that plan did not build predicts,
+    checked by replaying its stages through ConstructionTrace.from_json;
+    a trace from plan already holds it in stages[-1].predicted_end."""
     try:
         return ConstructionTrace.from_json(trace.quiver, trace.to_json()).stages[-1].predicted_end
     except InputError as exc:

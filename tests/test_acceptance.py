@@ -24,8 +24,8 @@ from quiverforge.reps import (
     Representation,
     certify_indecomposable,
     end_dim,
-    ext_dim,
     hom_dim,
+    homext,
     is_indecomposable_oracle,
 )
 from quiverforge.functors import (
@@ -129,7 +129,7 @@ def test_criterion_4_euler_identity(corpus):
         x = rng.choice(pool)
         y = rng.choice(pool)
         pairs += 1
-        lhs = hom_dim(x, y) - ext_dim(x, y)
+        lhs = hom_dim(x, y) - homext(x, y).ext
         if lhs != ringel_form(q, x.dims, y.dims):
             ok = False
     report(4, f"Euler identity on {pairs} random pairs", ok)
@@ -272,6 +272,6 @@ def test_criterion_9_bgp_schur_baseline():
         for r in enumerate_real_roots(q, 10):
             x = kronecker_rep((r[1], r[2]), f)
             count += 1
-            if x.dims != r or end_dim(x) != 1 or ext_dim(x, x) != 0:
+            if x.dims != r or end_dim(x) != 1 or homext(x, x).ext != 0:
                 ok = False
     report(9, f"BGP real Schur baseline on {count} roots", ok)

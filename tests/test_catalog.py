@@ -105,3 +105,10 @@ def test_a_search_that_disagrees_fails_the_record(monkeypatch):
     rec = catalog.check_root((1, 1, 1, (0, 0, 1), "fp:3", 3**6))
     assert not rec.ok and rec.oracle == "indecomposable"
     assert rec.error == "the certificate says indecomposable, the idempotent search decomposable"
+
+
+def test_end_predicted_is_the_last_stage_of_the_trace():
+    report = catalog.run_catalog(FamilyParams(1, 1, 1), 12, "q")
+    assert report.records and report.ok
+    for rec in report.records:
+        assert rec.end_predicted == rec.trace["stages"][-1]["predicted_end_dim"]

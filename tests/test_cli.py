@@ -452,3 +452,25 @@ def test_unparsable_field_flag_exits_2(capsys):
     code, _, err = run(capsys, "catalog", "--family", "1", "1", "1", "--bound", "3",
                        "--field", "fp:abc")
     assert code == 2 and "field flag" in err
+
+
+_FAMILY = ("--family", "1", "1", "1")
+
+
+@pytest.mark.parametrize("args", [
+    ("roots", *_FAMILY, "--bound", "3", "--json", "--out", "{bad}"),
+    ("construct", *_FAMILY, "--root", "1,1,2", "--out", "{bad}"),
+    ("construct", *_FAMILY, "--root", "1,1,2", "--out", "{ok}", "--trace", "{bad}"),
+    ("construct", *_FAMILY, "--root", "1,1,2", "--out", "{ok}", "--dot", "{bad}"),
+    ("verify", "{rep}", "--out", "{bad}"),
+    ("homext", "{rep}", "{rep}", "--out", "{bad}"),
+    ("catalog", *_FAMILY, "--bound", "3", "--out", "{bad}"),
+], ids=["roots-out", "construct-out", "construct-trace", "construct-dot",
+        "verify-out", "homext-out", "catalog-out"])
+def test_a_failed_output_write_exits_2(args, tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    assert run(capsys, "construct", *_FAMILY, "--root", "1,1,2", "--out", str(rep))[0] == 0
+    paths = {"bad": str(tmp_path / "missing" / "out"), "ok": str(tmp_path / "ok.json"), "rep": str(rep)}
+    code, _, err = run(capsys, *(a.format(**paths) for a in args))
+    assert code == 2
+    assert "error: cannot write" in err and "Traceback" not in err

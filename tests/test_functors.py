@@ -10,7 +10,6 @@ from quiverforge.reps import (
     Representation,
     direct_sum,
     end_dim,
-    ext_dim,
     hom_dim,
     homext,
     is_indecomposable_oracle,
@@ -174,7 +173,7 @@ def test_membership_requires_exceptional(q111):
     bad = None
     while bad is None:
         cand = random_rep(q111, rng, max_dim=2)
-        if end_dim(cand) != 1 or ext_dim(cand, cand) != 0:
+        if end_dim(cand) != 1 or homext(cand, cand).ext != 0:
             bad = cand
     with pytest.raises(DomainError):
         membership(simple_rep(q111, 1), bad)
@@ -197,7 +196,7 @@ def test_sigma_bar_block_layout(q111):
 def test_sigma_bar_nonzero_count_bookkeeping(q111):
     s = simple_rep(q111, 3)
     x = simple_rep(q111, 2)
-    r = ext_dim(s, x)
+    r = homext(s, x).ext
     z = sigma_bar(s, x)
     assert nonzero_count(z) == nonzero_count(x) + r * nonzero_count(s) + r
 
@@ -242,8 +241,7 @@ def test_sigma_error_types(q111):
         (s3, top3),
         (s3, soc3),
     ]
-    # DomainError, never ConstructionError, which sigma raises only when
-    # the dimension formula fails
+    # sigma raises DomainError here and never ConstructionError
     for s, x in cases:
         with pytest.raises(DomainError):
             sigma(s, x)
@@ -272,6 +270,7 @@ def test_sigma_stages_satisfy_the_theorems_that_spare_z(fgh, bound, field, n_sta
             assert homext(x, s).ext_units == homext(z, s).ext_units
             u = sigma(s, x)
             assert u == sigma_under(s, z)
+            assert u.dims == st.dims  # the block sum agrees with extend's chain rule
             x, stages = u, stages + 1
     assert stages == n_stages
 
@@ -323,7 +322,7 @@ def test_ext_vanishing_implies_hom_vanishing_across_vertices():
     s2, s3 = simple_rep(q, 2), simple_rep(q, 3)
     for r in enumerate_real_roots(q, 7):
         x, _ = construct(r, p)
-        if ext_dim(s2, x) == 0 and ext_dim(x, s2) == 0:
+        if homext(s2, x).ext == 0 and homext(x, s2).ext == 0:
             assert hom_dim(x, s3) == 0 and hom_dim(s3, x) == 0
-        if ext_dim(s3, x) == 0 and ext_dim(x, s3) == 0:
+        if homext(s3, x).ext == 0 and homext(x, s3).ext == 0:
             assert hom_dim(x, s2) == 0 and hom_dim(s2, x) == 0

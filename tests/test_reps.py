@@ -18,8 +18,6 @@ from quiverforge.reps import (
     direct_sum,
     end_dim,
     euler_form_check,
-    ext_dim,
-    ext_unit_basis,
     hom_basis,
     hom_dim,
     homext,
@@ -111,17 +109,17 @@ def test_hom_end_of_preprojective():
 def test_ext_simple_no_self_extensions(q111):
     for v in q111.vertices:
         s = simple_rep(q111, v)
-        assert ext_dim(s, s) == 0
+        assert homext(s, s).ext == 0
 
 
 def test_ext_counts_arrows():
     q = build_family(FamilyParams(3, 1, 2))
-    assert ext_dim(simple_rep(q, 1), simple_rep(q, 2)) == 3
-    assert ext_dim(simple_rep(q, 3), simple_rep(q, 2)) == 2
+    assert homext(simple_rep(q, 1), simple_rep(q, 2)).ext == 3
+    assert homext(simple_rep(q, 3), simple_rep(q, 2)).ext == 2
 
 
 def test_ext_unit_basis_single_unit(q111):
-    units = ext_unit_basis(simple_rep(q111, 3), simple_rep(q111, 2))
+    units = homext(simple_rep(q111, 3), simple_rep(q111, 2)).ext_units
     assert units == [("nu1", 1, 1)]
 
 
@@ -136,7 +134,7 @@ def test_euler_identity_random_pairs(q111):
     for _ in range(50):
         x = random_rep(q111, rng, max_dim=3)
         y = random_rep(q111, rng, max_dim=3)
-        assert hom_dim(x, y) - ext_dim(x, y) == ringel_form(q111, x.dims, y.dims)
+        assert hom_dim(x, y) - homext(x, y).ext == ringel_form(q111, x.dims, y.dims)
         assert euler_form_check(x, y, homext(x, y))
 
 

@@ -421,7 +421,7 @@ def test_a_sigma_error_carries_the_trace_up_to_its_stage(q111, monkeypatch):
     full = plan(_ALPHA_342, p)
 
     def boom(s, x):
-        raise ConstructionError("sigma dimension formula violated")
+        raise ConstructionError("injected sigma failure")
 
     _patch_sigma_call(monkeypatch, 2, boom)
     exc = _carried_trace(p)
@@ -430,7 +430,7 @@ def test_a_sigma_error_carries_the_trace_up_to_its_stage(q111, monkeypatch):
     # catalog records show the carried trace unchanged
     _patch_sigma_call(monkeypatch, 2, boom)
     rec = catalog.check_root((1, 1, 1, (3, 4, 2), "q", 0))
-    assert rec.error == "sigma dimension formula violated"
+    assert rec.error == "injected sigma failure"
     assert rec.trace == full.to_json()
 
 
