@@ -8,6 +8,7 @@ Subcommands: roots, construct, verify, homext, catalog.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -63,20 +64,29 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _write_file(path: str, text: str) -> None:
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(*outputs) -> None:
+    """Write each (path, text) pair in order, None or "-" meaning stdout.
+    Every file is opened, last pair first, before any text is written, so
+    a path that cannot be opened writes nothing and creates none of the
+    files named before it."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with contextlib.ExitStack() as stack:
+            opened = []
+            for path, text in reversed(outputs):
+                fh = sys.stdout if path in (None, "-") else stack.enter_context(open(path, "w"))
+                opened.append((path, fh, text))
+            for path, fh, text in reversed(opened):
+                fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path == "-" or path is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(path, text)
+    _write((path, _json_text(obj)))
 
 
 def cmd_roots(ns) -> int:
@@ -107,11 +117,12 @@ def cmd_construct(ns) -> int:
     alpha = _parse_root(ns.root, q)
     field = parse_field_flag(ns.field)
     rep, trace = construct(alpha, p, field)
-    _write_json(ns.out, rep_to_json(rep))
+    outputs = [(ns.out, _json_text(rep_to_json(rep)))]
     if ns.trace:
-        _write_json(ns.trace, trace.to_json())
+        outputs.append((ns.trace, _json_text(trace.to_json())))
     if ns.dot:
-        _write_file(ns.dot, export_dot(coefficient_quiver(rep)))
+        outputs.append((ns.dot, export_dot(coefficient_quiver(rep))))
+    _write(*outputs)
     print(
         f"constructed X_({ns.root}) over {ns.field}: "
         f"total dim {rep.total_dim()}, dim End {trace.stages[-1].predicted_end} (predicted)",
@@ -249,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", default="q", help="'q' or 'fp:P' (default q)")
     sp.add_argument("--out", default=None, help="representation JSON path (default stdout)")
     sp.add_argument("--trace", default=None, help="construction trace JSON path")
-    sp.add_argument("--dot", default=None, help="coefficient quiver DOT path")
+    sp.add_argument("--dot", default=None, help="coefficient quiver DOT path ('-' for stdout)")
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("verify", help="run checks against a representation file")

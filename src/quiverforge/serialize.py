@@ -55,9 +55,14 @@ _SCALAR = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 def _scalar_from_json(x):
-    if type(x) is int or isinstance(x, str) and _SCALAR.fullmatch(x):
-        return Fraction(x)
-    raise InputError(f"malformed matrix entry {x!r}")
+    """A JSON int as it is, an integer string as an int, and only an
+    "a/b" string through Fraction; Mat puts each into its field."""
+    if type(x) is int:
+        return x
+    m = _SCALAR.fullmatch(x) if isinstance(x, str) else None
+    if m is None:
+        raise InputError(f"malformed matrix entry {x!r}")
+    return int(x) if m.group(1) is None else Fraction(x)
 
 
 def mat_from_json(rows: int, cols: int, obj: list, field) -> Mat:

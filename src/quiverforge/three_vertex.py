@@ -452,26 +452,63 @@ def _module(dims: dict, p: FamilyParams, field) -> Representation:
     return embed_subquiver_rep(kronecker_rep((dims[1], dims[2]), p.f, field), p)
 
 
+# Kept for the life of the process: stage modules by (family, field,
+# dims), and each realised plan prefix by (family, field, prefix) as its
+# packed nonzeros, which for these tree modules number total dim - 1.
+_MODULES: dict = {}
+_PREFIXES: dict = {}
+
+
+def _pack(x: Representation) -> tuple:
+    """Per arrow, x's nonzeros as one flat (row, col, value, ...) tuple."""
+    return tuple(tuple(v for i, row in enumerate(x.mats[a.id].entries)
+                       for j, c in row.items() for v in (i, j, c))
+                 for a in x.quiver.arrows)
+
+
+def _unpack(packed: tuple, q: Quiver, dims: dict, field) -> Representation:
+    """The representation _pack packed, each row in its packed order."""
+    mats = {}
+    for a, flat in zip(q.arrows, packed):
+        rows = [{} for _ in range(dims[a.head])]
+        for k in range(0, len(flat), 3):
+            rows[flat[k]][flat[k + 1]] = flat[k + 2]
+        mats[a.id] = Mat(dims[a.head], dims[a.tail], rows, field)
+    return Representation(q, dims, mats, field)
+
+
 def realise(trace: ConstructionTrace, p: FamilyParams, field=QQ) -> Representation:
     """Build the representation a plan describes: the base module, then
     sigma_S for each later stage, checking every stage's dims.  A
     ConstructionError without a trace gets the stages up to the failing one.
-    Each distinct stage module is built once per call."""
-    x, modules = None, {}
-    for k, st in enumerate(trace.stages):
+    Stage modules and realised plan prefixes are kept for the life of the
+    process: a call starts from the deepest prefix of its trace that an
+    earlier call stored, short of the whole trace, so it always runs its
+    own last sigma, and stores each stage it builds once its dims check."""
+    q, stages = trace.quiver, trace.stages
+    mods = [st.dims if st.s_dims is None else st.s_dims for st in stages]
+    vecs = [tuple(dims[v] for v in q.vertices) for dims in mods]
+    keys, key = [], (p, field)
+    for st, vec in zip(stages, vecs):
+        key += ((st.s_dims is None, vec),)
+        keys.append(key)
+    start = next((k + 1 for k in range(len(stages) - 2, -1, -1) if keys[k] in _PREFIXES), 0)
+    x = _unpack(_PREFIXES[keys[start - 1]], q, stages[start - 1].dims, field) if start else None
+    for k in range(start, len(stages)):
+        st = stages[k]
         try:
-            dims = st.dims if st.s_dims is None else st.s_dims
-            key = frozenset(dims.items())
-            if key not in modules:
-                modules[key] = _module(dims, p, field)
-            m = modules[key]
+            mkey = (p, field, vecs[k])
+            if mkey not in _MODULES:
+                _MODULES[mkey] = _module(mods[k], p, field)
+            m = _MODULES[mkey]
             x = m if st.s_dims is None else sigma(m, x)
             if x.dims != st.dims:
                 raise ConstructionError(f"stage {k} built dims {x.dims}, planned {st.dims}")
         except ConstructionError as exc:
             if exc.trace is None:
-                exc.trace = ConstructionTrace(trace.quiver, trace.stages[:k + 1])
+                exc.trace = ConstructionTrace(q, stages[:k + 1])
             raise
+        _PREFIXES[keys[k]] = _pack(x)
     return x
 
 

@@ -6,7 +6,21 @@ import pytest
 from quiverforge.linalg import Mat, QQ
 from quiverforge.quiver import Arrow, Quiver
 from quiverforge.reps import Representation
+from quiverforge import three_vertex
 from quiverforge.three_vertex import FamilyParams, build_family
+
+
+def clear_memos():
+    """Empty realise's process-wide memos of stage modules and prefixes."""
+    three_vertex._MODULES.clear()
+    three_vertex._PREFIXES.clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts with realise's memos empty, so a test that counts
+    or patches sigma or stage-module calls sees every stage built."""
+    clear_memos()
 
 
 @pytest.fixture

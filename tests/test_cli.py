@@ -10,6 +10,7 @@ from quiverforge.errors import ConstructionError
 from quiverforge.quiver import quiver_to_json
 from quiverforge.serialize import rep_from_json, rep_to_json
 from quiverforge.three_vertex import FamilyParams, build_family, construct
+from quiverforge.trees import coefficient_quiver, export_dot
 
 
 def run(capsys, *args):
@@ -474,3 +475,15 @@ def test_a_failed_output_write_exits_2(args, tmp_path, capsys):
     code, _, err = run(capsys, *(a.format(**paths) for a in args))
     assert code == 2
     assert "error: cannot write" in err and "Traceback" not in err
+    # every target is opened before any is written
+    assert not (tmp_path / "ok.json").exists()
+
+
+def test_construct_dot_dash_is_stdout(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    code, out, _ = run(capsys, "construct", *_FAMILY, "--root", "1,1,2", "--out", str(rep),
+                       "--dot", "-")
+    assert code == 0 and not (tmp_path / "-").exists()
+    x, _ = construct({1: 1, 2: 1, 3: 2}, FamilyParams(1, 1, 1))
+    assert out == export_dot(coefficient_quiver(x))
+    assert json.loads(rep.read_text()) == rep_to_json(x)

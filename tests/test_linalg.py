@@ -157,6 +157,16 @@ def test_mat_json_roundtrip():
     assert mat_from_json(1, 2, [["1/2", -1]], f5).data == ((3, 4),)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_mat_json_reads_integer_strings_as_fraction_did(field):
+    # integer strings are read with int and only "a/b" with Fraction;
+    # the matrix is the one Fraction gave for every entry
+    raw = [["007", "+3", "-0", "4/2", "-4/6", 12, -7]]
+    m = check_storage(mat_from_json(1, 7, raw, field))
+    assert m == Mat(1, 7, [[Fraction(x) for x in raw[0]]], field)
+    assert m.data == Mat(1, 7, [[7, 3, 0, 2, Fraction(-2, 3), 12, -7]], field).data
+
+
 def _random_mat(rng, rows, cols, field=QQ):
     return Mat(rows, cols, [[field.of(rng.randint(-3, 3)) for _ in range(cols)]
                             for _ in range(rows)], field)

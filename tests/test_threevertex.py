@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_memos
+
 from quiverforge import catalog, three_vertex
 from quiverforge.errors import ConstructionError, DomainError, InputError
 from quiverforge.linalg import GF, Mat
@@ -409,6 +411,10 @@ def _patch_sigma_call(monkeypatch, n, replacement):
     monkeypatch.setattr(three_vertex, "sigma", patched)
 
 
+def _raise_injected(s, x):
+    raise ConstructionError("injected sigma failure")
+
+
 def _carried_trace(p, alpha=_ALPHA_342):
     with pytest.raises(ConstructionError) as exc:
         construct(alpha, p)
@@ -420,15 +426,14 @@ def test_a_sigma_error_carries_the_trace_up_to_its_stage(q111, monkeypatch):
     p = FamilyParams(1, 1, 1)
     full = plan(_ALPHA_342, p)
 
-    def boom(s, x):
-        raise ConstructionError("injected sigma failure")
-
-    _patch_sigma_call(monkeypatch, 2, boom)
+    _patch_sigma_call(monkeypatch, 2, _raise_injected)
     exc = _carried_trace(p)
     assert len(exc.trace.stages) == 3
     assert exc.trace.to_json() == full.to_json()
-    # catalog records show the carried trace unchanged
-    _patch_sigma_call(monkeypatch, 2, boom)
+    # catalog records show the carried trace unchanged; with stage 1 of
+    # the first half still memoised, the second sigma call would not come
+    clear_memos()
+    _patch_sigma_call(monkeypatch, 2, _raise_injected)
     rec = catalog.check_root((1, 1, 1, (3, 4, 2), "q", 0))
     assert rec.error == "injected sigma failure"
     assert rec.trace == full.to_json()
@@ -448,3 +453,69 @@ def test_a_stage_with_the_wrong_dims_carries_the_trace_up_to_it(q111, monkeypatc
     exc = _carried_trace(FamilyParams(1, 1, 1))
     assert str(exc) == "stage 1 built dims {1: 0, 2: 1, 3: 0}, planned {1: 0, 2: 1, 3: 2}"
     assert [st.tag for st in exc.trace.stages] == ["base S(2)", "sigma S(3)"]
+
+
+def _memo_cases(bound):
+    return [(FamilyParams(*fam), flag, r)
+            for fam in [(1, 1, 1), (2, 1, 1)]
+            for flag in ("q", "fp:3")
+            for r in enumerate_real_roots(build_family(FamilyParams(*fam)), bound)]
+
+
+def test_a_warm_memo_builds_what_a_cold_one_builds():
+    cases = _memo_cases(30)
+    assert len(cases) == 360
+    cold = []
+    for p, flag, r in cases:
+        clear_memos()
+        cold.append(rep_to_json(construct(r, p, parse_field_flag(flag))[0]))
+    clear_memos()
+    order = list(range(len(cases)))
+    random.Random(18).shuffle(order)
+    for k in order:
+        p, flag, r = cases[k]
+        assert rep_to_json(construct(r, p, parse_field_flag(flag))[0]) == cold[k], cases[k]
+
+
+def test_every_call_runs_its_own_last_sigma(monkeypatch):
+    real, calls = three_vertex.sigma, []
+    monkeypatch.setattr(three_vertex, "sigma", lambda s, x: calls.append(s) or real(s, x))
+    p = FamilyParams(1, 1, 1)
+    for _ in range(2):
+        calls.clear()
+        _, trace = construct(_ALPHA_342, p)
+        assert len(trace.stages) == 3 and len(calls) >= 1
+    assert len(calls) == 1
+
+
+# sha256 over json.dumps(rep_to_json(X_(3,4,2) of Q(1,1,1) over Q), sort_keys=True)
+_X342_DIGEST = "ac8b27b646cde5cab876028a1f3fcc45e29e96196e465518be9275dcd8831497"
+
+
+@pytest.mark.parametrize("n, replacement", [
+    (1, lambda s, x: x),  # sigma returns, then the dims check raises
+    (2, _raise_injected),
+], ids=["wrong-dims", "raises"])
+def test_a_failed_stage_leaves_no_memo_entry(q111, monkeypatch, n, replacement):
+    with monkeypatch.context() as m:
+        _patch_sigma_call(m, n, replacement)
+        exc = _carried_trace(FamilyParams(1, 1, 1))
+    assert len(exc.trace.stages) == n + 1
+    assert max(len(key) - 2 for key in three_vertex._PREFIXES) == n
+    rep, _ = construct(_ALPHA_342, FamilyParams(1, 1, 1))
+    assert hashlib.sha256(json.dumps(rep_to_json(rep), sort_keys=True).encode()).hexdigest() == _X342_DIGEST
+
+
+def test_every_memo_entry_is_a_tree_module_of_total_dim_minus_one_nonzeros():
+    # the memo stores the packed nonzeros of Ringel's tree modules
+    for p, flag, r in _memo_cases(24):
+        construct(r, p, parse_field_flag(flag))
+    assert len(three_vertex._PREFIXES) > 100
+    for (p, field, *stages), packed in three_vertex._PREFIXES.items():
+        q = build_family(p)
+        trace = ConstructionTrace(q)
+        for is_base, vec in stages:
+            dims = dict(zip(q.vertices, vec))
+            trace.base(dims) if is_base else trace.extend(dims)
+        total = sum(trace.stages[-1].dims.values())
+        assert sum(len(flat) // 3 for flat in packed) == total - 1, stages
