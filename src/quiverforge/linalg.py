@@ -3,7 +3,7 @@
 Mat is a sparse matrix, immutable after construction; 0 x n and n x 0
 matrices are legal everywhere.  Its only storage is `entries`, one
 {column: value} dict per row holding the nonzero entries; `data` is a
-dense view of it, built on each read, for serialisation and the test
+dense view of it, built on each read, for repr, hashing and the test
 references.  Every elimination is one sparse row-insertion RREF (_rref):
 rows go in one at a time and the store of reduced rows stays in RREF.
 A new pivot clears its column only from the stored rows listed for that
@@ -15,15 +15,21 @@ ascending scan over coordinate vectors; cokernel reads its projection
 along the image from the same RREF.
 
 Scalars of Q are ints when integral and fractions.Fraction otherwise;
-scalars of F_p are plain ints in [0, p).  Mat takes dense rows or dict
-rows of numbers, sends each entry through its field's `of`, and keeps
-what is nonzero there; so code that builds matrices from sums and
-products (mul, add, scale, kernel_basis, block sums) does plain + - *
-on nonzeros and leaves the normalising, and dropping what cancels, to
-Mat.  _rref works on sparse rows outside Mat, so it keeps its own
-values: over F_p it reduces every update mod p; over Q int arithmetic
-stays int (delta's entries are +-1) and a Fraction appears only when a
-row is scaled by a pivot other than +-1.
+scalars of F_p are plain ints in [0, p).  Entries are checked where they
+enter: by default Mat takes dense rows or dict rows of numbers, checks
+each column, sends each entry through its field's `of`, and keeps what
+is nonzero there.  That is the path of JSON, the CLI, tests, and the
+arithmetic that does plain + - * on nonzeros (mul, add, scale,
+mat_solve, which reads _rref's rows) and leaves the normalising, and
+dropping what cancels, to Mat.  Producers that only copy, select or
+negate entries of Mats, or write ones, pass canonical=True and Mat keeps
+their rows unchecked: transpose, submatrix, columns, hstack, vstack,
+zeros, identity, kernel_basis and cokernel here, and the delta map,
+block sums, Hom bases and the memo read-back elsewhere.  _rref works on
+sparse rows outside Mat, so it keeps its own values: over F_p it reduces
+every update mod p; over Q int arithmetic stays int (delta's entries
+are +-1) and a Fraction appears only when a row is scaled by a pivot
+other than +-1.
 """
 
 from __future__ import annotations
@@ -143,11 +149,30 @@ class Mat:
 
     __slots__ = ("rows", "cols", "entries", "field")
 
-    def __init__(self, rows: int, cols: int, data, field=QQ):
+    def __init__(self, rows: int, cols: int, data, field=QQ, *, canonical=False):
         """data holds one row per row index: a dense sequence of cols
-        entries, or a {column: value} dict; zeros are dropped either way."""
+        entries, or a {column: value} dict; zeros are dropped either way.
+
+        With canonical=True, data must already be what entries holds: one
+        {column: value} dict per row, each column in range and each value
+        a nonzero element of field in its one form.  Only the dims and the
+        row count are checked then, and the rows are kept as given.  The
+        producers that pass it copy, select or negate (through field.of)
+        entries of Mats they were given, or write ones: transpose,
+        submatrix, columns, hstack, vstack, zeros, identity, kernel_basis,
+        cokernel, and in reps and three_vertex the delta map, block sums,
+        Hom bases and memo read-backs.  mul, add, scale and mat_solve do
+        not: their sums and products can cancel to zero, leave p's
+        multiples or give an integral Fraction, which this constructor
+        drops or normalises."""
         if rows < 0 or cols < 0:
             raise InputError("negative matrix dimension")
+        if canonical:
+            entries = tuple(data)
+            if len(entries) != rows:
+                raise InputError(f"data does not match shape {rows}x{cols}")
+            self.rows, self.cols, self.entries, self.field = rows, cols, entries, field
+            return
         p = field.p if isinstance(field, PrimeField) else None
         of = field.of
         entries = []
@@ -190,11 +215,11 @@ class Mat:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field=QQ) -> "Mat":
-        return cls(rows, cols, [{}] * rows, field)
+        return cls(rows, cols, [{} for _ in range(rows)], field, canonical=True)
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "Mat":
-        return cls(n, n, [{i: field.one()} for i in range(n)], field)
+        return cls(n, n, [{i: field.one()} for i in range(n)], field, canonical=True)
 
     def __eq__(self, other):
         return (
@@ -243,7 +268,7 @@ class Mat:
         return Mat(self.rows, self.cols, [{j: c * x for j, x in row.items()} for row in self.entries], self.field)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, _sparse_transpose(self.entries, self.cols), self.field)
+        return Mat(self.cols, self.rows, _sparse_transpose(self.entries, self.cols), self.field, canonical=True)
 
     def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "Mat":
         if not (0 <= row_start <= row_stop <= self.rows and 0 <= col_start <= col_stop <= self.cols):
@@ -254,13 +279,14 @@ class Mat:
             [{j - col_start: x for j, x in row.items() if col_start <= j < col_stop}
              for row in self.entries[row_start:row_stop]],
             self.field,
+            canonical=True,
         )
 
     def columns(self, js: Sequence[int]) -> "Mat":
         """The matrix of the columns js of self, in that order."""
         pos = {j: k for k, j in enumerate(js)}
         rows = [{pos[j]: x for j, x in row.items() if j in pos} for row in self.entries]
-        return Mat(self.rows, len(js), rows, self.field)
+        return Mat(self.rows, len(js), rows, self.field, canonical=True)
 
 
 def hstack(mats: Sequence[Mat], rows: Optional[int] = None, field=QQ) -> Mat:
@@ -269,9 +295,11 @@ def hstack(mats: Sequence[Mat], rows: Optional[int] = None, field=QQ) -> Mat:
         if rows is None:
             raise InputError("hstack of empty list needs explicit row count")
         return Mat.zeros(rows, 0, field)
-    r = mats[0].rows
+    r, field = mats[0].rows, mats[0].field
     if any(m.rows != r for m in mats):
         raise InputError("hstack row mismatch")
+    if any(m.field != field for m in mats):
+        raise InputError("hstack field mismatch")
     data = [{} for _ in range(r)]
     offset = 0
     for m in mats:
@@ -279,7 +307,7 @@ def hstack(mats: Sequence[Mat], rows: Optional[int] = None, field=QQ) -> Mat:
             for j, x in mrow.items():
                 row[offset + j] = x
         offset += m.cols
-    return Mat(r, offset, data, mats[0].field)
+    return Mat(r, offset, data, field, canonical=True)
 
 
 def vstack(mats: Sequence[Mat], cols: Optional[int] = None, field=QQ) -> Mat:
@@ -288,10 +316,12 @@ def vstack(mats: Sequence[Mat], cols: Optional[int] = None, field=QQ) -> Mat:
         if cols is None:
             raise InputError("vstack of empty list needs explicit column count")
         return Mat.zeros(0, cols, field)
-    c = mats[0].cols
+    c, field = mats[0].cols, mats[0].field
     if any(m.cols != c for m in mats):
         raise InputError("vstack column mismatch")
-    return Mat(sum(m.rows for m in mats), c, [row for m in mats for row in m.entries], mats[0].field)
+    if any(m.field != field for m in mats):
+        raise InputError("vstack field mismatch")
+    return Mat(sum(m.rows for m in mats), c, [row for m in mats for row in m.entries], field, canonical=True)
 
 
 def _sparse_transpose(rows, ncols: int) -> list:
@@ -406,7 +436,7 @@ def kernel_vectors(m: Mat) -> List[dict]:
 def kernel_basis(m: Mat) -> Mat:
     """Columns span ker m: the vectors of kernel_vectors, in order."""
     vecs = kernel_vectors(m)
-    return Mat(m.cols, len(vecs), _sparse_transpose(vecs, m.cols), m.field)
+    return Mat(m.cols, len(vecs), _sparse_transpose(vecs, m.cols), m.field, canonical=True)
 
 
 def mat_solve(m: Mat, b: Mat) -> Optional[Mat]:
@@ -458,6 +488,7 @@ def cokernel(span: Mat) -> tuple:
     every other hit, so the row of proj for kept k is e_k - sum_h w_h[k] e_h.
     """
     n, field = span.rows, span.field
+    of = field.of
     reversed_cols = _sparse_transpose(span.entries[::-1], span.cols)
     w = {n - 1 - pc: row for pc, row in _rref(reversed_cols, field).items()}
     proj = {k: {k: 1} for k in range(n) if k not in w}
@@ -469,5 +500,6 @@ def cokernel(span: Mat) -> tuple:
         # and every k other than h where it is nonzero is kept
         for c, x in wh.items():
             if n - 1 - c != h:
-                proj[n - 1 - c][h] = -x
-    return Mat(n, len(proj), comp, field), Mat(len(proj), n, list(proj.values()), field)
+                proj[n - 1 - c][h] = of(-x)
+    return (Mat(n, len(proj), comp, field, canonical=True),
+            Mat(len(proj), n, list(proj.values()), field, canonical=True))

@@ -150,7 +150,7 @@ def block_sum(summands: Sequence[Representation], couplings=()) -> Representatio
     for aid, k, l, row, col in couplings:
         a = q.arrow(aid)
         grids[aid][offsets[a.head][k] + row - 1][offsets[a.tail][l] + col - 1] = field.one()
-    mats = {a.id: Mat(dims[a.head], dims[a.tail], grids[a.id], field) for a in q.arrows}
+    mats = {a.id: Mat(dims[a.head], dims[a.tail], grids[a.id], field, canonical=True) for a in q.arrows}
     return Representation(q, dims, mats, field)
 
 
@@ -181,11 +181,13 @@ def delta_matrix(x: Representation, y: Representation) -> Mat:
     (v, r, c) has index off_v + c dim Y_v + r, off_v being the start of
     vertex v's block.  Each arrow's nonzeros are listed once, per column
     of X_a and per row of -Y_a, with the part of that index they fix, and
-    every row is built from those lists; Mat reduces -Y_a mod p.
+    every row is built from those lists.  The entries are X's and
+    field.of(-Y) (over F_p, -v is not reduced mod p), negated once per
+    arrow, so the rows are canonical and Mat takes them unchecked.
     """
     if x.quiver != y.quiver or x.field != y.field:
         raise InputError("delta needs the same quiver and field")
-    vertices = x.quiver.vertices
+    vertices, of = x.quiver.vertices, x.field.of
     sizes = [x.dims[v] * y.dims[v] for v in vertices]
     off = dict(zip(vertices, itertools.accumulate(sizes, initial=0)))
     rows = []
@@ -196,7 +198,7 @@ def delta_matrix(x: Representation, y: Representation) -> Mat:
         for k, xrow in enumerate(x.mats[a.id].entries):
             for s, val in xrow.items():
                 x_cols[s].append((off[a.head] + k * yh, val))
-        y_rows = [[(off[a.tail] + k, -val) for k, val in yrow.items()] for yrow in y.mats[a.id].entries]
+        y_rows = [[(off[a.tail] + k, of(-val)) for k, val in yrow.items()] for yrow in y.mats[a.id].entries]
         for s, x_col in enumerate(x_cols):
             for r, y_row in enumerate(y_rows):
                 row = {}
@@ -205,7 +207,7 @@ def delta_matrix(x: Representation, y: Representation) -> Mat:
                 for i, val in y_row:
                     row[i + s * yt] = val
                 rows.append(row)
-    return Mat(len(rows), sum(sizes), rows, x.field)
+    return Mat(len(rows), sum(sizes), rows, x.field, canonical=True)
 
 
 def _hom_blocks(x: Representation, y: Representation) -> List[dict]:
@@ -225,7 +227,8 @@ def _hom_blocks(x: Representation, y: Representation) -> List[dict]:
 
 def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
     """Basis of Hom(X,Y): the kernel of the delta matrix, one Mat per vertex."""
-    return [Morphism(x, y, {v: Mat(y.dims[v], x.dims[v], rows, x.field) for v, rows in b.items()})
+    return [Morphism(x, y, {v: Mat(y.dims[v], x.dims[v], rows, x.field, canonical=True)
+                            for v, rows in b.items()})
             for b in _hom_blocks(x, y)]
 
 

@@ -48,7 +48,12 @@ def parse_field_flag(flag: str):
 
 
 def mat_to_json(m: Mat) -> list:
-    return [[str(x) for x in row] for row in m.data]
+    """The dense rows as strings: "0" everywhere but at the nonzeros."""
+    out = [["0"] * m.cols for _ in range(m.rows)]
+    for row, nonzeros in zip(out, m.entries):
+        for j, x in nonzeros.items():
+            row[j] = str(x)
+    return out
 
 
 _SCALAR = re.compile(r"[+-]?\d+(/\d+)?")

@@ -29,11 +29,17 @@ class FamilyParams:
             raise InputError("family parameters must all be >= 1")
 
 
+_FAMILIES: dict = {}
+
+
 def build_family(p: FamilyParams) -> Quiver:
-    arrows = [Arrow(f"la{k}", 1, 2) for k in range(1, p.f + 1)]
-    arrows += [Arrow(f"mu{k}", 2, 3) for k in range(1, p.g + 1)]
-    arrows += [Arrow(f"nu{k}", 3, 2) for k in range(1, p.h + 1)]
-    return Quiver((1, 2, 3), arrows)
+    """The quiver Q(f, g, h), built once: equal params share one Quiver."""
+    if p not in _FAMILIES:
+        arrows = [Arrow(f"la{k}", 1, 2) for k in range(1, p.f + 1)]
+        arrows += [Arrow(f"mu{k}", 2, 3) for k in range(1, p.g + 1)]
+        arrows += [Arrow(f"nu{k}", 3, 2) for k in range(1, p.h + 1)]
+        _FAMILIES[p] = Quiver((1, 2, 3), arrows)
+    return _FAMILIES[p]
 
 
 def build_subquiver(f: int) -> Quiver:
@@ -473,7 +479,7 @@ def _unpack(packed: tuple, q: Quiver, dims: dict, field) -> Representation:
         rows = [{} for _ in range(dims[a.head])]
         for k in range(0, len(flat), 3):
             rows[flat[k]][flat[k + 1]] = flat[k + 2]
-        mats[a.id] = Mat(dims[a.head], dims[a.tail], rows, field)
+        mats[a.id] = Mat(dims[a.head], dims[a.tail], rows, field, canonical=True)
     return Representation(q, dims, mats, field)
 
 

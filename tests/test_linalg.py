@@ -367,6 +367,20 @@ def test_mat_rejects_rows_that_do_not_fit_its_shape():
         Mat.identity(2).submatrix(0, 3, 0, 2)
 
 
+def test_canonical_rows_are_counted_and_stacks_share_a_field():
+    # canonical rows skip the entry checks, but not the row count or dims
+    for rows, data in ((2, [{0: 1}]), (1, [{}, {}]), (-1, [])):
+        with pytest.raises(InputError):
+            Mat(rows, 3, data, canonical=True)
+    m = Mat(2, 3, [{0: 1}, {}], canonical=True)
+    assert type(m.entries) is tuple and check_storage(m) == Mat(2, 3, [[1, 0, 0], [0, 0, 0]])
+    # a stack keeps its parts' entries as they are, so it takes one field
+    with pytest.raises(InputError):
+        hstack([Mat.identity(2), Mat.identity(2, GF(3))])
+    with pytest.raises(InputError):
+        vstack([Mat.identity(2, GF(3)), Mat.identity(2, GF(5))])
+
+
 def test_rational_field_passes_fractions_through():
     f = Fraction(-3, 7)
     assert QQ.of(f) is f

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reference_reps
 from conftest import check_storage, random_rep
 from quiverforge.errors import DomainError, InputError
-from quiverforge.linalg import GF, Mat, QQ, kernel_basis, rank
+from quiverforge.linalg import GF, Mat, QQ, cokernel, kernel_basis, rank
 from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots, ringel_form
 from quiverforge.reps import (
     Representation,
@@ -26,9 +26,11 @@ from quiverforge.reps import (
     simple_rep,
     zero_rep,
 )
-from quiverforge.functors import sigma
+from quiverforge.functors import bgp_reflect, sigma
 from quiverforge.three_vertex import (
     FamilyParams,
+    _pack,
+    _unpack,
     build_family,
     build_subquiver,
     construct,
@@ -423,3 +425,45 @@ def test_end_dim_and_homext_never_build_delta_dense(monkeypatch):
     # the hook sees every read of a dense view: here delta's own
     check_storage(d).data
     assert shapes[-1] == (d.rows, d.cols)
+
+
+_PRODUCER_QUIVERS = [
+    build_family(FamilyParams(1, 1, 1)),
+    build_family(FamilyParams(2, 1, 1)),
+    Quiver((1, 2), [Arrow("la1", 1, 2), Arrow("la2", 1, 2)]),
+]
+
+
+def _assert_canonical(m):
+    # what Mat(..., canonical=True) keeps unchecked must be what the
+    # checked path would have stored
+    check_storage(m)
+    assert m == Mat(m.rows, m.cols, [dict(row) for row in m.entries], m.field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_PRODUCER_QUIVERS),
+    st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+    st.integers(0, 2**32),
+)
+def test_canonical_producers_store_what_a_checked_mat_would(q, field, seed):
+    # random_rep's entries are -1, 0, 1, so over F_p delta negates p - 1
+    rng = random.Random(seed)
+    x = random_rep(q, rng, max_dim=3, field=field)
+    y = random_rep(q, rng, max_dim=3, field=field)
+    d = delta_matrix(x, y)
+    mats = [d, *cokernel(d)]
+    # one unit coupling per arrow with a nonzero block from x into y
+    couplings = [(a.id, 1, 0, rng.randint(1, y.dims[a.head]), rng.randint(1, x.dims[a.tail]))
+                 for a in q.arrows if y.dims[a.head] and x.dims[a.tail]]
+    for z in (block_sum([x, y], couplings), _unpack(_pack(x), q, x.dims, field)):
+        mats += z.mats.values()
+    for i in q.vertices:
+        if x.dims[i] == x.total_dim():
+            continue  # bgp_reflect refuses a rep concentrated at i
+        for direction, arrows in (("plus", q.outgoing(i)), ("minus", q.incoming(i))):
+            if not arrows:
+                mats += bgp_reflect(x, i, direction).mats.values()
+    for m in mats:
+        _assert_canonical(m)

@@ -51,6 +51,15 @@ def test_build_family_arrow_order():
     assert q.arrows[3].tail == 3 and q.arrows[3].head == 2
 
 
+def test_each_family_has_one_quiver():
+    p, same = FamilyParams(2, 1, 1), FamilyParams(2, 1, 1)
+    assert p is not same and build_family(p) is build_family(same) is build_family(p)
+    root = {1: 4, 2: 3, 3: 6}
+    first = rep_to_json(construct(root, p)[0])
+    clear_memos()
+    assert rep_to_json(construct(root, same)[0]) == first
+
+
 def test_word_of_shapes():
     assert word_of(EElement("zeta2", 0)) == (2,)
     assert word_of(EElement("rho1", 1)) == (1, 2)
