@@ -4,13 +4,15 @@ Mat is a sparse matrix, immutable after construction; 0 x n and n x 0
 matrices are legal everywhere.  Its only storage is `entries`, one
 {column: value} dict per row holding the nonzero entries; `data` is a
 dense view of it, built on each read, for repr, hashing and the test
-references.  Every elimination is one sparse row-insertion RREF (_rref):
-rows go in one at a time and the store of reduced rows stays in RREF.
-A new pivot clears its column only from the stored rows listed for that
-column, so the work follows the fill-in, not the square of the rank.
-The RREF of a row space is unique, so its pivots and rows equal those of
-a dense leftmost-pivot elimination.  Kernel bases set free variables to
-one in ascending index order, and complements are chosen by a greedy
+references.  Every elimination starts with the forward phase _echelon,
+which stores each row as it comes, reduced at its leftmost column while
+that is a stored pivot.  Its pivots are the leading columns of the row
+space, which no elimination order changes, so rank, pivot_columns and
+complement_coordinates read them there.  kernel_vectors, mat_solve,
+cokernel and reps' certificate read rows, from _rref: _echelon plus one
+back-substitution pass.  The RREF is unique, so its rows equal those of
+a dense leftmost-pivot elimination.  Kernel bases set free variables
+to one in ascending index order, and complements are chosen by a greedy
 ascending scan over coordinate vectors; cokernel reads its projection
 along the image from the same RREF.
 
@@ -25,17 +27,18 @@ dropping what cancels, to Mat.  Producers that only copy, select or
 negate entries of Mats, or write ones, pass canonical=True and Mat keeps
 their rows unchecked: transpose, submatrix, columns, hstack, vstack,
 zeros, identity, kernel_basis and cokernel here, and the delta map,
-block sums, Hom bases and the memo read-back elsewhere.  _rref works on
-sparse rows outside Mat, so it keeps its own values: over F_p it reduces
-every update mod p; over Q int arithmetic stays int (delta's entries
-are +-1) and a Fraction appears only when a row is scaled by a pivot
-other than +-1.
+block sums, Hom bases and the memo read-back elsewhere.  The
+elimination works on sparse rows outside Mat, so it keeps its own
+values: over F_p it reduces every update mod p; over Q int arithmetic
+stays int (delta's entries are +-1) and a Fraction appears only when a
+row is scaled by a pivot other than +-1.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import List, Optional, Sequence
 
 from .errors import InputError
@@ -334,61 +337,54 @@ def _sparse_transpose(rows, ncols: int) -> list:
     return cols
 
 
-def _rref(data, field) -> dict:
-    """Reduced row echelon form of the rows in data, by row insertion.
+def _echelon(data, field) -> dict:
+    """Row echelon form of the rows in data, by forward elimination alone.
 
     Each row is a sparse {column: value} dict of nonzero field elements,
-    and is copied unless it is empty.  Returns {pivot column: row}, each
-    row a sparse dict that is one at its pivot.  Each incoming row is
-    reduced against the stored rows; its leftmost remaining entry becomes
-    a new pivot, scaled to one, and that column is cleared from the stored
-    rows, so the store is an RREF after every row.  Only the stored rows
-    listed for the column in occ are visited: a row is listed for each of
-    its columns when it is stored, and for each column it gains when a
-    later pivot is cleared from it, so the back-substitution costs as
-    much as its fill-in, not one probe per stored row.
+    and is copied.  Returns {pivot column: row} in the order the pivots
+    were made, each row one at its pivot and zero left of it.  An incoming
+    row is reduced at its leftmost column while a stored row has that
+    pivot (a heap holds its columns; fill-in pushes each column it adds),
+    then scaled to one there and stored, never to change again.  The keys
+    are the leading columns of the row space: the pivots of its RREF.
 
-    Over F_p every update is reduced mod p here.  Over Q a pivot of +-1
-    is scaled by a sign change, any other by Fraction(1, lead) (never
-    1 / lead, which is a float for ints), and the scaled values go
-    through QQ.of, so integral ones are ints again.  A stored value is an
-    int or a Fraction, never a float.
+    Over F_p every update is reduced mod p.  Over Q a lead of +-1 is
+    scaled by a sign change, any other by Fraction(1, lead) (never
+    1 / lead, a float for ints) and QQ.of, so a stored value is an int or
+    a Fraction, never a float.
     """
     p = field.p if isinstance(field, PrimeField) else None
     of = field.of
-    # occ[c] lists the pivots of stored rows that may hold column c: every
-    # one that does, perhaps more, and perhaps one twice
-    occ = defaultdict(list)
-
-    def add_multiple(row, f, prow, key=None):
-        # row += f * prow, dropping the entries that cancel; a stored row
-        # (pivot key) that gains a column is listed for it in occ
-        for c, x in prow.items():
-            v = row.get(c)
-            if v is None:
-                v = f * x
-                if key is not None:
-                    occ[c].append(key)
-            else:
-                v += f * x
-            if p:
-                v %= p
-            if v:
-                row[c] = v
-            else:
-                del row[c]
-
     store = {}
     for given in data:
         if not given:
             continue
         row = dict(given)
-        # a stored row is zero at every other pivot, so the order does not matter
-        for pc in [c for c in row if c in store]:
-            add_multiple(row, -row[pc], store[pc])
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            pc = heappop(heap)
+            if pc not in row:  # cancelled after it was pushed
+                continue
+            prow = store.get(pc)
+            if prow is None:
+                break
+            f = -row[pc]
+            for c, x in prow.items():
+                v = row.get(c)
+                if v is None:
+                    v = f * x
+                    heappush(heap, c)
+                else:
+                    v += f * x
+                if p:
+                    v %= p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
         if not row:
             continue
-        pc = min(row)
         lead = row[pc]
         if p:
             inv = pow(lead, -1, p)
@@ -399,24 +395,53 @@ def _rref(data, field) -> dict:
             # Fraction(1, lead), not 1 / lead: int / int is a float
             inv = Fraction(1, lead)
             row = {c: of(x * inv) for c, x in row.items()}
-        # no stored row holds a pivot column again, so its list can go
-        for key in occ.pop(pc, ()):
-            other = store[key]
-            if pc in other:
-                add_multiple(other, -other[pc], row, key)
-        for c in row:
-            if c != pc:
-                occ[c].append(pc)
         store[pc] = row
     return store
 
 
+def _rref(data, field) -> dict:
+    """Reduced row echelon form of the rows in data: _echelon's dict, its
+    rows reduced in place by one back-substitution pass.  The pivots are
+    cleared in descending order from the rows that hold them, indexed
+    once: when pk is cleared its row holds no other pivot (those right of
+    it are cleared, and none lie left of it), so it adds only non-pivot
+    columns and the index stays true.  The RREF is unique, so the rows
+    equal those of a dense leftmost-pivot elimination.
+    """
+    store = _echelon(data, field)
+    p = field.p if isinstance(field, PrimeField) else None
+    holders = defaultdict(list)
+    for key, row in store.items():
+        for c in row:
+            if c != key and c in store:
+                holders[c].append(key)
+    for pk in sorted(holders, reverse=True):
+        prow = store[pk]
+        for key in holders[pk]:
+            row = store[key]
+            f = -row[pk]
+            for c, x in prow.items():
+                v = row.get(c)
+                v = f * x if v is None else v + f * x
+                if p:
+                    v %= p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+    return store
+
+
 def rank(m: Mat) -> int:
-    return len(_rref(m.entries, m.field))
+    """From the forward phase alone: end_dim, hom_dim, the maximal rank
+    report and the certificate's scalar candidates need no RREF."""
+    return len(_echelon(m.entries, m.field))
 
 
 def pivot_columns(m: Mat) -> list:
-    return sorted(_rref(m.entries, m.field))
+    """The leading columns of m's row space, ascending, from the forward
+    phase alone; they are the pivots of its unique RREF."""
+    return sorted(_echelon(m.entries, m.field))
 
 
 def kernel_vectors(m: Mat) -> List[dict]:
@@ -473,11 +498,13 @@ def complement_coordinates(span: Mat) -> list:
     Greedy: scan e_1, e_2, ... in ascending order, keeping each vector
     that enlarges the span.  e_k enlarges it exactly when no vector of
     im(span) has its last nonzero coordinate at k, so the kept k are the
-    non-pivots of the RREF of span^T with its coordinates reversed.
+    non-pivots of span^T with its coordinates reversed.  Those are
+    canonical, so they come from the forward phase alone; homext's Ext
+    complement reads nothing else.
     """
     n = span.rows
     reversed_cols = _sparse_transpose(span.entries[::-1], span.cols)
-    hit = {n - 1 - pc for pc in _rref(reversed_cols, span.field)}
+    hit = {n - 1 - pc for pc in _echelon(reversed_cols, span.field)}
     return [k for k in range(n) if k not in hit]
 
 

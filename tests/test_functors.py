@@ -126,13 +126,14 @@ def test_bgp_minus_at_source():
 
 
 def test_cokernel_and_insertion_eliminate_once_per_matrix(monkeypatch):
-    # a reflection's cokernel is one RREF; an insertion is one RREF for
-    # the image basis and one solve of every arrow through it
+    # every elimination runs the forward phase _echelon once: a
+    # reflection's cokernel is one; an insertion is one for the image
+    # basis and one solve of every arrow through it
     from quiverforge import linalg
 
     x = kronecker_rep((2, 3), 2)
-    rref, calls = linalg._rref, []
-    monkeypatch.setattr(linalg, "_rref", lambda data, field: calls.append(1) or rref(data, field))
+    echelon, calls = linalg._echelon, []
+    monkeypatch.setattr(linalg, "_echelon", lambda data, field: calls.append(1) or echelon(data, field))
     bgp_reflect(x, 1, "minus")
     assert len(calls) == 1
     calls.clear()

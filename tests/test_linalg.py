@@ -26,8 +26,10 @@ from quiverforge.linalg import (
     GF,
     Mat,
     QQ,
+    _echelon,
     _rref,
     cokernel,
+    complement_coordinates,
     hstack,
     inverse,
     kernel_basis,
@@ -469,14 +471,14 @@ def _delta_shaped(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([QQ, GF(2), GF(3)]), _delta_shaped())
-# in both, row 1 is stored under pivot 0 and gains column 2 when row 2
-# clears column 1 from it; a later row makes column 2 a pivot, which has
-# to clear it from row 1 too
+# in both, the row of pivot 0 holds pivot 1, whose row holds pivot 2;
+# clearing pivot 1 before pivot 2 would carry column 2 into the row of
+# pivot 0, which the index of the rows holding pivot 2 does not list
 @example(QQ, ([{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1}], 3))
 @example(GF(2), ([{0: 1, 1: 1}, {1: 1, 2: 1}, {3: 1}, {2: 1, 3: 1}], 4))
 def test_rref_of_delta_shaped_rows_matches_reference(field, shaped):
-    # back-substitution fills stored rows in with columns they did not
-    # have; the pivot made later in such a column has to clear it from them
+    # back-substitution clears pivots in descending order, so a row it
+    # subtracts holds no pivot but its own
     rows, cols = shaped
     m = Mat(len(rows), cols, rows, field)
     ref_rows, ref_pivots = _ref_rref(m.data, cols, field)
@@ -484,3 +486,24 @@ def test_rref_of_delta_shaped_rows_matches_reference(field, shaped):
     assert sorted(store) == ref_pivots
     got = [tuple(store[pc].get(c, 0) for c in range(cols)) for pc in ref_pivots]
     assert got == list(_lower(ref_rows[:len(ref_pivots)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5)]), _delta_shaped())
+# row 2 meets pivot 0, whose row adds column 2; only the heap push of that
+# fill-in column shows that row 2 also meets pivot 2
+@example(QQ, ([{0: 1, 2: 1}, {2: 1, 3: 2}, {0: 1, 4: -2}], 5))
+@example(GF(5), ([{1: 2, 3: -1}, {3: 2}, {1: -2, 4: 1}], 5))
+def test_echelon_pivots_match_rref_and_reference(field, shaped):
+    # the forward phase alone gives the pivots, in _rref's order, and the
+    # pivot-only callers read them from it
+    rows, cols = shaped
+    m = Mat(len(rows), cols, rows, field)
+    store = _echelon(m.entries, field)
+    ref_pivots = ref_pivot_columns(m)
+    assert list(store) == list(_rref(m.entries, field))
+    assert sorted(store) == ref_pivots
+    for pc, row in store.items():
+        assert row[pc] == 1 and min(row) == pc
+    assert rank(m) == len(ref_pivots) and pivot_columns(m) == ref_pivots
+    assert complement_coordinates(m) == ref_complement(m, m.rows)

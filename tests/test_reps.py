@@ -345,6 +345,19 @@ def test_delta_matches_reference_on_catalog_pairs(catalog_reps_q111_bound10):
             assert all(type(v) is int for row in delta_matrix(x, y).entries for v in row.values())
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["q", "fp5"])
+def test_end_dim_of_constructed_roots_matches_dense_rank_and_prediction(field):
+    # end_dim ranks delta(X, X) by the sparse forward phase alone; the
+    # reference eliminates a dense delta and shares no code with it; over
+    # F_5 every lead, 4 = -1 too, is scaled by its inverse mod 5
+    p = FamilyParams(2, 1, 1)
+    for alpha in enumerate_real_roots(build_family(p), 14):
+        x, trace = construct(alpha, p, field)
+        assert end_dim(x) == reference_reps.hom_dim(x, x) == trace.stages[-1].predicted_end
+        if field != QQ:
+            assert certify_indecomposable(x).end_dim == end_dim(x)
+
+
 _DIFFERENTIAL_QUIVERS = [
     build_family(FamilyParams(2, 1, 2)),
     Quiver((1, 2), [Arrow("la1", 1, 2), Arrow("la2", 1, 2)]),
