@@ -10,14 +10,12 @@ from .quiver import (
     reflect,
     ringel_form,
     root_expression,
-    sym_form,
     unit_vector,
 )
 from .reps import (
     Morphism,
     Representation,
     certify_indecomposable,
-    direct_sum,
     end_dim,
     euler_form_check,
     hom_basis,
@@ -26,21 +24,7 @@ from .reps import (
     is_indecomposable_oracle,
     simple_rep,
 )
-from .functors import (
-    bgp_reflect,
-    collapse,
-    find_isomorphism,
-    insert_image_vertex,
-    is_maximal_rank_type,
-    maximal_rank_report,
-    membership,
-    sigma,
-    sigma_bar,
-    sigma_bar_inv,
-    sigma_inv,
-    sigma_under,
-    sigma_under_inv,
-)
+from .functors import bgp_reflect, maximal_rank_report, sigma, sigma_bar, sigma_under
 from .three_vertex import (
     EElement,
     FamilyParams,
@@ -53,7 +37,7 @@ from .three_vertex import (
     predicted_end_dim,
     rewrite_to_star,
 )
-from .trees import coefficient_quiver, export_dot, is_tree, nonzero_count
+from .trees import coefficient_quiver, export_dot, is_tree
 from .catalog import run_catalog
 from .serialize import parse_field_flag, rep_from_json, rep_to_json
 

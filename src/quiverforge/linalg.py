@@ -348,8 +348,9 @@ def _echelon(data, field) -> dict:
     then scaled to one there and stored, never to change again.  The keys
     are the leading columns of the row space: the pivots of its RREF.
 
-    Over F_p every update is reduced mod p.  Over Q a lead of +-1 is
-    scaled by a sign change, any other by Fraction(1, lead) (never
+    A lead of 1 is stored as it is.  Over F_p every update is reduced
+    mod p, and another lead is scaled by pow(lead, -1, p).  Over Q a lead
+    of -1 is scaled by a sign change, any other by Fraction(1, lead) (never
     1 / lead, a float for ints) and QQ.of, so a stored value is an int or
     a Fraction, never a float.
     """
@@ -386,15 +387,21 @@ def _echelon(data, field) -> dict:
         if not row:
             continue
         lead = row[pc]
-        if p:
-            inv = pow(lead, -1, p)
-            row = {c: x * inv % p for c, x in row.items()}
-        elif lead == -1:
-            row = {c: -x for c, x in row.items()}
-        elif lead != 1:
-            # Fraction(1, lead), not 1 / lead: int / int is a float
-            inv = Fraction(1, lead)
-            row = {c: of(x * inv) for c, x in row.items()}
+        if lead != 1:
+            # in place: row is this call's copy, and assigning to its
+            # existing keys keeps their order
+            if p:
+                inv = pow(lead, -1, p)
+                for c, x in row.items():
+                    row[c] = x * inv % p
+            elif lead == -1:
+                for c, x in row.items():
+                    row[c] = -x
+            else:
+                # Fraction(1, lead), not 1 / lead: int / int is a float
+                inv = Fraction(1, lead)
+                for c, x in row.items():
+                    row[c] = of(x * inv)
         store[pc] = row
     return store
 

@@ -93,10 +93,6 @@ def dv_tuple(q: Quiver, d: DimVector) -> Tuple[int, ...]:
     return tuple(d[v] for v in q.vertices)
 
 
-def dv_add(a: DimVector, b: DimVector) -> DimVector:
-    return {v: a[v] + b[v] for v in a}
-
-
 def height(d: DimVector) -> int:
     return sum(d.values())
 
@@ -112,10 +108,6 @@ def ringel_form(q: Quiver, a: DimVector, b: DimVector) -> int:
     total = sum(a[v] * b[v] for v in q.vertices)
     total -= sum(a[arr.tail] * b[arr.head] for arr in q.arrows)
     return total
-
-
-def sym_form(q: Quiver, a: DimVector, b: DimVector) -> int:
-    return ringel_form(q, a, b) + ringel_form(q, b, a)
 
 
 def _sym_with_unit(q: Quiver, a: DimVector, i) -> int:

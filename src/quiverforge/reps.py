@@ -121,12 +121,6 @@ def simple_rep(q: Quiver, i, field=QQ) -> Representation:
     return Representation(q, dims, mats, field)
 
 
-def zero_rep(q: Quiver, field=QQ) -> Representation:
-    dims = {v: 0 for v in q.vertices}
-    mats = {a.id: Mat.zeros(0, 0, field) for a in q.arrows}
-    return Representation(q, dims, mats, field)
-
-
 def block_sum(summands: Sequence[Representation], couplings=()) -> Representation:
     """Direct sum of the summands, in order, glued by unit couplings.
 
@@ -152,10 +146,6 @@ def block_sum(summands: Sequence[Representation], couplings=()) -> Representatio
         grids[aid][offsets[a.head][k] + row - 1][offsets[a.tail][l] + col - 1] = field.one()
     mats = {a.id: Mat(dims[a.head], dims[a.tail], grids[a.id], field, canonical=True) for a in q.arrows}
     return Representation(q, dims, mats, field)
-
-
-def direct_sum(x: Representation, y: Representation) -> Representation:
-    return block_sum([x, y])
 
 
 def _c0_units(x: Representation, y: Representation) -> List[Tuple[object, int, int]]:

@@ -59,10 +59,6 @@ def is_tree(c: CoeffQuiver) -> bool:
     return len(seen) == len(c.nodes)
 
 
-def nonzero_count(x: Representation) -> int:
-    return sum(len(row) for a in x.quiver.arrows for row in x.mats[a.id].entries)
-
-
 def export_dot(c: CoeffQuiver) -> str:
     """Deterministic DOT text; node labels v{vertex}_{index}, edge labels
     {arrow}:{coefficient}."""

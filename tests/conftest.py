@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quiverforge.linalg import Mat, QQ
-from quiverforge.quiver import Arrow, Quiver
+from quiverforge.quiver import Arrow, DimVector, Quiver, ringel_form
 from quiverforge.reps import Representation
 from quiverforge import three_vertex
 from quiverforge.three_vertex import FamilyParams, build_family
@@ -53,6 +53,14 @@ def random_rep(q: Quiver, rng: random.Random, max_dim: int = 4, field=QQ) -> Rep
             field,
         )
     return Representation(q, dims, mats, field)
+
+
+def sym_form(q: Quiver, a: DimVector, b: DimVector) -> int:
+    return ringel_form(q, a, b) + ringel_form(q, b, a)
+
+
+def dv_add(a: DimVector, b: DimVector) -> DimVector:
+    return {v: a[v] + b[v] for v in a}
 
 
 def check_storage(m: Mat) -> Mat:

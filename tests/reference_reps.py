@@ -12,12 +12,18 @@ agree with these bit for bit.
 The delta matrix here is dense, and hom_dim, hom_basis and ext_units
 eliminate it with the dense column sweep of reference_linalg, so the
 whole path shares no elimination with the sparse delta rows of reps.
+
+zero_rep and nonzero_count are test helpers too.  nonzero_count reads
+the stored entries of the arrow matrices directly, so it stays a count
+independent of trees.coefficient_quiver, whose edges tests compare with
+it.
 """
 
 from typing import List
 
 from quiverforge.errors import InputError
-from quiverforge.linalg import Mat
+from quiverforge.linalg import Mat, QQ
+from quiverforge.quiver import Quiver
 from quiverforge.reps import Morphism, Representation
 from reference_linalg import ref_complement, ref_kernel_basis, ref_pivot_columns
 
@@ -116,3 +122,13 @@ def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
 def ext_units(x: Representation, y: Representation):
     d = delta_matrix(x, y)
     return [c1_index_to_unit(x, y, idx) for idx in ref_complement(d, d.rows)]
+
+
+def zero_rep(q: Quiver, field=QQ) -> Representation:
+    dims = {v: 0 for v in q.vertices}
+    mats = {a.id: Mat.zeros(0, 0, field) for a in q.arrows}
+    return Representation(q, dims, mats, field)
+
+
+def nonzero_count(x: Representation) -> int:
+    return sum(len(row) for a in x.quiver.arrows for row in x.mats[a.id].entries)

@@ -28,16 +28,7 @@ from quiverforge.reps import (
     homext,
     is_indecomposable_oracle,
 )
-from quiverforge.functors import (
-    collapse,
-    find_isomorphism,
-    insert_image_vertex,
-    maximal_rank_report,
-    sigma_bar,
-    sigma_bar_inv,
-    sigma_under,
-    sigma_under_inv,
-)
+from quiverforge.functors import maximal_rank_report, sigma_bar, sigma_under
 from quiverforge.quiver import Arrow, Quiver
 from quiverforge.three_vertex import (
     FamilyParams,
@@ -48,7 +39,15 @@ from quiverforge.three_vertex import (
     predicted_end_dim,
     rewrite_to_star,
 )
-from quiverforge.trees import coefficient_quiver, is_tree, nonzero_count
+from quiverforge.trees import coefficient_quiver, is_tree
+from reference_functors import (
+    collapse,
+    find_isomorphism,
+    insert_image_vertex,
+    sigma_bar_inv,
+    sigma_under_inv,
+)
+from reference_reps import nonzero_count
 
 FAMILIES = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 2), (3, 1, 2)]
 BOUND = 12

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dv_add, sym_form
 from quiverforge.errors import DomainError, InputError
 from quiverforge.quiver import (
     IMAGINARY,
@@ -14,12 +15,10 @@ from quiverforge.quiver import (
     Quiver,
     apply_word,
     classify_root,
-    dv_add,
     enumerate_real_roots,
     reflect,
     ringel_form,
     root_expression,
-    sym_form,
     unit_vector,
 )
 from quiverforge.three_vertex import FamilyParams, build_family, build_subquiver

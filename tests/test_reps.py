@@ -15,7 +15,6 @@ from quiverforge.reps import (
     block_sum,
     certify_indecomposable,
     delta_matrix,
-    direct_sum,
     end_dim,
     euler_form_check,
     hom_basis,
@@ -24,7 +23,6 @@ from quiverforge.reps import (
     identity_morphism,
     is_indecomposable_oracle,
     simple_rep,
-    zero_rep,
 )
 from quiverforge.functors import bgp_reflect, sigma
 from quiverforge.three_vertex import (
@@ -37,6 +35,7 @@ from quiverforge.three_vertex import (
     kronecker_rep,
 )
 from reference_linalg import greedy_complement
+from reference_reps import zero_rep
 
 
 def test_simple_rep_shapes(q111):
@@ -60,13 +59,13 @@ def test_representation_validates_shapes(q111):
 
 def test_direct_sum_with_zero(q111):
     x = simple_rep(q111, 2)
-    s = direct_sum(x, zero_rep(q111))
+    s = block_sum([x, zero_rep(q111)])
     assert s.dims == x.dims and s.mats == x.mats
 
 
 def test_direct_sum_block_layout():
     q = build_subquiver(1)
-    s = direct_sum(simple_rep(q, 1), simple_rep(q, 2))
+    s = block_sum([simple_rep(q, 1), simple_rep(q, 2)])
     assert s.dims == {1: 1, 2: 1}
     assert s.mats["la1"] == Mat.zeros(1, 1)
 
@@ -75,7 +74,7 @@ def test_direct_sum_dims_add(q111):
     rng = random.Random(2)
     x = random_rep(q111, rng)
     y = random_rep(q111, rng)
-    s = direct_sum(x, y)
+    s = block_sum([x, y])
     assert all(s.dims[v] == x.dims[v] + y.dims[v] for v in q111.vertices)
 
 
@@ -166,7 +165,7 @@ def test_hom_additivity_under_direct_sum(q111):
         a = random_rep(q111, rng, max_dim=2)
         b = random_rep(q111, rng, max_dim=2)
         c = random_rep(q111, rng, max_dim=2)
-        assert hom_dim(direct_sum(a, b), c) == hom_dim(a, c) + hom_dim(b, c)
+        assert hom_dim(block_sum([a, b]), c) == hom_dim(a, c) + hom_dim(b, c)
 
 
 def test_oracle_simple_indecomposable(q111):
@@ -176,7 +175,7 @@ def test_oracle_simple_indecomposable(q111):
 
 def test_oracle_split_sum_decomposable(q111):
     f2 = GF(2)
-    x = direct_sum(simple_rep(q111, 1, f2), simple_rep(q111, 1, f2))
+    x = block_sum([simple_rep(q111, 1, f2), simple_rep(q111, 1, f2)])
     res = is_indecomposable_oracle(x, 3**6)
     assert res.verdict == "decomposable"
     e = res.idempotent
@@ -206,7 +205,7 @@ def test_oracle_requires_prime_field(q111):
 
 def test_oracle_budget_exhaustion(q111):
     f3 = GF(3)
-    x = direct_sum(simple_rep(q111, 1, f3), simple_rep(q111, 1, f3))
+    x = block_sum([simple_rep(q111, 1, f3), simple_rep(q111, 1, f3)])
     assert is_indecomposable_oracle(x, 3).verdict == "inconclusive"
 
 
@@ -223,7 +222,7 @@ def test_certificate_when_p_divides_every_dim(counterexample_quiver):
     a = Representation(counterexample_quiver, {1: 2, 2: 2},
                        {"a1": Mat(2, 2, [[1, 0], [0, 1]], f2), "a2": Mat(2, 2, [[0, 1], [0, 0]], f2)}, f2)
     assert certify_indecomposable(a) == (2, "indecomposable", None)
-    aa = direct_sum(a, a)
+    aa = block_sum([a, a])
     cert = certify_indecomposable(aa)
     assert cert.end_dim == 8
     _assert_witness(aa, cert)
@@ -232,7 +231,7 @@ def test_certificate_when_p_divides_every_dim(counterexample_quiver):
 def test_certificate_splits_a_sum_of_simples(q111):
     # End = M_2(F_3): each b - tr(b)/2 is nilpotent or invertible, so the
     # witness comes from a basis element itself
-    x = direct_sum(simple_rep(q111, 1, GF(3)), simple_rep(q111, 1, GF(3)))
+    x = block_sum([simple_rep(q111, 1, GF(3)), simple_rep(q111, 1, GF(3))])
     cert = certify_indecomposable(x)
     assert cert.end_dim == 4
     _assert_witness(x, cert)
@@ -243,7 +242,7 @@ def test_certificate_splits_summands_at_different_vertices(q111, p):
     # End(S(1) + S(2)) = F_p x F_p: the chain reaches 0 at vertex 1 and
     # stalls at vertex 2; for b the identity of S(1), zero on S(2), the
     # Fitting split of b - 1 projects onto S(2)
-    x = direct_sum(simple_rep(q111, 1, GF(p)), simple_rep(q111, 2, GF(p)))
+    x = block_sum([simple_rep(q111, 1, GF(p)), simple_rep(q111, 2, GF(p))])
     cert = certify_indecomposable(x)
     assert cert[:2] == (2, "decomposable")
     _assert_witness(x, cert)

@@ -1,8 +1,9 @@
 from quiverforge.linalg import Mat
 from quiverforge.quiver import enumerate_real_roots
-from quiverforge.reps import Representation, direct_sum, simple_rep
+from quiverforge.reps import Representation, block_sum, simple_rep
 from quiverforge.three_vertex import FamilyParams, build_family, build_subquiver, construct
-from quiverforge.trees import coefficient_quiver, export_dot, is_tree, nonzero_count
+from quiverforge.trees import coefficient_quiver, export_dot, is_tree
+from reference_reps import nonzero_count
 
 
 def test_simple_is_single_node_tree(q111):
@@ -24,7 +25,7 @@ def test_counterexample_coefficient_quiver(counterexample_quiver):
 
 def test_disconnected_is_not_tree():
     q = build_subquiver(1)
-    s = direct_sum(simple_rep(q, 1), simple_rep(q, 2))
+    s = block_sum([simple_rep(q, 1), simple_rep(q, 2)])
     assert not is_tree(coefficient_quiver(s))
 
 
@@ -38,7 +39,7 @@ def test_sigma_block_rep_tree(q111):
 def test_nonzero_counts(q111):
     assert nonzero_count(simple_rep(q111, 1)) == 0
     q = build_subquiver(1)
-    assert nonzero_count(direct_sum(simple_rep(q, 1), simple_rep(q, 2))) == 0
+    assert nonzero_count(block_sum([simple_rep(q, 1), simple_rep(q, 2)])) == 0
 
 
 def test_edge_count_equals_nonzero_count(q111):
