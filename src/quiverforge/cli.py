@@ -70,9 +70,13 @@ def _json_text(obj) -> str:
 
 def _write(*outputs) -> None:
     """Write each (path, text) pair in order, None or "-" meaning stdout.
+    Two paths that resolve to one file are refused before any is opened.
     Every file is opened, last pair first, before any text is written, so
     a path that cannot be opened writes nothing and creates none of the
     files named before it."""
+    files = [os.path.realpath(path) for path, _ in outputs if path not in (None, "-")]
+    if len(set(files)) < len(files):
+        raise InputError("two outputs name the same file")
     try:
         with contextlib.ExitStack() as stack:
             opened = []

@@ -7,14 +7,16 @@ dense view of it, built on each read, for repr, hashing and the test
 references.  Every elimination starts with the forward phase _echelon,
 which stores each row as it comes, reduced at its leftmost column while
 that is a stored pivot.  Its pivots are the leading columns of the row
-space, which no elimination order changes, so rank, pivot_columns and
-complement_coordinates read them there.  kernel_vectors, mat_solve,
-cokernel and reps' certificate read rows, from _rref: _echelon plus one
-back-substitution pass.  The RREF is unique, so its rows equal those of
-a dense leftmost-pivot elimination.  Kernel bases set free variables
-to one in ascending index order, and complements are chosen by a greedy
-ascending scan over coordinate vectors; cokernel reads its projection
-along the image from the same RREF.
+space, which no elimination order changes, so rank and
+complement_coordinates read them there, and reps' certificate chain
+reads only how many rows it stores.  kernel_vectors, mat_solve (the
+certificate's Fitting witness is one) and cokernel read rows, from
+_rref: _echelon plus one back-substitution pass.  The RREF is unique,
+so its rows equal those of a dense leftmost-pivot elimination.  Kernel
+bases set free variables to one in ascending index order, and
+complements are chosen by a greedy ascending scan over coordinate
+vectors; cokernel reads its projection along the image from the same
+RREF.
 
 Scalars of Q are ints when integral and fractions.Fraction otherwise;
 scalars of F_p are plain ints in [0, p).  Entries are checked where they
@@ -25,9 +27,9 @@ arithmetic that does plain + - * on nonzeros (mul, add, scale,
 mat_solve, which reads _rref's rows) and leaves the normalising, and
 dropping what cancels, to Mat.  Producers that only copy, select or
 negate entries of Mats, or write ones, pass canonical=True and Mat keeps
-their rows unchecked: transpose, submatrix, columns, hstack, vstack,
-zeros, identity, kernel_basis and cokernel here, and the delta map,
-block sums, Hom bases and the memo read-back elsewhere.  The
+their rows unchecked: transpose, submatrix, hstack, vstack, zeros,
+identity, kernel_basis and cokernel here, and the delta map, block
+sums, Hom bases and the memo read-back elsewhere.  The
 elimination works on sparse rows outside Mat, so it keeps its own
 values: over F_p it reduces every update mod p; over Q int arithmetic
 stays int (delta's entries are +-1) and a Fraction appears only when a
@@ -162,7 +164,7 @@ class Mat:
         row count are checked then, and the rows are kept as given.  The
         producers that pass it copy, select or negate (through field.of)
         entries of Mats they were given, or write ones: transpose,
-        submatrix, columns, hstack, vstack, zeros, identity, kernel_basis,
+        submatrix, hstack, vstack, zeros, identity, kernel_basis,
         cokernel, and in reps and three_vertex the delta map, block sums,
         Hom bases and memo read-backs.  mul, add, scale and mat_solve do
         not: their sums and products can cancel to zero, leave p's
@@ -284,12 +286,6 @@ class Mat:
             self.field,
             canonical=True,
         )
-
-    def columns(self, js: Sequence[int]) -> "Mat":
-        """The matrix of the columns js of self, in that order."""
-        pos = {j: k for k, j in enumerate(js)}
-        rows = [{pos[j]: x for j, x in row.items() if j in pos} for row in self.entries]
-        return Mat(self.rows, len(js), rows, self.field, canonical=True)
 
 
 def hstack(mats: Sequence[Mat], rows: Optional[int] = None, field=QQ) -> Mat:
@@ -445,12 +441,6 @@ def rank(m: Mat) -> int:
     return len(_echelon(m.entries, m.field))
 
 
-def pivot_columns(m: Mat) -> list:
-    """The leading columns of m's row space, ascending, from the forward
-    phase alone; they are the pivots of its unique RREF."""
-    return sorted(_echelon(m.entries, m.field))
-
-
 def kernel_vectors(m: Mat) -> List[dict]:
     """A basis of ker m as sparse {index: value} vectors of field
     elements: one per free variable j, in ascending order, that is one at
@@ -486,16 +476,6 @@ def mat_solve(m: Mat, b: Mat) -> Optional[Mat]:
         return None
     data = [{j - n: x for j, x in store[i].items() if j >= n} if i in store else {} for i in range(n)]
     return Mat(n, b.cols, data, m.field)
-
-
-def inverse(m: Mat) -> Mat:
-    if m.rows != m.cols:
-        raise InputError("inverse of a non-square matrix")
-    # a singular m misses some e_j, so m x = I is inconsistent
-    res = mat_solve(m, Mat.identity(m.rows, m.field))
-    if res is None:
-        raise InputError("matrix is singular")
-    return res
 
 
 def complement_coordinates(span: Mat) -> list:

@@ -22,13 +22,10 @@ from .linalg import (
     Mat,
     PrimeField,
     QQ,
-    _rref,
+    _echelon,
     complement_coordinates,
-    hstack,
-    inverse,
-    kernel_basis,
     kernel_vectors,
-    pivot_columns,
+    mat_solve,
     rank,
 )
 from .quiver import Quiver, check_dimvec, ringel_form, unit_vector
@@ -315,21 +312,21 @@ def certify_indecomposable(x: Representation) -> Certificate:
     V, NV, N^2 V, ... is sum_v N_v^k X_v and reaches 0 when it does at
     every vertex.  At v it runs on row vectors, X_v^*, under the
     transposes, which generate a nilpotent algebra exactly when N_v does;
-    one RREF of the images per step.  If every chain reaches 0, every
-    product of elements of N vanishes, so N spans a nilpotent subalgebra
-    of End that misses 1; with End = k.1 + span N it is an ideal of
-    codimension 1, End is local and X is indecomposable.  If X is
-    absolutely indecomposable, each b - lambda_b is in the radical, so
-    the chains reach 0: the test is complete for such X, which every
-    X_alpha of the construction is.
+    one forward elimination of the images per step.  If every chain
+    reaches 0, every product of elements of N vanishes, so N spans a
+    nilpotent subalgebra of End that misses 1; with End = k.1 + span N it
+    is an ideal of codimension 1, End is local and X is indecomposable.
+    If X is absolutely indecomposable, each b - lambda_b is in the
+    radical, so the chains reach 0: the test is complete for such X,
+    which every X_alpha of the construction is.
 
     When a chain stalls, or some b has no unique lambda_b, the Fitting
     split X_v = im n_v^d + ker n_v^d of n = b - lambda is tried for each
     candidate lambda of each b and for lambda = 0 (a kernel vector is
     zero at every other free coordinate, so b itself is often singular);
-    the first non-trivial one gives the "decomposable" idempotent,
-    checked to be an idempotent endomorphism other than 0 and 1.  If none
-    is found the verdict is "inconclusive".
+    the first non-trivial one gives the "decomposable" idempotent, one
+    solve per vertex, checked to be an idempotent endomorphism other than
+    0 and 1.  If none is found the verdict is "inconclusive".
     """
     field = x.field
     if not isinstance(field, PrimeField):
@@ -377,8 +374,8 @@ def _scalar_candidates(x: Representation, b) -> list:
 def _chain_reaches_zero(blocks, lams, d: int, field) -> bool:
     """Whether W, WN, WN^2, ... reaches 0 from W = F^d, N being the
     b_v - lambda_b acting on row vectors, each b_v given by its rows;
-    each step keeps the RREF rows of the images as the basis of the next
-    space."""
+    each step keeps the echelon rows of the images as the basis of the
+    next space: only its dimension is compared, and they span it."""
     p = field.p
     layer = [{j: 1} for j in range(d)]
     while layer:
@@ -390,9 +387,9 @@ def _chain_reaches_zero(blocks, lams, d: int, field) -> bool:
                     for c, val in rows[j].items():
                         img[c] = img.get(c, 0) + a * val
                 img = {c: val % p for c, val in img.items() if val % p}
-                if img:  # _rref skips it too, but passing it on costs a few percent more
+                if img:  # _echelon skips it too, but passing it on costs a few percent more
                     images.append(img)
-        nxt = list(_rref(images, field).values())
+        nxt = list(_echelon(images, field).values())
         if len(nxt) == len(layer):  # WN is inside W, so equal sizes mean WN = W != 0
             return False
         layer = nxt
@@ -400,20 +397,16 @@ def _chain_reaches_zero(blocks, lams, d: int, field) -> bool:
 
 
 def _fitting_idempotent(x: Representation, b, lam) -> Optional[Morphism]:
-    """The projection onto im n_v^d along ker n_v^d at each vertex
-    (d = d_v, past the Fitting index) for n = b - lam; None when that
-    split is trivial, as for nilpotent or invertible n."""
-    f = x.field
+    """The projection onto im P along ker P at each vertex, P = n_v^k for
+    n = b - lam and k >= d_v, past the Fitting index; None when the split
+    is trivial, as for nilpotent or invertible n.  rank P^2 = rank P, so
+    y P^2 = P has a solution y, and y P fixes im P and kills ker P."""
     parts = {}
     for v in x.quiver.vertices:
-        d, power, k = x.dims[v], _minus_scalar(b[v], lam, f), 1
+        d, power, k = x.dims[v], _minus_scalar(b[v], lam, x.field), 1
         while k < d:
             power, k = power.mul(power), 2 * k
-        piv = pivot_columns(power)
-        image = power.columns(piv)
-        basis = hstack([image, kernel_basis(power)])
-        keep = hstack([image, Mat.zeros(d, d - len(piv), f)])
-        parts[v] = keep.mul(inverse(basis))
+        parts[v] = mat_solve(power.mul(power).transpose(), power.transpose()).transpose().mul(power)
     e = Morphism(x, x, parts)
     trivial = e.is_zero() or e == identity_morphism(x)
     return None if trivial or not e.is_valid() or e.compose(e) != e else e

@@ -12,19 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from quiverforge import linalg
 from quiverforge.errors import ConstructionError, InputError
 from quiverforge.functors import _blocks, assert_exceptional
-from quiverforge.linalg import (
-    Mat,
-    PrimeField,
-    cokernel,
-    hstack,
-    inverse,
-    kernel_basis,
-    mat_solve,
-    pivot_columns,
-    vstack,
-)
+from quiverforge.linalg import Mat, PrimeField, cokernel, hstack, kernel_basis, mat_solve, vstack
 from quiverforge.quiver import Arrow, Quiver
 from quiverforge.reps import Morphism, Representation, hom_basis, homext, identity_morphism
 
@@ -84,7 +75,11 @@ def insert_image_vertex(x: Representation, i, arrow_ids: Sequence) -> InsertionR
     if len(aset) != len(set(arrow_ids)):
         raise InputError("unknown arrow id in subset")
     stacked = hstack([x.mats[a.id] for a in aset], rows=x.dims[i], field=x.field)
-    inclusion = stacked.columns(pivot_columns(stacked))
+    # the pivot columns of stacked, picked through linalg._echelon by
+    # attribute so that a patched _echelon counts this elimination
+    pivots = sorted(linalg._echelon(stacked.entries, stacked.field))
+    cols = stacked.transpose().entries
+    inclusion = Mat(len(pivots), stacked.rows, [cols[j] for j in pivots], x.field, canonical=True).transpose()
     hats = mat_solve(inclusion, stacked)
     if hats is None:
         raise ConstructionError("factorization through the image failed")
@@ -189,9 +184,8 @@ def find_isomorphism(x: Representation, y: Representation):
         for m in fwd[1:]:
             c = c * x.field.of(t)
             f = f.add(m.scale(c))
-        try:
-            parts = {v: inverse(f.parts[v]) for v in x.quiver.vertices}
-        except InputError:
+        parts = {v: mat_solve(f.parts[v], Mat.identity(x.dims[v], x.field)) for v in x.quiver.vertices}
+        if None in parts.values():
             continue
         g = Morphism(y, x, parts)
         if g.compose(f) == idx and g.is_valid():

@@ -13,6 +13,10 @@ The delta matrix here is dense, and hom_dim, hom_basis and ext_units
 eliminate it with the dense column sweep of reference_linalg, so the
 whole path shares no elimination with the sparse delta rows of reps.
 
+fitting_idempotent is the certificate's Fitting witness as reps built it
+from a pivot scan, a kernel basis and a matrix inverse, before it became
+one solve; the unique projection must come out the same either way.
+
 zero_rep and nonzero_count are test helpers too.  nonzero_count reads
 the stored entries of the arrow matrices directly, so it stays a count
 independent of trees.coefficient_quiver, whose edges tests compare with
@@ -24,8 +28,8 @@ from typing import List
 from quiverforge.errors import InputError
 from quiverforge.linalg import Mat, QQ
 from quiverforge.quiver import Quiver
-from quiverforge.reps import Morphism, Representation
-from reference_linalg import ref_complement, ref_kernel_basis, ref_pivot_columns
+from quiverforge.reps import Morphism, Representation, identity_morphism
+from reference_linalg import ref_complement, ref_kernel_basis, ref_mat_solve, ref_pivot_columns
 
 
 def _c0_layout(x: Representation, y: Representation):
@@ -122,6 +126,30 @@ def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
 def ext_units(x: Representation, y: Representation):
     d = delta_matrix(x, y)
     return [c1_index_to_unit(x, y, idx) for idx in ref_complement(d, d.rows)]
+
+
+def fitting_idempotent(x: Representation, b, lam):
+    """At each vertex, P = (b_v - lam)^k with k >= d_v, and the projection
+    [image | 0] [image | kernel]^-1 onto im P along ker P, the image being
+    P's pivot columns; None when the split is trivial or the result is
+    not an idempotent endomorphism.  b is given as {vertex: rows}."""
+    f = x.field
+    parts = {}
+    for v in x.quiver.vertices:
+        d = x.dims[v]
+        power = Mat(d, d, [{**row, r: row.get(r, 0) - lam} for r, row in enumerate(b[v])], f)
+        k = 1
+        while k < d:
+            power, k = power.mul(power), 2 * k
+        pivots, kernel, dense = ref_pivot_columns(power), ref_kernel_basis(power), power.data
+        image = [[row[c] for c in pivots] for row in dense]
+        basis = Mat(d, d, [im + list(ker) for im, ker in zip(image, kernel)], f)
+        keep = Mat(d, d, [im + [0] * (d - len(pivots)) for im in image], f)
+        parts[v] = keep.mul(Mat(d, d, ref_mat_solve(basis, Mat.identity(d, f)), f))
+    e = Morphism(x, x, parts)
+    if e.is_zero() or e == identity_morphism(x) or not e.is_valid() or e.compose(e) != e:
+        return None
+    return e
 
 
 def zero_rep(q: Quiver, field=QQ) -> Representation:

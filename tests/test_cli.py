@@ -487,3 +487,14 @@ def test_construct_dot_dash_is_stdout(tmp_path, capsys):
     x, _ = construct({1: 1, 2: 1, 3: 2}, FamilyParams(1, 1, 1))
     assert out == export_dot(coefficient_quiver(x))
     assert json.loads(rep.read_text()) == rep_to_json(x)
+
+
+def test_two_outputs_to_one_file_exit_2(tmp_path, capsys):
+    # the second spelling resolves to the same file; nothing is opened
+    same = str(tmp_path / "a.json")
+    other = str(tmp_path / "sub" / ".." / "a.json")
+    (tmp_path / "sub").mkdir()
+    code, _, err = run(capsys, "construct", *_FAMILY, "--root", "1,1,2", "--out", same,
+                       "--trace", same, "--dot", other)
+    assert code == 2 and "same file" in err and "Traceback" not in err
+    assert not (tmp_path / "a.json").exists()

@@ -31,10 +31,8 @@ from quiverforge.linalg import (
     cokernel,
     complement_coordinates,
     hstack,
-    inverse,
     kernel_basis,
     mat_solve,
-    pivot_columns,
     rank,
     vstack,
 )
@@ -109,9 +107,8 @@ def test_mat_solve_multiple_columns():
 
 def test_inverse_and_singular():
     m = Mat(2, 2, [[1, 1], [0, 1]])
-    assert m.mul(inverse(m)) == Mat.identity(2)
-    with pytest.raises(InputError):
-        inverse(Mat(2, 2, [[1, 1], [1, 1]]))
+    assert m.mul(mat_solve(m, Mat.identity(2))) == Mat.identity(2)
+    assert mat_solve(Mat(2, 2, [[1, 1], [1, 1]]), Mat.identity(2)) is None
 
 
 def test_stack_shapes_and_empty_lists():
@@ -127,7 +124,7 @@ def test_stack_shapes_and_empty_lists():
 
 def test_pivot_columns_deterministic():
     m = Mat(2, 3, [[0, 1, 1], [0, 1, 2]])
-    assert pivot_columns(m) == [1, 2]
+    assert sorted(_echelon(m.entries, m.field)) == [1, 2]
 
 
 def test_prime_field_arithmetic():
@@ -290,7 +287,7 @@ def test_prime_field_linalg_matches_fp_reference(f, n, k, extra, zeros, data):
     m = Mat(n, k, [[data.draw(entries) for _ in range(k)] for _ in range(n)], f)
     b = Mat(n, extra, [[data.draw(entries) for _ in range(extra)] for _ in range(n)], f)
     pivots = ref_pivot_columns(m)
-    assert pivot_columns(m) == pivots and rank(m) == len(pivots)
+    assert sorted(_echelon(m.entries, m.field)) == pivots and rank(m) == len(pivots)
     assert kernel_basis(m).data == ref_kernel_basis(m)
     x = mat_solve(m, b)
     assert (None if x is None else x.data) == ref_mat_solve(m, b)
@@ -401,7 +398,7 @@ def test_rational_mat_results_hold_the_normalised_form():
     sq = Mat(3, 3, [[Fraction(1, 2), 0, 0], [0, 2, 0], [Fraction(3, 2), 0, Fraction(1, 3)]])
     b = Mat(2, 1, [[Fraction(1, 2)], [Fraction(5, 2)]])
     for r in (m.mul(sq), m.add(m), m.scale(Fraction(2, 3)), m.scale(2), kernel_basis(m),
-              mat_solve(m, b), *cokernel(m.transpose()), inverse(sq)):
+              mat_solve(m, b), *cokernel(m.transpose()), mat_solve(sq, Mat.identity(3))):
         check_storage(r)
     # 1/2 + 1/2 is the int 1
     assert m.add(m).entries[0][2] == 1 and type(m.add(m).entries[0][2]) is int
@@ -448,7 +445,7 @@ def test_q_linalg_with_large_entries_matches_reference(n, k, extra, consistent, 
     else:
         b = Mat(n, extra, [[data.draw(_BIG) for _ in range(extra)] for _ in range(n)])
     pivots = ref_pivot_columns(m)
-    assert rank(m) == len(pivots) and pivot_columns(m) == pivots
+    assert rank(m) == len(pivots) and sorted(_echelon(m.entries, m.field)) == pivots
     assert kernel_basis(m).data == ref_kernel_basis(m)
     x = mat_solve(m, b)
     assert (None if x is None else x.data) == ref_mat_solve(m, b)
@@ -505,5 +502,5 @@ def test_echelon_pivots_match_rref_and_reference(field, shaped):
     assert sorted(store) == ref_pivots
     for pc, row in store.items():
         assert row[pc] == 1 and min(row) == pc
-    assert rank(m) == len(ref_pivots) and pivot_columns(m) == ref_pivots
+    assert rank(m) == len(ref_pivots) and sorted(_echelon(m.entries, m.field)) == ref_pivots
     assert complement_coordinates(m) == ref_complement(m, m.rows)

@@ -12,6 +12,9 @@ from quiverforge.linalg import GF, Mat, QQ, cokernel, kernel_basis, rank
 from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots, ringel_form
 from quiverforge.reps import (
     Representation,
+    _fitting_idempotent,
+    _hom_blocks,
+    _scalar_candidates,
     block_sum,
     certify_indecomposable,
     delta_matrix,
@@ -292,6 +295,27 @@ def test_certificate_agrees_with_the_oracle(q, field, summands, seed):
     oracle = is_indecomposable_oracle(x, 3**6).verdict
     if oracle != "inconclusive":
         assert cert.verdict in (oracle, "inconclusive")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_CERTIFICATE_QUIVERS),
+    st.sampled_from([GF(2), GF(3)]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_fitting_witness_matches_the_inverse_built_projection(q, field, split, seed):
+    # one random rep, or the direct sum of two, so that splits occur; the
+    # projection onto im P along ker P is unique, so one solve must give
+    # what [image | 0] [image | kernel]^-1 gave, and None where it did
+    rng = random.Random(seed)
+    x = (block_sum([random_rep(q, rng, max_dim=2, field=field) for _ in range(2)]) if split
+         else random_rep(q, rng, max_dim=3, field=field))
+    for b in _hom_blocks(x, x):
+        for lam in dict.fromkeys([*_scalar_candidates(x, b), 0]):
+            e, ref = _fitting_idempotent(x, b, lam), reference_reps.fitting_idempotent(x, b, lam)
+            assert (e is None) == (ref is None)
+            assert e is None or e.parts == ref.parts
 
 
 @pytest.fixture(scope="module")

@@ -528,3 +528,23 @@ def test_every_memo_entry_is_a_tree_module_of_total_dim_minus_one_nonzeros():
             trace.base(dims) if is_base else trace.extend(dims)
         total = sum(trace.stages[-1].dims.values())
         assert sum(len(flat) // 3 for flat in packed) == total - 1, stages
+
+
+
+def test_every_field_builds_the_rational_module_reduced_mod_p():
+    # X_alpha is a tree module: over Q every stored entry is +-1, and each
+    # F_p construction is the Q one reduced mod p, entry for entry
+    count = 0
+    for fam, bound in [((1, 1, 1), 30), ((2, 1, 1), 30), ((1, 1, 2), 24), ((2, 2, 2), 20)]:
+        params = FamilyParams(*fam)
+        for alpha in enumerate_real_roots(build_family(params), bound):
+            x, _ = construct(alpha, params)
+            assert all(v in (1, -1) for m in x.mats.values() for row in m.entries for v in row.values())
+            for p in (2, 3, 5):
+                xp, _ = construct(alpha, params, GF(p))
+                assert xp.dims == x.dims
+                for aid, m in x.mats.items():
+                    reduced = tuple({c: v % p for c, v in row.items()} for row in m.entries)
+                    assert xp.mats[aid].entries == reduced, (fam, alpha, p, aid)
+                count += 1
+    assert count == 675
