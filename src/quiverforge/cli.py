@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 
 from .catalog import DEFAULT_ORACLE_BUDGET, run_catalog
@@ -34,11 +35,10 @@ def _parse_root(text: str, q):
         raise InputError(
             f"root needs {len(q.vertices)} comma-separated entries, got {text!r}"
         )
-    try:
-        vals = [int(x) for x in parts]
-    except ValueError as exc:
-        raise InputError(f"root entries must be integers: {text!r}") from exc
-    return {v: vals[k] for k, v in enumerate(q.vertices)}
+    # int() alone also reads "1_0", " 1" and the digits of other scripts
+    if not all(re.fullmatch("[+-]?[0-9]+", x) for x in parts):
+        raise InputError(f"root entries must be integers: {text!r}")
+    return {v: int(parts[k]) for k, v in enumerate(q.vertices)}
 
 
 def _load_json(path: str):

@@ -150,34 +150,55 @@ def _connected_support(q: Quiver, d: DimVector) -> bool:
     return seen == sup
 
 
+# Kept for the life of the process: per quiver, each vector a descent
+# visited, keyed by its dv_tuple, with the (tag, word, target) of its own
+# descent, which is the rest of the visiting descent.
+_DESCENTS: dict = {}
+
+
 def _descend(q: Quiver, a: DimVector):
     """Greedy height descent by simple reflections.
 
     Returns (tag, word, target_vertex).  The word records the applied
     reflections so that apply_word(q, word, e_target) recovers the input
-    when the tag is simple or real.
+    when the tag is simple or real.  The descent is deterministic, so it
+    stops at the first vector an earlier descent visited and takes the
+    rest from there.
     """
     check_dimvec(q, a)
     cur = dict(a)
     if all(x == 0 for x in cur.values()) or any(x < 0 for x in cur.values()):
         raise DomainError("root classification needs a nonzero non-negative vector")
+    memo = _DESCENTS.setdefault(q, {})
     word: List = []
+    path: List[Tuple[int, ...]] = []
+    rest, target = (), None
     while True:
+        key = dv_tuple(q, cur)
+        if key in memo:
+            tag, rest, target = memo[key]
+            break
+        path.append(key)
         sup = support(cur)
         if len(sup) == 1:
             v = next(iter(sup))
             if cur[v] == 1:
-                return (SIMPLE if not word else REAL), tuple(word), v
+                tag, target = SIMPLE, v
+                break
         pick = next((i for i in q.vertices if _sym_with_unit(q, cur, i) > 0), None)
         if pick is None:
-            if _connected_support(q, cur):
-                return IMAGINARY, tuple(word), None
-            return NOT_A_ROOT, tuple(word), None
+            tag = IMAGINARY if _connected_support(q, cur) else NOT_A_ROOT
+            break
         nxt = reflect(q, pick, cur)
         if any(x < 0 for x in nxt.values()):
-            return NOT_A_ROOT, tuple(word), None
+            tag = NOT_A_ROOT
+            break
         word.append(pick)
         cur = nxt
+    word = tuple(word) + rest
+    for k, key in enumerate(path):
+        memo[key] = ((REAL if word[k:] else SIMPLE) if tag in (SIMPLE, REAL) else tag), word[k:], target
+    return memo[path[0]] if path else (tag, rest, target)
 
 
 def classify_root(q: Quiver, a: DimVector) -> str:

@@ -1,8 +1,9 @@
 """JSON forms for representations and matrices.
 
 Scalars serialize as exact strings: "3/2" style fractions over the
-rationals, plain residues over a prime field.  Only those forms and JSON
-integers are read back: Fraction("1e50000000") would not finish.
+rationals, plain residues over a prime field.  Only those forms, in
+ASCII digits, and JSON integers are read back: Fraction("1e50000000")
+would not finish.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def parse_field_flag(flag: str):
     """CLI field flag: 'q' for the rationals, 'fp:P' for a prime field."""
     if flag == "q":
         return QQ
-    if flag.startswith("fp:") and flag[3:].isdigit():
+    if flag.startswith("fp:") and re.fullmatch("[0-9]+", flag[3:]):
         return GF(int(flag[3:]))
     raise InputError(f"unknown field flag {flag!r} (use 'q' or 'fp:P')")
 
@@ -56,7 +57,7 @@ def mat_to_json(m: Mat) -> list:
     return out
 
 
-_SCALAR = re.compile(r"[+-]?\d+(/\d+)?")
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _scalar_from_json(x):

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, DomainError, InputError
 from .linalg import QQ, Mat
-from .quiver import Arrow, Quiver, apply_word, ringel_form, root_expression, unit_vector
+from .quiver import Arrow, Quiver, apply_word, reflect, ringel_form, root_expression, unit_vector
 from .reps import Representation, simple_rep
 from .functors import bgp_reflect, sigma
 
@@ -339,22 +339,47 @@ def _module_name(dims: dict, base: bool) -> str:
     return f"X_{(dims[1], dims[2], dims[3])}"
 
 
+# Kept for the life of the process: each module of a reflection chain by
+# (f, field, whether its arrows point 1 -> 2, dims).
+_CHAINS: dict = {}
+
+
 def kronecker_rep(alpha: Tuple[int, int], f: int, field=QQ) -> Representation:
     """The unique indecomposable of the f-arrow two-vertex quiver for a
     real root (a, b), built with reflection functors.
 
     Intermediate steps live over alternating orientations; the parity of
-    the reflection word is used to land back on arrows 1 -> 2.
+    the reflection word is used to land back on arrows 1 -> 2.  The
+    descent is deterministic, so the chain of a root the descent visits
+    is the start of this chain: a call starts from the deepest step an
+    earlier call stored, and stores each step it builds once that step's
+    orientation and dims check.  After a failed check it stores nothing
+    more and raises.
     """
     qk = build_subquiver(f)
     word, j = root_expression(qk, {1: alpha[0], 2: alpha[1]})
-    start_q = qk if len(word) % 2 == 0 else Quiver((1, 2), [Arrow(ar.id, 2, 1) for ar in qk.arrows])
-    x = simple_rep(start_q, j, field)
-    for i in reversed(word):
+    n, d, keys = len(word), unit_vector(qk, j), []
+    for k, i in enumerate(reversed(word), 1):
+        d = reflect(qk, i, d)
+        keys.append((f, field, (n - k) % 2 == 0, d[1], d[2]))
+    start = next((k for k in range(n, 0, -1) if keys[k - 1] in _CHAINS), 0)
+    if start:
+        x = _CHAINS[keys[start - 1]]
+    else:
+        start_q = qk if n % 2 == 0 else Quiver((1, 2), [Arrow(ar.id, 2, 1) for ar in qk.arrows])
+        x = simple_rep(start_q, j, field)
+    ok = True
+    for k in range(start, n):
+        i = word[n - 1 - k]
         direction = "plus" if not x.quiver.outgoing(i) else "minus"
         x = bgp_reflect(x, i, direction)
+        ok = ok and (x.quiver == qk, x.dims[1], x.dims[2]) == keys[k][2:]
+        if ok:
+            _CHAINS[keys[k]] = x
     if x.quiver != qk:
         raise ConstructionError("reflection parity did not return to the base orientation")
+    if not ok:
+        raise ConstructionError(f"a reflection step towards {alpha} built the wrong module")
     return x
 
 

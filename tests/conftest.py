@@ -6,20 +6,23 @@ import pytest
 from quiverforge.linalg import Mat, QQ
 from quiverforge.quiver import Arrow, DimVector, Quiver, ringel_form
 from quiverforge.reps import Representation
-from quiverforge import three_vertex
+from quiverforge import quiver, three_vertex
 from quiverforge.three_vertex import FamilyParams, build_family
 
 
 def clear_memos():
-    """Empty realise's process-wide memos of stage modules and prefixes."""
+    """Empty the process-wide memos: realise's stage modules and prefixes,
+    kronecker_rep's reflection chains and _descend's descents."""
     three_vertex._MODULES.clear()
     three_vertex._PREFIXES.clear()
+    three_vertex._CHAINS.clear()
+    quiver._DESCENTS.clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Each test starts with realise's memos empty, so a test that counts
-    or patches sigma or stage-module calls sees every stage built."""
+    """Each test starts with every memo empty, so a test that counts or
+    patches sigma, bgp_reflect or stage-module calls sees every stage built."""
     clear_memos()
 
 

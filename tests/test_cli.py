@@ -89,6 +89,14 @@ def test_construct_bad_root_string_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("root", ["1_0,1,2", " 1,1,2", "\u0661,1,2", "1,\u00b2,2"])
+def test_construct_reads_only_ascii_integer_roots(root, tmp_path, capsys):
+    # int() alone reads "1_0" as 10, " 1" as 1 and the Arabic-Indic one as 1
+    code, _, err = run(capsys, "construct", "--family", "1", "1", "1",
+                       "--root", root, "--out", str(tmp_path / "x.json"))
+    assert code == 2 and "must be integers" in err and not (tmp_path / "x.json").exists()
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     tr = tmp_path / "tr.json"
@@ -194,6 +202,23 @@ def test_verify_malformed_file_exits_2(tmp_path, capsys):
     # a missing field spec still means the rationals
     bad.write_text(json.dumps({k: v for k, v in good.items() if k != "field"}))
     assert run(capsys, "verify", str(bad))[0] == 0
+
+
+def test_verify_reads_only_ascii_digits(tmp_path, capsys):
+    # \\d matches every Unicode digit, so "\u0661\u0662" would read as 12
+    doc = {
+        "quiver": {"vertices": [1, 2], "arrows": [{"id": "a", "tail": 1, "head": 2}]},
+        "field": {"type": "rational"},
+        "dims": {"1": 1, "2": 2},
+        "mats": {"a": [["12"], ["3/4"]]},
+    }
+    rep = tmp_path / "digits.json"
+    rep.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(rep), "--checks", "maxrank")[0] == 0
+    for mat in ([["\u0661\u0662"], ["3/4"]], [["12"], ["\u0663/\u0664"]], [["1_2"], ["3/4"]]):
+        rep.write_text(json.dumps({**doc, "mats": {"a": mat}}))
+        code, _, err = run(capsys, "verify", str(rep), "--checks", "maxrank")
+        assert code == 2 and "malformed" in err, mat
 
 
 def test_verify_matrix_rows_must_be_json_lists(tmp_path, capsys):
@@ -453,6 +478,14 @@ def test_unparsable_field_flag_exits_2(capsys):
     code, _, err = run(capsys, "catalog", "--family", "1", "1", "1", "--bound", "3",
                        "--field", "fp:abc")
     assert code == 2 and "field flag" in err
+
+
+@pytest.mark.parametrize("flag", ["fp:\u00b2", "fp:\u0663"])
+def test_a_field_flag_reads_only_ascii_digits(flag, capsys):
+    # str.isdigit() passes both: int() raised on "\u00b2" and read "\u0663" as 3
+    code, _, err = run(capsys, "catalog", "--family", "1", "1", "1", "--bound", "3",
+                       "--field", flag)
+    assert code == 2 and "field flag" in err and "Traceback" not in err
 
 
 _FAMILY = ("--family", "1", "1", "1")

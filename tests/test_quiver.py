@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import pytest
@@ -5,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dv_add, sym_form
+from reference_quiver import descend
+from quiverforge import quiver
 from quiverforge.errors import DomainError, InputError
 from quiverforge.quiver import (
     IMAGINARY,
@@ -106,6 +110,39 @@ def test_root_expression_examples(q111):
     assert root_expression(q111, dv(q111, 0, 1, 2)) == ((3,), 2)
     q = build_subquiver(2)
     assert root_expression(q, {1: 2, 2: 1}) == ((1,), 2)
+
+
+def test_descents_agree_with_the_memo_free_reference_in_any_order():
+    # every vector of a box with one coordinate down to -1, in one shuffled
+    # order, so later descents stop at vectors that earlier ones stored
+    cases = []
+    for q, top in [(build_family(FamilyParams(1, 1, 1)), 8), (build_family(FamilyParams(2, 1, 1)), 8),
+                   (build_subquiver(2), 18), (build_subquiver(3), 18)]:
+        cases += [(q, dict(zip(q.vertices, c)))
+                  for c in itertools.product(range(-1, top), repeat=len(q.vertices))]
+    random.Random(23).shuffle(cases)
+    seen = collections.Counter()
+    for q, d in cases:
+        try:
+            want = descend(q, d)
+        except DomainError:
+            seen["domain"] += 1
+            for f in (classify_root, root_expression):
+                with pytest.raises(DomainError, match="nonzero non-negative"):
+                    f(q, d)
+            continue
+        seen[want[0]] += 1
+        assert classify_root(q, d) == want[0], d
+        if want[0] in (SIMPLE, REAL):
+            assert root_expression(q, d) == want[1:], d
+        else:
+            with pytest.raises(DomainError, match=want[0]):
+                root_expression(q, d)
+    assert sorted(seen) == sorted([SIMPLE, REAL, IMAGINARY, NOT_A_ROOT, "domain"])
+    # each stored vector holds its own descent
+    for q, memo in quiver._DESCENTS.items():
+        for key, got in memo.items():
+            assert got == descend(q, dict(zip(q.vertices, key))), key
 
 
 def test_enumerate_a2():

@@ -11,7 +11,8 @@ from conftest import clear_memos
 
 from quiverforge import catalog, three_vertex
 from quiverforge.errors import ConstructionError, DomainError, InputError
-from quiverforge.linalg import GF, Mat
+from quiverforge.functors import bgp_reflect
+from quiverforge.linalg import GF, QQ, Mat
 from quiverforge.quiver import apply_word, enumerate_real_roots, height, unit_vector
 from quiverforge.reps import end_dim, simple_rep
 from quiverforge.serialize import parse_field_flag, rep_to_json
@@ -409,19 +410,24 @@ def test_plan_is_field_free_and_reaches_past_construction(q111, monkeypatch):
 _ALPHA_342 = {1: 3, 2: 4, 3: 2}
 
 
-def _patch_sigma_call(monkeypatch, n, replacement):
-    """Make the n-th three_vertex.sigma call return replacement(s, x)."""
-    real, calls = three_vertex.sigma, []
+def _patch_call(monkeypatch, name, n, replacement):
+    """Make the n-th call of three_vertex's name (sigma or bgp_reflect)
+    return replacement(*args)."""
+    real, calls = getattr(three_vertex, name), []
 
-    def patched(s, x):
-        calls.append(s)
-        return replacement(s, x) if len(calls) == n else real(s, x)
+    def patched(*args):
+        calls.append(args)
+        return (replacement if len(calls) == n else real)(*args)
 
-    monkeypatch.setattr(three_vertex, "sigma", patched)
+    monkeypatch.setattr(three_vertex, name, patched)
 
 
 def _raise_injected(s, x):
     raise ConstructionError("injected sigma failure")
+
+
+def _reflect_raises(x, i, direction):
+    raise ConstructionError("injected reflection failure")
 
 
 def _carried_trace(p, alpha=_ALPHA_342):
@@ -435,14 +441,14 @@ def test_a_sigma_error_carries_the_trace_up_to_its_stage(q111, monkeypatch):
     p = FamilyParams(1, 1, 1)
     full = plan(_ALPHA_342, p)
 
-    _patch_sigma_call(monkeypatch, 2, _raise_injected)
+    _patch_call(monkeypatch, "sigma", 2, _raise_injected)
     exc = _carried_trace(p)
     assert len(exc.trace.stages) == 3
     assert exc.trace.to_json() == full.to_json()
     # catalog records show the carried trace unchanged; with stage 1 of
     # the first half still memoised, the second sigma call would not come
     clear_memos()
-    _patch_sigma_call(monkeypatch, 2, _raise_injected)
+    _patch_call(monkeypatch, "sigma", 2, _raise_injected)
     rec = catalog.check_root((1, 1, 1, (3, 4, 2), "q", 0))
     assert rec.error == "injected sigma failure"
     assert rec.trace == full.to_json()
@@ -458,32 +464,39 @@ def test_a_kronecker_parity_error_carries_the_trace_up_to_its_stage(q111, monkey
 
 
 def test_a_stage_with_the_wrong_dims_carries_the_trace_up_to_it(q111, monkeypatch):
-    _patch_sigma_call(monkeypatch, 1, lambda s, x: x)
+    _patch_call(monkeypatch, "sigma", 1, lambda s, x: x)
     exc = _carried_trace(FamilyParams(1, 1, 1))
     assert str(exc) == "stage 1 built dims {1: 0, 2: 1, 3: 0}, planned {1: 0, 2: 1, 3: 2}"
     assert [st.tag for st in exc.trace.stages] == ["base S(2)", "sigma S(3)"]
 
 
 def _memo_cases(bound):
+    # Q(3,1,1) for the reflection chains of the 3-arrow Kronecker quiver
     return [(FamilyParams(*fam), flag, r)
-            for fam in [(1, 1, 1), (2, 1, 1)]
+            for fam in [(1, 1, 1), (2, 1, 1), (3, 1, 1)]
             for flag in ("q", "fp:3")
             for r in enumerate_real_roots(build_family(FamilyParams(*fam)), bound)]
 
 
+def _built(p, flag, r):
+    rep, trace = construct(r, p, parse_field_flag(flag))
+    return rep_to_json(rep), trace.to_json()
+
+
 def test_a_warm_memo_builds_what_a_cold_one_builds():
+    # every memo: realise's modules and prefixes, the reflection chains
+    # and the descents, cleared before each cold build
     cases = _memo_cases(30)
-    assert len(cases) == 360
+    assert len(cases) == 466
     cold = []
-    for p, flag, r in cases:
+    for case in cases:
         clear_memos()
-        cold.append(rep_to_json(construct(r, p, parse_field_flag(flag))[0]))
+        cold.append(_built(*case))
     clear_memos()
     order = list(range(len(cases)))
     random.Random(18).shuffle(order)
     for k in order:
-        p, flag, r = cases[k]
-        assert rep_to_json(construct(r, p, parse_field_flag(flag))[0]) == cold[k], cases[k]
+        assert _built(*cases[k]) == cold[k], cases[k]
 
 
 def test_every_call_runs_its_own_last_sigma(monkeypatch):
@@ -507,12 +520,41 @@ _X342_DIGEST = "ac8b27b646cde5cab876028a1f3fcc45e29e96196e465518be9275dcd8831497
 ], ids=["wrong-dims", "raises"])
 def test_a_failed_stage_leaves_no_memo_entry(q111, monkeypatch, n, replacement):
     with monkeypatch.context() as m:
-        _patch_sigma_call(m, n, replacement)
+        _patch_call(m, "sigma", n, replacement)
         exc = _carried_trace(FamilyParams(1, 1, 1))
     assert len(exc.trace.stages) == n + 1
     assert max(len(key) - 2 for key in three_vertex._PREFIXES) == n
     rep, _ = construct(_ALPHA_342, FamilyParams(1, 1, 1))
     assert hashlib.sha256(json.dumps(rep_to_json(rep), sort_keys=True).encode()).hexdigest() == _X342_DIGEST
+
+
+def _simple_at(x, i, direction):
+    """S(i) over the orientation the real reflection gives: the right
+    arrows, the wrong dims."""
+    return simple_rep(bgp_reflect(x, i, direction).quiver, i, x.field)
+
+
+# X_(3,4,0) of Q(2,1,1) is the base stage alone: the 2-Kronecker module
+# of (3, 4), reflected from S(1) by s_2, s_1, s_2 through (1,2) and (3,2)
+_KRONECKER_STEPS = [(2, QQ, True, 1, 2), (2, QQ, False, 3, 2), (2, QQ, True, 3, 4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("replacement", [lambda x, i, d: x, _simple_at, _reflect_raises],
+                         ids=["unreflected", "wrong-dims", "raises"])
+def test_a_failed_reflection_step_leaves_no_chain_entry(n, replacement, monkeypatch):
+    p, alpha = FamilyParams(2, 1, 1), {1: 3, 2: 4, 3: 0}
+    cold = _built(p, "q", alpha)
+    assert sorted(three_vertex._CHAINS) == sorted(_KRONECKER_STEPS)
+    clear_memos()
+    with monkeypatch.context() as m:
+        _patch_call(m, "bgp_reflect", n, replacement)
+        # a later true reflection of a wrong module may find no sink
+        with pytest.raises((ConstructionError, DomainError)):
+            construct(alpha, p)
+    assert sorted(three_vertex._CHAINS) == sorted(_KRONECKER_STEPS[:n - 1])
+    assert not three_vertex._MODULES and not three_vertex._PREFIXES
+    assert _built(p, "q", alpha) == cold
 
 
 def test_every_memo_entry_is_a_tree_module_of_total_dim_minus_one_nonzeros():
