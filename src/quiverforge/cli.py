@@ -29,14 +29,17 @@ def _family(ns) -> FamilyParams:
     return FamilyParams(f, g, h)
 
 
+# int() alone also reads "1_0", " 1" and the digits of other scripts
+_INTEGER = re.compile("[+-]?[0-9]+")
+
+
 def _parse_root(text: str, q):
     parts = text.split(",")
     if len(parts) != len(q.vertices):
         raise InputError(
             f"root needs {len(q.vertices)} comma-separated entries, got {text!r}"
         )
-    # int() alone also reads "1_0", " 1" and the digits of other scripts
-    if not all(re.fullmatch("[+-]?[0-9]+", x) for x in parts):
+    if not all(_INTEGER.fullmatch(x) for x in parts):
         raise InputError(f"root entries must be integers: {text!r}")
     return {v: int(parts[k]) for k, v in enumerate(q.vertices)}
 
@@ -51,14 +54,14 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+def _integer(minimum=None):
+    """argparse type: an ASCII integer, [+-]?[0-9]+, no smaller than
+    minimum when one is given."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
+        if not _INTEGER.fullmatch(text):
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        value = int(text)
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
         return value
     return parse
@@ -243,17 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family(sp):
         sp.add_argument(
-            "--family", nargs=3, type=int, metavar=("F", "G", "H"), required=True,
+            "--family", nargs=3, type=_integer(), metavar=("F", "G", "H"), required=True,
             help="arrow multiplicities of the three-vertex quiver",
         )
 
     sp = sub.add_parser("roots", help="enumerate positive real roots up to a height bound")
     sp.add_argument(
-        "--family", nargs=3, type=int, metavar=("F", "G", "H"),
+        "--family", nargs=3, type=_integer(), metavar=("F", "G", "H"),
         help="arrow multiplicities of the three-vertex quiver",
     )
     sp.add_argument("--quiver", help="path to a quiver JSON file instead of --family")
-    sp.add_argument("--bound", type=int, required=True, help="height bound")
+    sp.add_argument("--bound", type=_integer(), required=True, help="height bound")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.set_defaults(func=cmd_roots)
@@ -282,15 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("catalog", help="construct and verify every real root up to a bound")
     add_family(sp)
-    sp.add_argument("--bound", type=int, required=True, help="height bound")
+    sp.add_argument("--bound", type=_integer(), required=True, help="height bound")
     sp.add_argument("--field", default="q", help="'q' or 'fp:P' (default q)")
     # a string default goes through type, so a bad $QUIVERFORGE_JOBS is a usage error
     sp.add_argument(
-        "--jobs", type=_int_at_least(1),
+        "--jobs", type=_integer(1),
         default=os.environ.get("QUIVERFORGE_JOBS", "1"),
         help="worker processes (default $QUIVERFORGE_JOBS or 1)",
     )
-    sp.add_argument("--oracle-budget", type=_int_at_least(0), default=DEFAULT_ORACLE_BUDGET,
+    sp.add_argument("--oracle-budget", type=_integer(0), default=DEFAULT_ORACLE_BUDGET,
                     help="budget for the exhaustive idempotent search over a prime field: "
                          "0 (default) leaves it off; N > 0 also runs it where p^dim End <= N, "
                          "as a cross-check of the indecomposability certificate")

@@ -5,12 +5,14 @@ the maximal-rank-type checker.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Tuple
 
 from .errors import DomainError, InputError
-from .linalg import cokernel, hstack, kernel_basis, rank, vstack
+from . import linalg  # the walk calls linalg._echelon, so a patched one counts it
+from .linalg import _sparse_transpose, cokernel, hstack, kernel_basis, rank, vstack
 from .quiver import Arrow, Quiver
 from .reps import Representation, block_sum, hom_dim, homext
 
@@ -46,9 +48,57 @@ def _subsets_binary(arrows: List[Arrow]):
         yield [arrows[k] for k in range(n) if mask >> k & 1]
 
 
+def _side_has_maximal_rank(d: int, blocks: list, field) -> bool:
+    """Whether every subset of blocks, each a nonempty sequence of sparse
+    vectors in k^d, spans min(d, its number of vectors) dimensions.
+
+    Depth-first over the subsets in block order; a child extends a copy of
+    its parent's echelon store by one block.  Rank never falls along a
+    branch, so a subset of rank d ends its subtree, every superset being
+    onto too.  A subtree whose largest subset has at most d vectors needs
+    them all independent, so it ends with that one subset's rank.
+    """
+    n, sizes = len(blocks), [len(b) for b in blocks]
+    rest = list(accumulate(reversed(sizes), initial=0))[::-1]
+
+    def ok(store, size, k):
+        # store: the echelon of a subset of size vectors, last block k - 1
+        r = len(store)
+        if r != min(d, size):
+            return False
+        if r == d or k == n:
+            return True
+        if size + rest[k] <= d:
+            # store is this node's own; no sibling reads it
+            return len(linalg._echelon([v for b in blocks[k:] for v in b], field, store)) == size + rest[k]
+        return all(ok(linalg._echelon(blocks[j], field, dict(store)), size + sizes[j], j + 1)
+                   for j in range(k, n))
+
+    return ok({}, 0, 0)
+
+
+def _has_maximal_rank(x: Representation) -> bool:
+    """rank(hstack) at vertex i is the rank of the columns of its incoming
+    maps, rank(vstack) that of the rows of its outgoing ones.  An arrow
+    with a zero-dimensional end is left out: it adds no vector at its
+    other end, and at that end every subset has rank 0 = min(0, size)."""
+    sides = defaultdict(list)
+    for a in x.quiver.arrows:
+        m = x.mats[a.id]
+        if m.rows and m.cols:
+            sides[a.head, "in"].append(_sparse_transpose(m.entries, m.cols))
+            sides[a.tail, "out"].append(m.entries)
+    return all(_side_has_maximal_rank(x.dims[i], blocks, x.field) for (i, _), blocks in sides.items())
+
+
 def maximal_rank_report(x: Representation) -> List[RankViolation]:
-    """All (vertex, subset) maximal-rank violations, incoming and outgoing:
-    one rank per nonempty subset, 2^k - 1 for a vertex side with k arrows."""
+    """All (vertex, subset) maximal-rank violations, incoming and outgoing.
+
+    The verdict comes from _has_maximal_rank's pruned walk; only a
+    representation that fails it ranks every nonempty subset, 2^k - 1 for
+    a vertex side with k arrows, to list each violation."""
+    if _has_maximal_rank(x):
+        return []
     q = x.quiver
     violations = []
     for i in q.vertices:

@@ -9,7 +9,8 @@ which stores each row as it comes, reduced at its leftmost column while
 that is a stored pivot.  Its pivots are the leading columns of the row
 space, which no elimination order changes, so rank and
 complement_coordinates read them there, and reps' certificate chain
-reads only how many rows it stores.  kernel_vectors, mat_solve (the
+and functors' maximal rank walk read only how many rows it stores, the
+walk extending copies of one store arrow by arrow.  kernel_vectors, mat_solve (the
 certificate's Fitting witness is one) and cokernel read rows, from
 _rref: _echelon plus one back-substitution pass.  The RREF is unique,
 so its rows equal those of a dense leftmost-pivot elimination.  Kernel
@@ -333,12 +334,15 @@ def _sparse_transpose(rows, ncols: int) -> list:
     return cols
 
 
-def _echelon(data, field) -> dict:
+def _echelon(data, field, store=None) -> dict:
     """Row echelon form of the rows in data, by forward elimination alone.
 
     Each row is a sparse {column: value} dict of nonzero field elements,
     and is copied.  Returns {pivot column: row} in the order the pivots
-    were made, each row one at its pivot and zero left of it.  An incoming
+    were made, each row one at its pivot and zero left of it: a new dict,
+    or store extended by the rows of data when given, store being such a
+    dict from an earlier call.  Stored rows are never changed, so a shallow
+    copy of a store can be extended apart from it.  An incoming
     row is reduced at its leftmost column while a stored row has that
     pivot (a heap holds its columns; fill-in pushes each column it adds),
     then scaled to one there and stored, never to change again.  The keys
@@ -352,7 +356,8 @@ def _echelon(data, field) -> dict:
     """
     p = field.p if isinstance(field, PrimeField) else None
     of = field.of
-    store = {}
+    if store is None:
+        store = {}
     for given in data:
         if not given:
             continue

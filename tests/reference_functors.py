@@ -5,17 +5,21 @@ undo or re-express those steps so the tests can check them: image-vertex
 insertion and its collapse, the inverse universal extensions
 sigma_bar^-1 and sigma_under^-1, an isomorphism search, and the
 Hom/Ext membership report for the subcategories M^{-S} and M_{-S}.
+
+maximal_rank_report is the maximal-rank check as it was before the
+pruned walk: a fresh stacked matrix and a rank for every nonempty
+subset of the arrows at each vertex side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from quiverforge import linalg
 from quiverforge.errors import ConstructionError, InputError
-from quiverforge.functors import _blocks, assert_exceptional
-from quiverforge.linalg import Mat, PrimeField, cokernel, hstack, kernel_basis, mat_solve, vstack
+from quiverforge.functors import RankViolation, _blocks, assert_exceptional
+from quiverforge.linalg import Mat, PrimeField, cokernel, hstack, kernel_basis, mat_solve, rank, vstack
 from quiverforge.quiver import Arrow, Quiver
 from quiverforge.reps import Morphism, Representation, hom_basis, homext, identity_morphism
 
@@ -191,3 +195,28 @@ def find_isomorphism(x: Representation, y: Representation):
         if g.compose(f) == idx and g.is_valid():
             return f, g
     return None
+
+
+def _subsets_binary(arrows: List[Arrow]):
+    """Nonempty subsets in binary-counter order over the arrow list."""
+    n = len(arrows)
+    for mask in range(1, 1 << n):
+        yield [arrows[k] for k in range(n) if mask >> k & 1]
+
+
+def maximal_rank_report(x: Representation) -> List[RankViolation]:
+    """All (vertex, subset) maximal-rank violations, incoming and outgoing:
+    one rank per nonempty subset, 2^k - 1 for a vertex side with k arrows."""
+    q = x.quiver
+    violations = []
+    for i in q.vertices:
+        for side, arrows, stack in (("in", q.incoming(i), hstack), ("out", q.outgoing(i), vstack)):
+            for sub in _subsets_binary(arrows):
+                stacked = stack([x.mats[a.id] for a in sub], x.dims[i], x.field)
+                required = min(stacked.rows, stacked.cols)
+                achieved = rank(stacked)
+                if achieved != required:
+                    violations.append(
+                        RankViolation(i, tuple(a.id for a in sub), side, achieved, required)
+                    )
+    return violations

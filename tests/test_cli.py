@@ -474,6 +474,24 @@ def test_out_of_range_catalog_numbers_exit_2(flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1_0", " 1", "\u0663"])
+@pytest.mark.parametrize("flag", ["--family", "--bound", "--jobs", "--oracle-budget"])
+def test_catalog_numbers_are_ascii_integers(flag, value, capsys):
+    # int() alone reads "1_0" as 10, " 1" as 1 and the Arabic-Indic three as 3
+    args = {"--family": ["1", "1", "1"], "--bound": ["3"], "--jobs": ["1"], "--oracle-budget": ["0"]}
+    args[flag][-1] = value
+    code = _usage_error("catalog", "--field", "fp:3", *(x for f, v in args.items() for x in (f, *v)))
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--family", "1", "1", "1_0", "--bound", "3"],
+                                  ["--family", "1", "1", "1", "--bound", "\u0663"]])
+def test_roots_numbers_are_ascii_integers(args, capsys):
+    assert _usage_error("roots", *args) == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
 def test_unparsable_field_flag_exits_2(capsys):
     code, _, err = run(capsys, "catalog", "--family", "1", "1", "1", "--bound", "3",
                        "--field", "fp:abc")

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rep, sym_form
 from quiverforge.errors import DomainError, InputError
 from quiverforge.linalg import GF, QQ, Mat
-from quiverforge.quiver import ringel_form, unit_vector
+from quiverforge.quiver import Arrow, Quiver, ringel_form, unit_vector
 from quiverforge.reps import (
     Representation,
     block_sum,
@@ -16,6 +19,7 @@ from quiverforge.reps import (
     simple_rep,
 )
 from quiverforge.functors import (
+    _has_maximal_rank,
     bgp_reflect,
     maximal_rank_report,
     sigma,
@@ -26,6 +30,7 @@ from quiverforge.three_vertex import (
     FamilyParams,
     build_family,
     build_subquiver,
+    construct,
     _module,
     embed_subquiver_rep,
     kronecker_rep,
@@ -36,6 +41,7 @@ from reference_functors import (
     collapse,
     find_isomorphism,
     insert_image_vertex,
+    maximal_rank_report as ref_maximal_rank_report,
     membership,
     sigma_bar_inv,
     sigma_under_inv,
@@ -111,6 +117,55 @@ def test_maxrank_simple_is_clean(q111):
 def test_maxrank_preprojective_clean():
     x = kronecker_rep((2, 1), 2)
     assert maximal_rank_report(x) == []
+
+
+_MAXRANK_QUIVERS = [
+    build_family(FamilyParams(3, 2, 1)),
+    # six arrows on each side of vertex 3, and three on each side of 1 and 2
+    Quiver((1, 2, 3), [Arrow(f"a{k}", 1 + k % 2, 3) for k in range(6)]
+           + [Arrow(f"b{k}", 3, 1 + k % 2) for k in range(6)]),
+    Quiver((1, 2), [Arrow(f"k{k}", 1, 2) for k in range(6)]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_MAXRANK_QUIVERS), st.sampled_from([QQ, GF(2), GF(3)]), st.data())
+def test_maxrank_report_matches_subset_enumeration(q, field, data):
+    # dims from 0, sparse entries and matrices repeated across arrows of one
+    # shape, so that reps failing at some subset are drawn as well as passing ones
+    dims = {v: data.draw(st.integers(0, 3)) for v in q.vertices}
+    values = st.sampled_from([0, 0, 1, -1, 2] + ([Fraction(1, 2)] if field == QQ else []))
+    mats = {}
+    for a in q.arrows:
+        rows, cols = dims[a.head], dims[a.tail]
+        same = [m for m in mats.values() if (m.rows, m.cols) == (rows, cols)]
+        if same and data.draw(st.booleans()):
+            mats[a.id] = data.draw(st.sampled_from(same))
+        else:
+            mats[a.id] = Mat(rows, cols, [[data.draw(values) for _ in range(cols)] for _ in range(rows)], field)
+    x = Representation(q, dims, mats, field)
+    ref = ref_maximal_rank_report(x)
+    assert maximal_rank_report(x) == ref
+    # the walk's verdict alone: the full enumeration hides a pass it misses
+    assert _has_maximal_rank(x) == (ref == [])
+
+
+def test_maxrank_work_is_polynomial_in_the_arrows(monkeypatch):
+    # 20 arrows of a 1-dim space into a 30-dim one, and one X_alpha of
+    # Q(40, 1, 1), whose vertex 1 has 40 arrows out: ranking every subset
+    # would take about 2^20 and 2^40 eliminations
+    from quiverforge import linalg
+
+    q = Quiver((1, 2), [Arrow(f"a{k}", 1, 2) for k in range(20)])
+    units = {f"a{k}": Mat(30, 1, [[int(r == k)] for r in range(30)]) for k in range(20)}
+    x, _ = construct({1: 0, 2: 2, 3: 1}, FamilyParams(40, 1, 1))
+    echelon, calls = linalg._echelon, []
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda data, field, store=None: calls.append(1) or echelon(data, field, store))
+    for rep in (Representation(q, {1: 1, 2: 30}, units, QQ), x):
+        calls.clear()
+        assert maximal_rank_report(rep) == []
+        assert len(calls) <= len(rep.quiver.arrows) ** 2
 
 
 def test_bgp_plus_at_sink():
