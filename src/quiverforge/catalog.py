@@ -7,6 +7,7 @@ root, so its content does not depend on the worker count.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from dataclasses import asdict, dataclass, field as dc_field
@@ -145,11 +146,13 @@ def run_catalog(
         (p.f, p.g, p.h, tuple(r[v] for v in q.vertices), field_flag, oracle_budget)
         for r in roots
     ]
-    if jobs > 1 and len(tasks) > 1:
+    # a pool starts all its workers at once: more than roots or cores idle
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it loads multiprocessing, which a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(check_root, tasks))
     else:
         records = [check_root(t) for t in tasks]

@@ -1,18 +1,17 @@
 """Constructive functors: BGP reflections, the universal extension
 functors sigma_bar, sigma_under and sigma = sigma_under o sigma_bar, and
-the maximal-rank-type checker.
+the maximal-rank report, from one pruned subset walk per vertex side.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Tuple
 
 from .errors import DomainError, InputError
 from . import linalg  # the walk calls linalg._echelon, so a patched one counts it
-from .linalg import _sparse_transpose, cokernel, hstack, kernel_basis, rank, vstack
+from .linalg import _sparse_transpose, cokernel, hstack, kernel_basis, vstack
 from .quiver import Arrow, Quiver
 from .reps import Representation, block_sum, hom_dim, homext
 
@@ -41,76 +40,63 @@ def _blocks(sizes) -> list:
     return list(zip([0] + ends, ends))
 
 
-def _subsets_binary(arrows: List[Arrow]):
-    """Nonempty subsets in binary-counter order over the arrow list."""
-    n = len(arrows)
-    for mask in range(1, 1 << n):
-        yield [arrows[k] for k in range(n) if mask >> k & 1]
-
-
-def _side_has_maximal_rank(d: int, blocks: list, field) -> bool:
-    """Whether every subset of blocks, each a nonempty sequence of sparse
-    vectors in k^d, spans min(d, its number of vectors) dimensions.
+def _side_violations(d: int, blocks: list, field) -> list:
+    """(bits, achieved, required) of each subset of blocks whose rank is
+    below min(d, its number of vectors); a block is an arrow's bit and its
+    nonempty sequence of sparse vectors in k^d.
 
     Depth-first over the subsets in block order; a child extends a copy of
-    its parent's echelon store by one block.  Rank never falls along a
-    branch, so a subset of rank d ends its subtree, every superset being
-    onto too.  A subtree whose largest subset has at most d vectors needs
-    them all independent, so it ends with that one subset's rank.
-    """
-    n, sizes = len(blocks), [len(b) for b in blocks]
+    its parent's echelon store by one block.  A violation is recorded and
+    the walk goes on below it.  Rank never falls along a branch, so a
+    subset of rank d ends its subtree, every superset being onto too, and
+    so does a subtree whose largest subset has at most d vectors and is
+    injective, every subset then being injective too."""
+    n, sizes = len(blocks), [len(vs) for _, vs in blocks]
     rest = list(accumulate(reversed(sizes), initial=0))[::-1]
+    found = []
 
-    def ok(store, size, k):
+    def walk(store, bits, size, k):
         # store: the echelon of a subset of size vectors, last block k - 1
-        r = len(store)
-        if r != min(d, size):
-            return False
-        if r == d or k == n:
-            return True
-        if size + rest[k] <= d:
-            # store is this node's own; no sibling reads it
-            return len(linalg._echelon([v for b in blocks[k:] for v in b], field, store)) == size + rest[k]
-        return all(ok(linalg._echelon(blocks[j], field, dict(store)), size + sizes[j], j + 1)
-                   for j in range(k, n))
+        r, required = len(store), min(d, size)
+        if r != required:
+            found.append((bits, r, required))
+        elif r == d or k == n or size + rest[k] <= d and len(
+                linalg._echelon([v for _, vs in blocks[k:] for v in vs], field, dict(store))) == size + rest[k]:
+            return
+        for j in range(k, n):
+            walk(linalg._echelon(blocks[j][1], field, dict(store)), bits | blocks[j][0], size + sizes[j], j + 1)
 
-    return ok({}, 0, 0)
-
-
-def _has_maximal_rank(x: Representation) -> bool:
-    """rank(hstack) at vertex i is the rank of the columns of its incoming
-    maps, rank(vstack) that of the rows of its outgoing ones.  An arrow
-    with a zero-dimensional end is left out: it adds no vector at its
-    other end, and at that end every subset has rank 0 = min(0, size)."""
-    sides = defaultdict(list)
-    for a in x.quiver.arrows:
-        m = x.mats[a.id]
-        if m.rows and m.cols:
-            sides[a.head, "in"].append(_sparse_transpose(m.entries, m.cols))
-            sides[a.tail, "out"].append(m.entries)
-    return all(_side_has_maximal_rank(x.dims[i], blocks, x.field) for (i, _), blocks in sides.items())
+    walk({}, 0, 0, 0)
+    return found
 
 
 def maximal_rank_report(x: Representation) -> List[RankViolation]:
-    """All (vertex, subset) maximal-rank violations, incoming and outgoing.
+    """All (vertex, subset) maximal-rank violations, incoming and outgoing,
+    each vertex side's in binary-counter order over its arrows.
 
-    The verdict comes from _has_maximal_rank's pruned walk; only a
-    representation that fails it ranks every nonempty subset, 2^k - 1 for
-    a vertex side with k arrows, to list each violation."""
-    if _has_maximal_rank(x):
-        return []
-    q = x.quiver
-    violations = []
-    for i in q.vertices:
-        for side, arrows, stack in (("in", q.incoming(i), hstack), ("out", q.outgoing(i), vstack)):
-            for sub in _subsets_binary(arrows):
-                stacked = stack([x.mats[a.id] for a in sub], x.dims[i], x.field)
-                required = min(stacked.rows, stacked.cols)
-                achieved = rank(stacked)
-                if achieved != required:
-                    violations.append(
-                        RankViolation(i, tuple(a.id for a in sub), side, achieved, required)
-                    )
+    rank(hstack) at vertex i is the rank of the columns of its incoming
+    maps, rank(vstack) that of the rows of its outgoing ones.  An arrow with
+    a zero-dimensional end stays out of the walk: it adds no vector, so a
+    violating subset S stands for S with any set of such arrows too."""
+    q, violations = x.quiver, []
+    sides = {(i, side): [] for i in q.vertices for side in ("in", "out")}
+    for a in q.arrows:
+        sides[a.head, "in"].append(a)
+        sides[a.tail, "out"].append(a)
+    for (i, side), arrows in sides.items():
+        blocks, idle = [], []
+        for k, a in enumerate(arrows):
+            m = x.mats[a.id]
+            if not (m.rows and m.cols):
+                idle.append(1 << k)
+            else:
+                blocks.append((1 << k, _sparse_transpose(m.entries, m.cols) if side == "in" else m.entries))
+        found = _side_violations(x.dims[i], blocks, x.field) if blocks else []
+        if found:
+            for z in idle:
+                found += [(bits | z, r, required) for bits, r, required in found]
+            violations += [RankViolation(i, tuple(a.id for k, a in enumerate(arrows) if bits >> k & 1), side, r, required)
+                           for bits, r, required in sorted(found)]
     return violations
 
 

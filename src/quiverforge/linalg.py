@@ -334,6 +334,17 @@ def _sparse_transpose(rows, ncols: int) -> list:
     return cols
 
 
+def _nonzero_columns(rows) -> list:
+    """The nonzero columns of the matrix with these sparse rows, ascending,
+    as _sparse_transpose gives them: _echelon skips zero rows, so this is
+    the same elimination with no dict for each zero column of a wide matrix."""
+    cols = defaultdict(dict)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return [cols[j] for j in sorted(cols)]
+
+
 def _echelon(data, field, store=None) -> dict:
     """Row echelon form of the rows in data, by forward elimination alone.
 
@@ -495,7 +506,7 @@ def complement_coordinates(span: Mat) -> list:
     complement reads nothing else.
     """
     n = span.rows
-    reversed_cols = _sparse_transpose(span.entries[::-1], span.cols)
+    reversed_cols = _nonzero_columns(span.entries[::-1])
     hit = {n - 1 - pc for pc in _echelon(reversed_cols, span.field)}
     return [k for k in range(n) if k not in hit]
 
@@ -508,7 +519,7 @@ def cokernel(span: Mat) -> tuple:
     """
     n, field = span.rows, span.field
     of = field.of
-    reversed_cols = _sparse_transpose(span.entries[::-1], span.cols)
+    reversed_cols = _nonzero_columns(span.entries[::-1])
     w = {n - 1 - pc: row for pc, row in _rref(reversed_cols, field).items()}
     proj = {k: {k: 1} for k in range(n) if k not in w}
     comp = [{} for _ in range(n)]

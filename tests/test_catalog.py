@@ -52,6 +52,36 @@ def test_a_failed_record_keeps_the_carried_trace(monkeypatch):
         assert rec.trace == construct(alpha, FamilyParams(1, 1, 1))[1].to_json()
 
 
+def test_jobs_are_capped_by_the_roots_and_the_cores(monkeypatch):
+    # a forked pool starts all max_workers at once; this fake pool starts
+    # no process, and records what it was asked for
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    strip = lambda report: [{**r.to_json(), "elapsed": 0} for r in report.records]
+    serial = strip(catalog.run_catalog(FamilyParams(1, 1, 1), 3, jobs=1))
+    for cores, jobs, workers in ((4, 100000, 4), (None, 100000, None), (64, 100000, len(serial)), (64, 3, 3)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        asked.clear()
+        assert strip(catalog.run_catalog(FamilyParams(1, 1, 1), 3, jobs=jobs)) == serial
+        assert asked == ([workers] if workers else [])
+
+
 def test_import_loads_no_process_pool():
     # a serial catalog run never starts workers, so it should not pay for
     # importing multiprocessing

@@ -19,7 +19,6 @@ from quiverforge.reps import (
     simple_rep,
 )
 from quiverforge.functors import (
-    _has_maximal_rank,
     bgp_reflect,
     maximal_rank_report,
     sigma,
@@ -146,25 +145,29 @@ def test_maxrank_report_matches_subset_enumeration(q, field, data):
     x = Representation(q, dims, mats, field)
     ref = ref_maximal_rank_report(x)
     assert maximal_rank_report(x) == ref
-    # the walk's verdict alone: the full enumeration hides a pass it misses
-    assert _has_maximal_rank(x) == (ref == [])
 
 
 def test_maxrank_work_is_polynomial_in_the_arrows(monkeypatch):
-    # 20 arrows of a 1-dim space into a 30-dim one, and one X_alpha of
-    # Q(40, 1, 1), whose vertex 1 has 40 arrows out: ranking every subset
-    # would take about 2^20 and 2^40 eliminations
+    # 20 arrows of a 1-dim space into a 30-dim one, one X_alpha of
+    # Q(40, 1, 1), whose vertex 1 has 40 arrows out, and 40 arrows between
+    # 1-dim spaces whose first map alone is zero: ranking every subset
+    # would take about 2^20, 2^40 and 2^40 eliminations
     from quiverforge import linalg
 
     q = Quiver((1, 2), [Arrow(f"a{k}", 1, 2) for k in range(20)])
     units = {f"a{k}": Mat(30, 1, [[int(r == k)] for r in range(30)]) for k in range(20)}
     x, _ = construct({1: 0, 2: 2, 3: 1}, FamilyParams(40, 1, 1))
+    wide = Quiver((1, 2), [Arrow(f"a{k}", 1, 2) for k in range(40)])
+    ones = {f"a{k}": Mat(1, 1, [[int(k > 0)]]) for k in range(40)}
+    zero_alone = [{"vertex": v, "arrows": ["a0"], "side": side, "achieved": 0, "required": 1}
+                  for v, side in ((1, "out"), (2, "in"))]
     echelon, calls = linalg._echelon, []
     monkeypatch.setattr(linalg, "_echelon",
                         lambda data, field, store=None: calls.append(1) or echelon(data, field, store))
-    for rep in (Representation(q, {1: 1, 2: 30}, units, QQ), x):
+    for rep, expected in ((Representation(q, {1: 1, 2: 30}, units, QQ), []), (x, []),
+                          (Representation(wide, {1: 1, 2: 1}, ones, QQ), zero_alone)):
         calls.clear()
-        assert maximal_rank_report(rep) == []
+        assert [v.to_json() for v in maximal_rank_report(rep)] == expected
         assert len(calls) <= len(rep.quiver.arrows) ** 2
 
 

@@ -86,6 +86,22 @@ def test_image_complement_greedy_scan():
     assert rank(hstack([span, c])) == 3
 
 
+def test_wide_span_complement_allocates_only_nonzero_columns():
+    # delta(X, X) of dims (0, 4000) is a 0 x 16,000,000 span: a dict for
+    # each of its columns would take a gigabyte
+    import tracemalloc
+
+    for span in (Mat(0, 10**6, []), Mat(2, 10**6, [{5: 1, 10**6 - 1: 2}, {5: 2}])):
+        tracemalloc.start()
+        try:
+            keep, (comp, proj) = complement_coordinates(span), cokernel(span)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keep == [] and (comp.cols, proj.rows) == (0, 0)
+        assert peak < 10**6
+
+
 def test_solve_identity():
     assert mat_solve(Mat.identity(2), Mat(2, 1, [[3], [4]])) == Mat(2, 1, [[3], [4]])
 
