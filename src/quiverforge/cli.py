@@ -1,8 +1,9 @@
 """Command line workbench.
 
 Subcommands: roots, construct, verify, homext, catalog.  Exit codes:
-0 success, 1 a requested check failed, 2 bad input, 3 domain error
-(e.g. not a real root), 4 internal pipeline assertion.
+0 success, 1 a requested check failed, 2 bad input (a delta map above
+reps.DELTA_NNZ_LIMIT nonzeros included), 3 domain error (e.g. not a real
+root), 4 internal pipeline assertion or running out of memory.
 """
 
 from __future__ import annotations
@@ -319,6 +320,9 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         if exc.trace is not None:
             print(json.dumps(exc.trace.to_json(), indent=2, sort_keys=True), file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 4
 
 

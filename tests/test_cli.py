@@ -285,15 +285,57 @@ def test_homext_euler(tmp_path, capsys):
 
 
 def test_homext_builds_the_delta_map_twice(tmp_path, monkeypatch, capsys):
-    # once for homext, whose numbers the report and the Euler check share,
-    # and once for hom_dim's kernel side of the check
+    # as rows once, by delta_matrix for hom_dim's kernel side of the check,
+    # and as columns once, by homext, whose numbers the report and the
+    # Euler check share
     rep = tmp_path / "rep.json"
     run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,1,2", "--out", str(rep))
-    real, calls = reps.delta_matrix, []
-    monkeypatch.setattr(reps, "delta_matrix", lambda x, y: calls.append(1) or real(x, y))
+    calls = []
+    for name in ("delta_matrix", "complement_coordinates"):
+        real = getattr(reps, name)
+        monkeypatch.setattr(reps, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     code, out, _ = run(capsys, "homext", str(rep), str(rep))
     assert code == 0 and json.loads(out)["euler_ok"] is True
-    assert len(calls) == 2
+    assert sorted(calls) == ["complement_coordinates", "delta_matrix"]
+
+
+def _dense_file(tmp_path):
+    """A 28 KB rep of 1 -> 2 with dims (1, 4000) and a column of ones, whose
+    delta(X, X) has 16,004,000 nonzeros."""
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({
+        "quiver": {"vertices": [1, 2], "arrows": [{"id": "a", "tail": 1, "head": 2}]},
+        "field": {"type": "rational"}, "dims": {"1": 1, "2": 4000}, "mats": {"a": [["1"]] * 4000},
+    }))
+    return str(path)
+
+
+def test_a_delta_map_above_the_limit_is_bad_input(tmp_path, capsys):
+    import tracemalloc
+
+    dense = _dense_file(tmp_path)
+    for args in (("homext", dense, dense), ("verify", dense, "--checks", "endo")):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "16,004,000" in err and f"{reps.DELTA_NNZ_LIMIT:,}" in err
+        assert peak < 10 * 10**6
+
+
+def test_running_out_of_memory_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    rep = tmp_path / "rep.json"
+    run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,1,2", "--out", str(rep))
+
+    def exhausted(x, y):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "homext", exhausted)
+    code, out, err = run(capsys, "homext", str(rep), str(rep))
+    assert code == 4 and out == "" and "Traceback" not in err
+    assert err == "internal error: out of memory\n"
 
 
 def test_euler_check_fails_when_hom_and_ext_disagree(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,9 @@ from quiverforge.reps import (
     _scalar_candidates,
     block_sum,
     certify_indecomposable,
+    DELTA_NNZ_LIMIT,
     delta_matrix,
+    delta_nnz,
     end_dim,
     euler_form_check,
     hom_basis,
@@ -352,7 +354,9 @@ def test_homext_matches_separate_eliminations(catalog_reps_q111_bound10):
 def _assert_delta_matches_reference(x, y):
     # the reference builds delta dense and eliminates it with the dense
     # column sweep of reference_linalg
-    assert check_storage(delta_matrix(x, y)) == reference_reps.delta_matrix(x, y)
+    d = check_storage(delta_matrix(x, y))
+    assert d == reference_reps.delta_matrix(x, y)
+    assert delta_nnz(x, y) == sum(map(len, d.entries))
     hom, units = reference_reps.hom_dim(x, y), reference_reps.ext_units(x, y)
     assert hom_dim(x, y) == hom
     assert [m.parts for m in hom_basis(x, y)] == [m.parts for m in reference_reps.hom_basis(x, y)]
@@ -461,6 +465,43 @@ def test_end_dim_and_homext_never_build_delta_dense(monkeypatch):
     # the hook sees every read of a dense view: here delta's own
     check_storage(d).data
     assert shapes[-1] == (d.rows, d.cols)
+
+
+def _two_vertex_rep(dims, column):
+    """A rep of 1 -> 2 with the given dims whose one matrix has column as
+    each of its columns."""
+    q = Quiver((1, 2), [Arrow("a", 1, 2)])
+    mat = Mat(dims[1], dims[0], [{c: v for c in range(dims[0])} for v in column])
+    return Representation(q, {1: dims[0], 2: dims[1]}, {"a": mat})
+
+
+def test_homext_of_a_thin_rep_builds_no_zero_column():
+    # delta(X, X) of dims (0, 4000) has 16,000,000 zero columns and no row;
+    # with dims (1, 4000) and a zero map it has 4000 rows, all zero too
+    import tracemalloc
+
+    for dims, he in (((0, 4000), (16_000_000, 0, [])),
+                     ((1, 4000), (16_000_001, 4000, [("a", 1, r) for r in range(1, 4001)]))):
+        x = _two_vertex_rep(dims, [0] * 4000)
+        tracemalloc.start()
+        try:
+            got = homext(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == he
+        assert peak < 10**6
+
+
+def test_delta_above_the_limit_is_refused_before_it_is_built():
+    # one 4000 x 1 column of ones: delta(X, X) has 4000 * 4000 + 4000 nonzeros
+    x = _two_vertex_rep((1, 4000), [1] * 4000)
+    assert 16_004_000 > DELTA_NNZ_LIMIT
+    for f in (delta_matrix, homext):
+        with pytest.raises(InputError, match="16,004,000"):
+            f(x, x)
+    y = _two_vertex_rep((1, 400), [1] * 400)
+    assert delta_nnz(y, y) == 400 * 400 + 400 <= DELTA_NNZ_LIMIT
 
 
 _PRODUCER_QUIVERS = [
