@@ -388,6 +388,9 @@ def test_end_dim_of_constructed_roots_matches_dense_rank_and_prediction(field):
 _DIFFERENTIAL_QUIVERS = [
     build_family(FamilyParams(2, 1, 2)),
     Quiver((1, 2), [Arrow("la1", 1, 2), Arrow("la2", 1, 2)]),
+    # an odd cycle of edges, 1 -> 2 -> 3 and 1 -> 3: on a bipartite quiver, flipping
+    # the sign of every Y term of delta moves no pivot, so no output shows it
+    Quiver((1, 2, 3), [Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 1, 3)]),
 ]
 
 
@@ -397,6 +400,9 @@ _DIFFERENTIAL_QUIVERS = [
     st.sampled_from([QQ, GF(3)]),
     st.integers(0, 2**32),
 )
+# pairs over the odd cycle whose Hom and Ext move if delta's Y terms lose their sign
+@example(_DIFFERENTIAL_QUIVERS[2], QQ, 151)
+@example(_DIFFERENTIAL_QUIVERS[2], GF(3), 132)
 def test_delta_matches_reference_on_random_pairs(q, field, seed):
     # random_rep draws each vertex dimension from 0..max_dim
     rng = random.Random(seed)
