@@ -1,6 +1,7 @@
-"""The three-vertex family: quiver construction, the alternating-word
-dictionary, the star-form rewriting algorithm, and the full pipeline
-building the unique indecomposable for every positive real root.
+"""The three-vertex family: quiver construction, the alternating elements
+zeta/rho of <s_1, s_2> with one word reduction naming them, the star-form
+rewriting algorithm, and the full pipeline building the unique
+indecomposable for every positive real root.
 
 Vertices are 1, 2, 3; arrows are la1..laf (1 -> 2), mu1..mug (2 -> 3)
 and nu1..nuh (3 -> 2), in that order.
@@ -101,37 +102,23 @@ def recognize_E(w: Sequence[int]) -> Optional[EElement]:
     return EElement("zeta2", (L - 1) // 2) if L % 2 else EElement("rho2", L // 2)
 
 
-def f1_reduce(e: EElement) -> EElement:
-    """Canonical form under the f = 1 braid relation (n <= 1 everywhere)."""
-    L = len(word_of(e))
-    start = word_of(e)[0] if L else 0
-    L %= 6
-    if L == 0:
-        return IDENTITY_E
-    if L == 1:
-        return EElement("zeta1" if start == 1 else "zeta2", 0)
-    if L == 2:
-        return EElement("rho1" if start == 1 else "rho2", 1)
-    if L == 3:
-        return EElement("zeta1", 1)
-    if L == 4:
-        return EElement("rho2" if start == 1 else "rho1", 1)
-    return EElement("zeta2" if start == 1 else "zeta1", 0)
-
-
-def s1_mul(e: EElement, f: int) -> EElement:
-    """Left-multiply by s_1, staying inside the element set."""
-    if e.kind == "id":
-        out = EElement("zeta1", 0)
-    elif e.kind == "zeta1":
-        out = EElement("rho2", e.n) if e.n >= 1 else IDENTITY_E
-    elif e.kind == "zeta2":
-        out = EElement("rho1", e.n + 1)
-    elif e.kind == "rho1":
-        out = EElement("zeta2", e.n - 1)
-    else:  # rho2
-        out = EElement("zeta1", e.n)
-    return f1_reduce(out) if f == 1 else out
+def reduce_word(w: Sequence[int], f: int) -> EElement:
+    """The element of E a word in s_1, s_2 equals: equal neighbours cancel
+    (s_i^2 = 1), and for f = 1 the braid relation (s_1 s_2)^3 = 1 leaves at
+    most three letters, where 4 and 5 become 2 and 1 starting on the other
+    letter and 121 = 212 is zeta1(1)."""
+    out: List[int] = []
+    for c in w:
+        if out and out[-1] == c:
+            out.pop()
+        else:
+            out.append(c)
+    if f == 1:
+        L, a = len(out) % 6, out[0] if out else 1
+        if L > 3:
+            L, a = 6 - L, 3 - a
+        out = [1, 2, 1] if L == 3 else [a, 3 - a][:L]
+    return recognize_E(out)
 
 
 def apply_e(q: Quiver, e: EElement, v) -> dict:
@@ -190,10 +177,9 @@ def segment_word(w: Sequence[int], p: FamilyParams, strict: bool = True) -> List
             chunks[-1].append(c)
     blocks = []
     for chunk in chunks:
-        e = recognize_E(chunk)
-        if e is None:
+        if recognize_E(chunk) is None:
             raise InputError(f"block {''.join(map(str, chunk))!r} is not an alternating pattern")
-        blocks.append(f1_reduce(e) if p.f == 1 else e)
+        blocks.append(reduce_word(chunk, p.f))
     if strict:
         for idx, e in enumerate(blocks[:-1]):  # the tail block chi'_1 may be anything
             if e == EElement("zeta1", 0):
@@ -206,28 +192,15 @@ def segment_word(w: Sequence[int], p: FamilyParams, strict: bool = True) -> List
 def rewrite_to_star(w: Sequence[int], p: FamilyParams) -> StarForm:
     """Rewrite a segmentable word into the star normal form.
 
-    Descending pass over the blocks: zeta blocks are kept, a rho1(n)
-    block becomes zeta1(n) and a rho2(n) block becomes zeta2(n-1), in
-    both cases pushing an s_1 into the block to its right.
+    Descending pass over the blocks: zeta blocks are kept, and a rho
+    block chi becomes chi s_1 while the block to its right takes s_1 on
+    its left, as s_1 commutes with s_3 (no arrow joins vertices 1 and 3).
     """
     blocks = segment_word(w, p)
-    m = len(blocks)
-    for j in range(m - 1):  # positions chi'_m .. chi'_2, left to right
-        e = blocks[j]
-        if e.kind == "id":
-            if j != 0:
-                raise ConstructionError("trivial block surfaced at an interior position")
-            continue
-        if e.kind == "zeta1":
-            if e.n == 0:
-                raise ConstructionError("bare s_1 surfaced during rewriting")
-            continue
-        if e.kind == "zeta2":
-            continue
-        blocks[j] = _rho_to_zeta_at_e3(e)
-        if p.f == 1:
-            blocks[j] = f1_reduce(blocks[j])
-        blocks[j + 1] = s1_mul(blocks[j + 1], p.f)
+    for j in range(len(blocks) - 1):  # positions chi'_m .. chi'_2, left to right
+        if blocks[j].kind in ("rho1", "rho2"):
+            blocks[j] = reduce_word(word_of(blocks[j]) + (1,), p.f)
+            blocks[j + 1] = reduce_word((1,) + word_of(blocks[j + 1]), p.f)
     form = StarForm(tuple(blocks))
     if not form.grammar_ok(p.f):
         raise ConstructionError(f"rewriting produced an out-of-grammar form {list(map(str, blocks))}")
@@ -395,9 +368,9 @@ def embed_subquiver_rep(x: Representation, p: FamilyParams) -> Representation:
 def sigma_zeta_root(i: int, n: int, p: FamilyParams) -> dict:
     """The subquiver real root chi' with sigma_{zeta_i(n)} = sigma_{X_chi'}.
 
-    Parity dictionary: zeta_1(n) uses rho_1(n/2)(e_1) for even n and
-    zeta_1((n-1)/2)(e_2) for odd n; zeta_2(n) uses rho_2(n/2)(e_2) for
-    even n and zeta_2((n-1)/2)(e_1) for odd n.
+    The word of zeta_i(n) is a palindrome u s_j u^-1, with u its first n
+    letters and j its middle letter, so zeta_i(n) is the reflection in the
+    root chi' = u(e_j).
     """
     if i not in (1, 2):
         raise InputError("zeta index must be 1 or 2")
@@ -408,22 +381,8 @@ def sigma_zeta_root(i: int, n: int, p: FamilyParams) -> dict:
     if p.f == 1 and n > 1:
         raise InputError("f = 1 restricts exponents to n <= 1")
     q = build_family(p)
-    if n % 2 == 0:
-        e, base = (EElement(f"rho{i}", n // 2) if n else IDENTITY_E), i
-    else:
-        e, base = EElement(f"zeta{i}", (n - 1) // 2), 3 - i
-    return apply_e(q, e, unit_vector(q, base))
-
-
-def _rho_to_zeta_at_e3(e: EElement) -> EElement:
-    """Convert a rho-form to the zeta-form with the same action on e_3."""
-    if e.kind == "rho1":
-        return EElement("zeta1", e.n)
-    if e.kind == "rho2":
-        return EElement("zeta2", e.n - 1)
-    if e == EElement("zeta1", 0):  # s_1 fixes e_3
-        return IDENTITY_E
-    return e
+    w = word_of(EElement(f"zeta{i}", n))
+    return apply_word(q, w[:n], unit_vector(q, w[n]))
 
 
 def plan(alpha: dict, p: FamilyParams) -> ConstructionTrace:
@@ -446,7 +405,7 @@ def plan(alpha: dict, p: FamilyParams) -> ConstructionTrace:
     # a leading bare s_1 commutes across the separator (no arrows join
     # vertices 1 and 3), so fold it into the next block
     if len(blocks) >= 2 and blocks[0] == EElement("zeta1", 0):
-        blocks = [IDENTITY_E, s1_mul(blocks[1], p.f)] + blocks[2:]
+        blocks = [IDENTITY_E, reduce_word((1,) + word_of(blocks[1]), p.f)] + blocks[2:]
     if len(blocks) >= 2:
         blocks = list(rewrite_to_star(StarForm(tuple(blocks)).flatten(), p).chis)
     chi1 = blocks[-1]
@@ -459,9 +418,9 @@ def plan(alpha: dict, p: FamilyParams) -> ConstructionTrace:
         if chi.kind != "id":
             trace.extend(sigma_zeta_root(1 if chi.kind == "zeta1" else 2, chi.n, p))
 
-    if j == 3:
+    if j == 3:  # s_1 fixes e_3, so a rho tail acts on it as the zeta chi_1 s_1
         trace.base(unit_vector(q, 3))
-        extend_zeta(_rho_to_zeta_at_e3(chi1))
+        extend_zeta(reduce_word(word_of(chi1) + (1,), p.f) if chi1.kind in ("rho1", "rho2") else chi1)
     else:
         trace.base(first)
     for chi in reversed(blocks[:-1]):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_memos
+from conftest import clear_memos, sym_form
 
 from quiverforge import catalog, three_vertex
 from quiverforge.errors import ConstructionError, DomainError, InputError
@@ -26,14 +26,13 @@ from quiverforge.three_vertex import (
     build_family,
     build_subquiver,
     construct,
-    f1_reduce,
     kronecker_rep,
     plan,
     predicted_end_dim,
     realise,
     recognize_E,
+    reduce_word,
     rewrite_to_star,
-    s1_mul,
     segment_word,
     sigma_zeta_root,
     word_of,
@@ -77,11 +76,14 @@ def test_recognize_E():
 
 
 def test_s1_multiplication_table():
-    # check s1 * e = s1_mul(e) as Weyl group elements on e1, e2, e3
-    for e in [IDENTITY_E, EElement("zeta1", 0), EElement("zeta1", 2),
-              EElement("zeta2", 0), EElement("zeta2", 1),
-              EElement("rho1", 1), EElement("rho2", 2)]:
-        out = s1_mul(e, f=2)
+    # check s1 * e = reduce_word(1 e) as Weyl group elements on e1, e2, e3
+    expected = [EElement("zeta1", 0), IDENTITY_E, EElement("rho2", 2), EElement("rho1", 1),
+                EElement("rho1", 2), EElement("zeta2", 0), EElement("zeta1", 2)]
+    for e, want in zip([IDENTITY_E, EElement("zeta1", 0), EElement("zeta1", 2),
+                        EElement("zeta2", 0), EElement("zeta2", 1),
+                        EElement("rho1", 1), EElement("rho2", 2)], expected):
+        out = reduce_word((1,) + word_of(e), f=2)
+        assert out == want
         q = build_family(FamilyParams(2, 1, 1))
         for v in q.vertices:
             lhs = apply_word(q, (1,) + word_of(e), unit_vector(q, v))
@@ -92,14 +94,27 @@ def test_s1_multiplication_table():
 def test_f1_reduction_respects_braid_relation(q111):
     # over f = 1 the vertices 1, 2 satisfy the order-6 braid relation, so
     # the reduced element acts identically on all unit vectors
-    for kind, n in [("zeta1", 3), ("zeta2", 4), ("rho1", 3), ("rho2", 5)]:
+    for kind, n, want in [("zeta1", 3, EElement("zeta1", 0)), ("zeta2", 4, EElement("zeta1", 1)),
+                          ("rho1", 3, IDENTITY_E), ("rho2", 5, EElement("rho1", 1))]:
         e = EElement(kind, n)
-        r = f1_reduce(e)
-        assert r.n <= 1
+        r = reduce_word(word_of(e), f=1)
+        assert r == want
         for v in q111.vertices:
             assert apply_e(q111, e, unit_vector(q111, v)) == apply_e(
                 q111, r, unit_vector(q111, v)
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((1, 2)), max_size=12), st.sampled_from((1, 2, 3)))
+def test_reduce_word_is_the_element_the_word_equals(w, f):
+    # adjacent repeats allowed: s_i^2 = 1 cancels them, and f = 1 also
+    # reduces modulo the braid relation, to exponents n <= 1
+    q = build_family(FamilyParams(f, 1, 1))
+    e = reduce_word(w, f)
+    for v in q.vertices:
+        assert apply_e(q, e, unit_vector(q, v)) == apply_word(q, w, unit_vector(q, v))
+    assert f != 1 or e.n <= 1
 
 
 def test_segment_word_rejections():
@@ -173,14 +188,33 @@ def test_rewrite_f1_restricts_exponents():
 def test_sigma_zeta_root_dictionary():
     p = FamilyParams(2, 1, 1)
     q = build_family(p)
-    # odd branch: zeta_1(1) -> zeta_1(0)(e_2) = s_1(e_2) = (2,1,0)
+    # zeta_1(1) = s_1 s_2 s_1 -> s_1(e_2) = (2,1,0)
     assert sigma_zeta_root(1, 1, p) == {1: 2, 2: 1, 3: 0}
-    # even branch: zeta_2(0) -> e_2
+    # zeta_2(0) = s_2 -> e_2
     assert sigma_zeta_root(2, 0, p) == unit_vector(q, 2)
     with pytest.raises(InputError):
         sigma_zeta_root(1, 0, p)
     with pytest.raises(InputError):
         sigma_zeta_root(1, 2, FamilyParams(1, 1, 1))
+
+
+def test_zeta_is_the_reflection_in_its_sigma_root():
+    # zeta_i(n) acts on each e_v as the reflection in chi' = sigma_zeta_root(i, n)
+    cases = 0
+    for f in (1, 2, 3, 4):
+        for p in (FamilyParams(f, 1, 1), FamilyParams(f, 2, 3)):
+            q = build_family(p)
+            for i, n in itertools.product((1, 2), range(13)):
+                if (i == 1 and n == 0) or (f == 1 and n > 1):
+                    continue
+                chi = sigma_zeta_root(i, n, p)
+                for v in q.vertices:
+                    ev = unit_vector(q, v)
+                    c = sym_form(q, ev, chi)
+                    assert apply_e(q, EElement(f"zeta{i}", n), ev) == {
+                        u: ev[u] - c * chi[u] for u in q.vertices}, (p, i, n, v)
+                cases += 1
+    assert cases == 156
 
 
 def test_sigma_zeta_dims_match_word_action():
@@ -374,6 +408,31 @@ def test_construction_trace_is_pinned():
                 count += 1
     assert count == 204
     assert h.hexdigest() == TRACE_DIGEST
+
+
+# sha256 over json.dumps(plan(r, p).to_json(), sort_keys=True) for every real
+# root of the (family, height bound) cases below, in order: 1,344 roots whose
+# rewriting moves an s_1 out of a rho1 block 3,658 times and out of a rho2
+# block 415 times and folds a leading s_1 223 times; 519 plans start at S(3),
+# 225 of them with a rho1 tail acting as a zeta
+TALL_PLAN_DIGEST = "1661b80e34c9314923d10e135803eadde4c8347dae1b8725029ea980709d7111"
+
+
+def test_tall_plans_are_pinned(monkeypatch):
+    def no_matrices(self, *args, **kwargs):
+        raise AssertionError("plan must not build a matrix")
+
+    monkeypatch.setattr(Mat, "__init__", no_matrices)
+    h = hashlib.sha256()
+    count = 0
+    for fam, bound in [((1, 1, 1), 200), ((2, 1, 1), 80), ((1, 1, 2), 80), ((3, 1, 1), 40),
+                       ((2, 2, 2), 40), ((1, 3, 2), 60), ((4, 2, 3), 25)]:
+        p = FamilyParams(*fam)
+        for r in enumerate_real_roots(build_family(p), bound):
+            h.update(json.dumps(plan(r, p).to_json(), sort_keys=True).encode())
+            count += 1
+    assert count == 1344
+    assert h.hexdigest() == TALL_PLAN_DIGEST
 
 
 def test_realise_builds_each_distinct_stage_module_once(monkeypatch):
