@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -25,7 +26,9 @@ from .linalg import (
     PrimeField,
     QQ,
     _echelon,
+    cokernel,
     complement_coordinates,
+    hstack,
     kernel_vectors,
     mat_solve,
     rank,
@@ -360,17 +363,23 @@ def certify_indecomposable(x: Representation) -> Certificate:
 
     The End basis is read by _hom_blocks.  Each basis element b gets a
     scalar lambda_b (see _scalar_candidates); let N = {b - lambda_b}.
-    Endomorphisms are block-diagonal, so on V = sum_v X_v the chain
-    V, NV, N^2 V, ... is sum_v N_v^k X_v and reaches 0 when it does at
-    every vertex.  At v it runs on row vectors, X_v^*, under the
-    transposes, which generate a nilpotent algebra exactly when N_v does;
-    one forward elimination of the images per step.  If every chain
-    reaches 0, every product of elements of N vanishes, so N spans a
-    nilpotent subalgebra of End that misses 1; with End = k.1 + span N it
-    is an ideal of codimension 1, End is local and X is indecomposable.
-    If X is absolutely indecomposable, each b - lambda_b is in the
-    radical, so the chains reach 0: the test is complete for such X,
-    which every X_alpha of the construction is.
+    Endomorphisms are block-diagonal and commute with the arrows, so on
+    row vectors each b_v keeps U_v = ann (JX)_v, the dual of the top
+    (X/JX)_v (J is the arrow ideal).  At each vertex the chain U_v,
+    U_v N, U_v N^2, ... runs under the transposes, one forward
+    elimination of the images per step.  If it reaches 0 after k steps
+    at every vertex, every product of k elements of N maps X into JX, so
+    every product of kL of them maps X into J^L X, which is 0 for
+    L = dim X when the coefficient quiver has no oriented cycle, as for a
+    tree module.  Where it has one, the chains start from all of X_v^*.
+    Either way every long enough product of elements of N vanishes, so
+    N spans a nilpotent subalgebra of End that misses 1; with
+    End = k.1 + span N it is an ideal of codimension 1, End is local and
+    X is indecomposable.  If X is absolutely indecomposable, each
+    b - lambda_b is in the radical, so the chains reach 0: the test is
+    complete for such X, which every X_alpha of the construction is.  A
+    chain from U_v stalls exactly when the one from X_v^* does, so the
+    start changes no verdict.
 
     When a chain stalls, or some b has no unique lambda_b, the Fitting
     split X_v = im n_v^d + ker n_v^d of n = b - lambda is tried for each
@@ -389,7 +398,8 @@ def certify_indecomposable(x: Representation) -> Certificate:
     candidates = [_scalar_candidates(x, b) for b in basis]
     if all(len(lams) == 1 for lams in candidates):
         lams = [lam for (lam,) in candidates]
-        if all(_chain_reaches_zero([b[v] for b in basis], lams, x.dims[v], field)
+        top = _coefficient_quiver_is_acyclic(x)
+        if all(_chain_reaches_zero([b[v] for b in basis], lams, _chain_start(x, v, top), field)
                for v in x.quiver.vertices):
             return Certificate(len(basis), "indecomposable")
     for b, lams in zip(basis, candidates):
@@ -398,6 +408,34 @@ def certify_indecomposable(x: Representation) -> Certificate:
             if e is not None:
                 return Certificate(len(basis), "decomposable", e)
     return Certificate(len(basis), "inconclusive")
+
+
+def _coefficient_quiver_is_acyclic(x: Representation) -> bool:
+    """Whether the coefficient quiver, a node (v, i) per basis vector and
+    an edge (t(a), c) -> (h(a), r) per nonzero X_a[r][c], has no oriented
+    cycle: Kahn's algorithm removes every edge exactly when it has none."""
+    succ, indeg = defaultdict(list), defaultdict(int)
+    for a in x.quiver.arrows:
+        for r, row in enumerate(x.mats[a.id].entries):
+            indeg[a.head, r] += len(row)
+            for c in row:
+                succ[a.tail, c].append((a.head, r))
+    left, ready = sum(indeg.values()), [n for n in succ if not indeg[n]]
+    while ready:
+        for n in succ[ready.pop()]:
+            left -= 1
+            indeg[n] -= 1
+            if not indeg[n] and n in succ:
+                ready.append(n)
+    return not left
+
+
+def _chain_start(x: Representation, v, top: bool) -> Sequence[dict]:
+    """A basis of U_v = ann (JX)_v as rows if top, else the unit rows of X_v^*."""
+    if not top:
+        return [{j: 1} for j in range(x.dims[v])]
+    ins = [x.mats[a.id] for a in x.quiver.arrows if a.head == v]
+    return cokernel(hstack(ins, rows=x.dims[v], field=x.field))[1].entries
 
 
 def _minus_scalar(rows, lam, field) -> Mat:
@@ -423,13 +461,13 @@ def _scalar_candidates(x: Representation, b) -> list:
     return [lam for lam in range(p) if rank(_minus_scalar(b[v], lam, x.field)) < x.dims[v]]
 
 
-def _chain_reaches_zero(blocks, lams, d: int, field) -> bool:
-    """Whether W, WN, WN^2, ... reaches 0 from W = F^d, N being the
-    b_v - lambda_b acting on row vectors, each b_v given by its rows;
-    each step keeps the echelon rows of the images as the basis of the
-    next space: only its dimension is compared, and they span it."""
+def _chain_reaches_zero(blocks, lams, layer, field) -> bool:
+    """Whether W, WN, WN^2, ... reaches 0 from W spanned by the independent
+    rows layer, N being the b_v - lambda_b acting on row vectors, each b_v
+    given by its rows, and WN inside W; each step keeps the echelon rows
+    of the images as the basis of the next space: only its dimension is
+    compared, and they span it."""
     p = field.p
-    layer = [{j: 1} for j in range(d)]
     while layer:
         images = []
         for rows, lam in zip(blocks, lams):

@@ -17,6 +17,12 @@ fitting_idempotent is the certificate's Fitting witness as reps built it
 from a pivot scan, a kernel basis and a matrix inverse, before it became
 one solve; the unique projection must come out the same either way.
 
+certify_indecomposable is the certificate as reps ran it while every
+vertex's nilpotency chain started from all of X_v^*, the unit rows, on
+cyclic and acyclic coefficient quivers alike; reps now starts it from
+the annihilator of (JX)_v where the coefficient quiver is acyclic, and
+must return the same dim End, verdict and witness.
+
 zero_rep and nonzero_count are test helpers too.  nonzero_count reads
 the stored entries of the arrow matrices directly, so it stays a count
 independent of trees.coefficient_quiver, whose edges tests compare with
@@ -26,9 +32,17 @@ it.
 from typing import List
 
 from quiverforge.errors import InputError
-from quiverforge.linalg import Mat, QQ
+from quiverforge.linalg import Mat, QQ, _echelon
 from quiverforge.quiver import Quiver
-from quiverforge.reps import Morphism, Representation, identity_morphism
+from quiverforge.reps import (
+    Certificate,
+    Morphism,
+    Representation,
+    _fitting_idempotent,
+    _hom_blocks,
+    _scalar_candidates,
+    identity_morphism,
+)
 from reference_linalg import ref_complement, ref_kernel_basis, ref_mat_solve, ref_pivot_columns
 
 
@@ -150,6 +164,46 @@ def fitting_idempotent(x: Representation, b, lam):
     if e.is_zero() or e == identity_morphism(x) or not e.is_valid() or e.compose(e) != e:
         return None
     return e
+
+
+def chain_reaches_zero(blocks, lams, d: int, field) -> bool:
+    """Whether W, WN, WN^2, ... reaches 0 from W = F^d, N being the
+    b_v - lambda_b acting on row vectors, each b_v given by its rows."""
+    p = field.p
+    layer = [{j: 1} for j in range(d)]
+    while layer:
+        images = []
+        for rows, lam in zip(blocks, lams):
+            for w in layer:
+                img = {j: -lam * a for j, a in w.items()} if lam else {}
+                for j, a in w.items():
+                    for c, val in rows[j].items():
+                        img[c] = img.get(c, 0) + a * val
+                img = {c: val % p for c, val in img.items() if val % p}
+                if img:
+                    images.append(img)
+        nxt = list(_echelon(images, field).values())
+        if len(nxt) == len(layer):  # WN is inside W, so equal sizes mean WN = W != 0
+            return False
+        layer = nxt
+    return True
+
+
+def certify_indecomposable(x: Representation) -> Certificate:
+    """The full-start certificate: each chain runs on all of X_v^*."""
+    basis = _hom_blocks(x, x)
+    candidates = [_scalar_candidates(x, b) for b in basis]
+    if all(len(lams) == 1 for lams in candidates):
+        lams = [lam for (lam,) in candidates]
+        if all(chain_reaches_zero([b[v] for b in basis], lams, x.dims[v], x.field)
+               for v in x.quiver.vertices):
+            return Certificate(len(basis), "indecomposable")
+    for b, lams in zip(basis, candidates):
+        for lam in dict.fromkeys([*lams, 0]):
+            e = _fitting_idempotent(x, b, lam)
+            if e is not None:
+                return Certificate(len(basis), "decomposable", e)
+    return Certificate(len(basis), "inconclusive")
 
 
 def zero_rep(q: Quiver, field=QQ) -> Representation:

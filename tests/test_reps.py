@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import reference_reps
 from conftest import check_storage, random_rep
 from quiverforge.errors import DomainError, InputError
-from quiverforge.linalg import GF, Mat, QQ, cokernel, kernel_basis, rank
+from quiverforge.linalg import GF, Mat, QQ, cokernel, hstack, kernel_basis, rank
 from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots, ringel_form
+from quiverforge import reps
 from quiverforge.reps import (
     Representation,
     _fitting_idempotent,
@@ -271,10 +272,54 @@ def test_certificate_rejects_q_and_zero(q111):
         certify_indecomposable(zero_rep(q111, GF(2)))
 
 
+@pytest.mark.parametrize("p, copies", [(2, 3), (3, 2)])
+def test_certificate_starts_from_all_of_x_on_a_cyclic_coefficient_quiver(q111, p, copies):
+    # Y has dims (0, 1, 1) and both cycle arrows 1, so JY = Y and the top
+    # of a sum of copies of Y is 0: a chain started there reaches 0 at once,
+    # although End is M_copies(F_p); the oriented cycle must send it to the
+    # full start.  Over F_2 two copies would give no unique scalars, and no chain
+    f = GF(p)
+    y = Representation(q111, {1: 0, 2: 1, 3: 1},
+                       {"la1": Mat(1, 0, [[]], f), "mu1": Mat(1, 1, [[1]], f), "nu1": Mat(1, 1, [[1]], f)}, f)
+    x = block_sum([y] * copies)
+    cert = certify_indecomposable(x)
+    assert cert.end_dim == copies**2
+    _assert_witness(x, cert)
+
+
+def test_certificate_chain_starts_from_the_top_of_a_tree_module(monkeypatch):
+    # X_(5,8,4) of Q(1,1,1) over F_3 is a tree module, so each vertex's
+    # chain starts from ann (JX)_v, of dim d_v - rank of the maps into v
+    x, _ = construct({1: 5, 2: 8, 3: 4}, FamilyParams(1, 1, 1), GF(3))
+    chain, starts = reps._chain_reaches_zero, []
+
+    def recording_chain(blocks, lams, layer, field):
+        starts.append(len(layer))
+        return chain(blocks, lams, layer, field)
+
+    monkeypatch.setattr(reps, "_chain_reaches_zero", recording_chain)
+    assert certify_indecomposable(x) == (8, "indecomposable", None)
+    tops = [x.dims[v] - rank(hstack([x.mats[a.id] for a in x.quiver.arrows if a.head == v],
+                                    rows=x.dims[v], field=x.field))
+            for v in x.quiver.vertices]
+    assert starts == tops
+    assert sum(starts) < x.total_dim()
+
+
 _CERTIFICATE_QUIVERS = [
     build_family(FamilyParams(1, 1, 1)),
     Quiver((1, 2), [Arrow("a1", 1, 2), Arrow("a2", 1, 2)]),
 ]
+
+
+def _certificate_matching_the_full_start(x):
+    """certify_indecomposable(x), checked equal to the full-start reference:
+    dim End, verdict and the witness's parts."""
+    cert, ref = certify_indecomposable(x), reference_reps.certify_indecomposable(x)
+    assert cert[:2] == ref[:2]
+    assert (cert.idempotent is None) == (ref.idempotent is None)
+    assert cert.idempotent is None or cert.idempotent.parts == ref.idempotent.parts
+    return cert
 
 
 @settings(max_examples=80, deadline=None)
@@ -285,18 +330,36 @@ _CERTIFICATE_QUIVERS = [
     st.integers(0, 2**32),
 )
 def test_certificate_agrees_with_the_oracle(q, field, summands, seed):
-    # one random rep, or the direct sum of two or three smaller ones
+    # one random rep, or the direct sum of two or three smaller ones; those
+    # of Q(1,1,1) mostly have an oriented cycle in their coefficient quiver
+    # and start each chain from all of X, those of the Kronecker quiver never
+    # do and start from the top, and either way the full start must agree
     rng = random.Random(seed)
     parts = [random_rep(q, rng, max_dim=3 if summands == 1 else 2, field=field)
              for _ in range(summands)]
     x = parts[0] if len(parts) == 1 else block_sum(parts)
-    cert = certify_indecomposable(x)
+    cert = _certificate_matching_the_full_start(x)
     assert cert.end_dim == end_dim(x)
     if cert.verdict == "decomposable":
         _assert_witness(x, cert)
     oracle = is_indecomposable_oracle(x, 3**6).verdict
     if oracle != "inconclusive":
         assert cert.verdict in (oracle, "inconclusive")
+
+
+_SUMMAND_ROOTS = {params: enumerate_real_roots(build_family(params), 10)
+                  for params in (FamilyParams(1, 1, 1), FamilyParams(2, 1, 1))}
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.sampled_from(list(_SUMMAND_ROOTS)), st.sampled_from([GF(2), GF(3), GF(5)]), st.data())
+def test_certificate_matches_the_full_start_on_sums_of_tree_modules(params, field, data):
+    # X_alpha + X_beta of one family is acyclic and decomposable: the chains
+    # start from its top, stall where the full start stalls, and the Fitting
+    # witness is the one the full start finds
+    alpha, beta = (data.draw(st.sampled_from(_SUMMAND_ROOTS[params])) for _ in range(2))
+    x = block_sum([construct(alpha, params, field)[0], construct(beta, params, field)[0]])
+    assert _certificate_matching_the_full_start(x).verdict == "decomposable"
 
 
 @settings(max_examples=60, deadline=None)
