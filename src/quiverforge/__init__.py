@@ -18,10 +18,8 @@ from .reps import (
     certify_indecomposable,
     end_dim,
     euler_form_check,
-    hom_basis,
     hom_dim,
     homext,
-    is_indecomposable_oracle,
     simple_rep,
 )
 from .functors import bgp_reflect, maximal_rank_report, sigma, sigma_bar, sigma_under
@@ -35,7 +33,7 @@ from .three_vertex import (
     kronecker_rep,
     plan,
     predicted_end_dim,
-    rewrite_to_star,
+    to_star_form,
 )
 from .trees import coefficient_quiver, export_dot, is_tree
 from .catalog import run_catalog

@@ -16,15 +16,15 @@ from typing import List, Optional, Tuple
 from .errors import QuiverForgeError
 from .linalg import PrimeField
 from .quiver import enumerate_real_roots
-from .reps import certify_indecomposable, end_dim, is_indecomposable_oracle
+from .reps import certify_indecomposable, end_dim
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag
 from .three_vertex import FamilyParams, build_family, construct
 from .trees import coefficient_quiver, is_tree
 
 SCHEMA_VERSION = 1
-# the exhaustive idempotent search is an opt-in cross-check of the
-# certificate: 0 leaves it off
+# unread here: perfbench/workloads.py still appends it to check_root's
+# task; both go with the benchmark refresh on ROADMAP.md
 DEFAULT_ORACLE_BUDGET = 0
 
 
@@ -73,14 +73,14 @@ class CatalogReport:
 
 def check_root(task) -> RootRecord:
     """Construct and verify a single root.  Takes a picklable tuple
-    (f, g, h, alpha, field_flag, oracle_budget).
+    (f, g, h, alpha, field_flag).
 
     Over a prime field one elimination of delta(X, X) gives dim End and
     the indecomposability certificate, and the record is ok only when X
-    is certified indecomposable; an oracle_budget > 0 adds the
-    exhaustive idempotent search as a cross-check.  Over Q nothing
-    certifies indecomposability, so the verdict is "skipped"."""
-    f, g, h, alpha_t, field_flag, budget = task
+    is certified indecomposable.  Over Q nothing certifies
+    indecomposability, so the verdict is "skipped"."""
+    # perfbench still appends DEFAULT_ORACLE_BUDGET as a sixth field
+    f, g, h, alpha_t, field_flag = task[:5]
     start = time.perf_counter()
     p = FamilyParams(f, g, h)
     q = build_family(p)
@@ -105,22 +105,13 @@ def check_root(task) -> RootRecord:
         else:
             rec.end_computed = end_dim(rep)
         rec.end_ok = rec.end_predicted == rec.end_computed
-        if prime and budget > 0:
-            # the search decides where the certificate could not, and must
-            # agree with it where both are conclusive
-            search = is_indecomposable_oracle(rep, budget).verdict
-            if rec.oracle == "inconclusive":
-                rec.oracle = search
-            elif search not in ("inconclusive", rec.oracle):
-                rec.error = f"the certificate says {rec.oracle}, the idempotent search {search}"
-        oracle_ok = rec.error is None and rec.oracle == ("indecomposable" if prime else "skipped")
         rec.ok = (
             rec.dims_match
             and rec.maxrank_ok
             and rec.tree_ok
             and rec.nonzero_ok
             and rec.end_ok
-            and oracle_ok
+            and rec.oracle == ("indecomposable" if prime else "skipped")
         )
     except QuiverForgeError as exc:
         rec.error = str(exc)
@@ -138,14 +129,10 @@ def run_catalog(
     bound: int,
     field_flag: str = "q",
     jobs: int = 1,
-    oracle_budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> CatalogReport:
     q = build_family(p)
     roots = enumerate_real_roots(q, bound)
-    tasks = [
-        (p.f, p.g, p.h, tuple(r[v] for v in q.vertices), field_flag, oracle_budget)
-        for r in roots
-    ]
+    tasks = [(p.f, p.g, p.h, tuple(r[v] for v in q.vertices), field_flag) for r in roots]
     # a pool starts all its workers at once: more than roots or cores idle
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

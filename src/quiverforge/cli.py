@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .catalog import DEFAULT_ORACLE_BUDGET, run_catalog
+from .catalog import run_catalog
 from .errors import ConstructionError, DomainError, InputError
 from .quiver import classify_root, enumerate_real_roots, quiver_from_json
 from .reps import end_dim, euler_form_check, homext
@@ -216,13 +216,7 @@ def cmd_homext(ns) -> int:
 
 def cmd_catalog(ns) -> int:
     p = _family(ns)
-    report = run_catalog(
-        p,
-        ns.bound,
-        field_flag=ns.field,
-        jobs=ns.jobs,
-        oracle_budget=ns.oracle_budget,
-    )
+    report = run_catalog(p, ns.bound, field_flag=ns.field, jobs=ns.jobs)
     _write_json(ns.out, report.to_json())
     n = len(report.records)
     bad = sum(1 for r in report.records if not r.ok)
@@ -294,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("QUIVERFORGE_JOBS", "1"),
         help="worker processes (default $QUIVERFORGE_JOBS or 1)",
     )
-    sp.add_argument("--oracle-budget", type=_integer(0), default=DEFAULT_ORACLE_BUDGET,
-                    help="budget for the exhaustive idempotent search over a prime field: "
-                         "0 (default) leaves it off; N > 0 also runs it where p^dim End <= N, "
-                         "as a cross-check of the indecomposability certificate")
     sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.set_defaults(func=cmd_catalog)
     return ap

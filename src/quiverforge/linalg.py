@@ -27,17 +27,16 @@ scalars of F_p are plain ints in [0, p).  Entries are checked where they
 enter: by default Mat takes dense rows or dict rows of numbers, checks
 each column, sends each entry through its field's `of`, and keeps what
 is nonzero there.  That is the path of JSON, the CLI, tests, and the
-arithmetic that does plain + - * on nonzeros (mul, add, scale,
-mat_solve, which reads _rref's rows) and leaves the normalising, and
-dropping what cancels, to Mat.  Producers that only copy, select or
-negate entries of Mats, or write ones, pass canonical=True and Mat keeps
-their rows unchecked: transpose, submatrix, hstack, vstack, zeros,
-identity, kernel_basis and cokernel here, and the delta map, block
-sums, Hom bases and the memo read-back elsewhere.  The
-elimination works on sparse rows outside Mat, so it keeps its own
-values: over F_p it reduces every update mod p; over Q int arithmetic
-stays int (delta's entries are +-1) and a Fraction appears only when a
-row is scaled by a pivot other than +-1.
+arithmetic that does plain + - * on nonzeros (mul, and mat_solve,
+which reads _rref's rows) and leaves the normalising, and dropping what
+cancels, to Mat.  Producers that only copy, select or negate entries of
+Mats, or write ones, pass canonical=True and Mat keeps their rows
+unchecked: transpose, submatrix, hstack, vstack, zeros, identity,
+kernel_basis and cokernel here, and the delta map, block sums and the
+memo read-back elsewhere.  The elimination works on sparse rows outside
+Mat, so it keeps its own values: over F_p it reduces every update mod p;
+over Q int arithmetic stays int (delta's entries are +-1) and a Fraction
+appears only when a row is scaled by a pivot other than +-1.
 """
 
 from __future__ import annotations
@@ -169,9 +168,8 @@ class Mat:
         producers that pass it copy, select or negate (through field.of)
         entries of Mats they were given, or write ones: transpose,
         submatrix, hstack, vstack, zeros, identity, kernel_basis,
-        cokernel, and in reps and three_vertex the delta map, block sums,
-        Hom bases and memo read-backs.  mul, add, scale and mat_solve do
-        not: their sums and products can cancel to zero, leave p's
+        cokernel, and in reps and three_vertex the delta map, block sums
+        and memo read-backs.  mul and mat_solve do not: their sums and products can cancel to zero, leave p's
         multiples or give an integral Fraction, which this constructor
         drops or normalises."""
         if rows < 0 or cols < 0:
@@ -260,21 +258,6 @@ class Mat:
                     row[j] = row.get(j, 0) + a * b
             out.append(row)
         return Mat(self.rows, other.cols, out, self.field)
-
-    def add(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("shape mismatch in matrix sum")
-        out = []
-        for r1, r2 in zip(self.entries, other.entries):
-            row = dict(r1)
-            for j, b in r2.items():
-                row[j] = row.get(j, 0) + b
-            out.append(row)
-        return Mat(self.rows, self.cols, out, self.field)
-
-    def scale(self, c) -> "Mat":
-        c = self.field.of(c)
-        return Mat(self.rows, self.cols, [{j: c * x for j, x in row.items()} for row in self.entries], self.field)
 
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows, _sparse_transpose(self.entries, self.cols), self.field, canonical=True)

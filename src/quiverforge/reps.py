@@ -93,23 +93,11 @@ class Morphism:
         parts = {v: self.parts[v].mul(other.parts[v]) for v in self.parts}
         return Morphism(other.source, self.target, parts)
 
-    def add(self, other: "Morphism") -> "Morphism":
-        parts = {v: self.parts[v].add(other.parts[v]) for v in self.parts}
-        return Morphism(self.source, self.target, parts)
-
-    def scale(self, c) -> "Morphism":
-        return Morphism(self.source, self.target, {v: m.scale(c) for v, m in self.parts.items()})
-
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.parts.values())
 
     def __eq__(self, other):
         return isinstance(other, Morphism) and self.parts == other.parts
-
-
-def zero_morphism(x: Representation, y: Representation) -> Morphism:
-    parts = {v: Mat.zeros(y.dims[v], x.dims[v], x.field) for v in x.quiver.vertices}
-    return Morphism(x, y, parts)
 
 
 def identity_morphism(x: Representation) -> Morphism:
@@ -228,13 +216,6 @@ def _hom_blocks(x: Representation, y: Representation) -> List[dict]:
     return out
 
 
-def hom_basis(x: Representation, y: Representation) -> List[Morphism]:
-    """Basis of Hom(X,Y): the kernel of the delta matrix, one Mat per vertex."""
-    return [Morphism(x, y, {v: Mat(y.dims[v], x.dims[v], rows, x.field, canonical=True)
-                            for v, rows in b.items()})
-            for b in _hom_blocks(x, y)]
-
-
 def hom_dim(x: Representation, y: Representation) -> int:
     d = delta_matrix(x, y)
     return d.cols - rank(d)
@@ -313,42 +294,6 @@ def euler_form_check(x: Representation, y: Representation, he: HomExt) -> bool:
     matrices; two eliminations of delta make it a check that they agree.
     """
     return hom_dim(x, y) - he.ext == ringel_form(x.quiver, x.dims, y.dims)
-
-
-@dataclass
-class OracleResult:
-    verdict: str  # indecomposable | decomposable | inconclusive
-    idempotent: Optional[Morphism] = None
-
-
-def is_indecomposable_oracle(x: Representation, budget: int) -> OracleResult:
-    """Exhaustive idempotent search in End(X) over a prime field.
-
-    Decomposable iff some e with e^2 = e, e != 0, e != id exists among
-    all p^(dim End) coefficient combinations; inconclusive when that
-    count exceeds the budget.
-    """
-    if not isinstance(x.field, PrimeField):
-        raise InputError("indecomposability oracle requires a prime-field representation")
-    if x.total_dim() == 0:
-        raise DomainError("zero representation is neither")
-    basis = hom_basis(x, x)
-    d = len(basis)
-    p = x.field.p
-    if p**d > budget:
-        return OracleResult("inconclusive")
-    ident = identity_morphism(x)
-    zero = zero_morphism(x, x)
-    for coeffs in itertools.product(range(p), repeat=d):
-        e = zero
-        for c, b in zip(coeffs, basis):
-            if c:
-                e = e.add(b.scale(c))
-        if e == zero or e == ident:
-            continue
-        if e.compose(e) == e:
-            return OracleResult("decomposable", e)
-    return OracleResult("indecomposable")
 
 
 class Certificate(NamedTuple):

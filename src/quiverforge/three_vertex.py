@@ -189,14 +189,15 @@ def segment_word(w: Sequence[int], p: FamilyParams, strict: bool = True) -> List
     return blocks
 
 
-def rewrite_to_star(w: Sequence[int], p: FamilyParams) -> StarForm:
-    """Rewrite a segmentable word into the star normal form.
+def to_star_form(blocks: Sequence[EElement], p: FamilyParams) -> StarForm:
+    """Rewrite the blocks chi'_m, ..., chi'_1 of a segmentable word, as
+    segment_word returns them, into the star normal form.
 
     Descending pass over the blocks: zeta blocks are kept, and a rho
     block chi becomes chi s_1 while the block to its right takes s_1 on
     its left, as s_1 commutes with s_3 (no arrow joins vertices 1 and 3).
     """
-    blocks = segment_word(w, p)
+    blocks = list(blocks)
     for j in range(len(blocks) - 1):  # positions chi'_m .. chi'_2, left to right
         if blocks[j].kind in ("rho1", "rho2"):
             blocks[j] = reduce_word(word_of(blocks[j]) + (1,), p.f)
@@ -407,7 +408,7 @@ def plan(alpha: dict, p: FamilyParams) -> ConstructionTrace:
     if len(blocks) >= 2 and blocks[0] == EElement("zeta1", 0):
         blocks = [IDENTITY_E, reduce_word((1,) + word_of(blocks[1]), p.f)] + blocks[2:]
     if len(blocks) >= 2:
-        blocks = list(rewrite_to_star(StarForm(tuple(blocks)).flatten(), p).chis)
+        blocks = list(to_star_form(blocks, p).chis)
     chi1 = blocks[-1]
     first = apply_e(q, chi1, unit_vector(q, j))
     if any(x < 0 for x in first.values()):

@@ -7,7 +7,7 @@ from quiverforge.linalg import Mat, QQ
 from quiverforge.quiver import Arrow, DimVector, Quiver, ringel_form
 from quiverforge.reps import Representation
 from quiverforge import quiver, three_vertex
-from quiverforge.three_vertex import FamilyParams, build_family
+from quiverforge.three_vertex import FamilyParams, StarForm, build_family, segment_word, to_star_form
 
 
 def clear_memos():
@@ -56,6 +56,12 @@ def random_rep(q: Quiver, rng: random.Random, max_dim: int = 4, field=QQ) -> Rep
             field,
         )
     return Representation(q, dims, mats, field)
+
+
+def rewrite_to_star(w, p: FamilyParams) -> StarForm:
+    """The star form of a segmentable word: plan's block rewriting applied
+    to the word's blocks, as strict segment_word splits and checks them."""
+    return to_star_form(segment_word(w, p), p)
 
 
 def sym_form(q: Quiver, a: DimVector, b: DimVector) -> int:

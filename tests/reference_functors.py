@@ -21,7 +21,8 @@ from quiverforge.errors import ConstructionError, InputError
 from quiverforge.functors import RankViolation, _blocks, assert_exceptional
 from quiverforge.linalg import Mat, PrimeField, cokernel, hstack, kernel_basis, mat_solve, rank, vstack
 from quiverforge.quiver import Arrow, Quiver
-from quiverforge.reps import Morphism, Representation, hom_basis, homext, identity_morphism
+from quiverforge.reps import Morphism, Representation, homext, identity_morphism
+from reference_reps import combination, hom_morphisms
 
 
 @dataclass
@@ -131,7 +132,7 @@ def membership(x: Representation, s: Representation) -> MembershipReport:
 def sigma_bar_inv(s: Representation, z: Representation) -> Representation:
     """Intersection of the kernels of all maps Z -> S, with restricted maps."""
     assert_exceptional(s)
-    phis = hom_basis(z, s)
+    phis = hom_morphisms(z, s)
     q = z.quiver
     incl = {}
     for v in q.vertices:
@@ -151,7 +152,7 @@ def sigma_bar_inv(s: Representation, z: Representation) -> Representation:
 def sigma_under_inv(s: Representation, u: Representation) -> Representation:
     """Quotient of U by the sum of images of all maps S -> U."""
     assert_exceptional(s)
-    psis = hom_basis(s, u)
+    psis = hom_morphisms(s, u)
     q = u.quiver
     rep_inj, proj = {}, {}
     for v in q.vertices:
@@ -174,7 +175,7 @@ def find_isomorphism(x: Representation, y: Representation):
     """
     if x.dims != y.dims:
         return None
-    fwd = hom_basis(x, y)
+    fwd = hom_morphisms(x, y)
     if not fwd:
         return None
     idx = identity_morphism(x)
@@ -183,11 +184,7 @@ def find_isomorphism(x: Representation, y: Representation):
     if isinstance(x.field, PrimeField):
         samples = min(samples, x.field.p)
     for t in range(samples):
-        c = x.field.of(1)
-        f = fwd[0]
-        for m in fwd[1:]:
-            c = c * x.field.of(t)
-            f = f.add(m.scale(c))
+        f = combination(x, y, [(x.field.of(t**k), m) for k, m in enumerate(fwd)])
         parts = {v: mat_solve(f.parts[v], Mat.identity(x.dims[v], x.field)) for v in x.quiver.vertices}
         if None in parts.values():
             continue

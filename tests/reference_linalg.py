@@ -13,8 +13,8 @@ complement, then the bottom rows of the inverse of [image | complement].
 Over GF(p) they run on Fp lifts of the residues and return plain
 residues; over QQ they run on Fraction lifts of the entries.
 
-ref_mul, ref_add and ref_scale are the dense arithmetic of the old Mat,
-cell by cell over every cell, zeros included, on the same lifts.
+ref_mul is the dense product of the old Mat, cell by cell over every
+cell, zeros included, on the same lifts.
 
 greedy_complement is the original incremental row-space scan behind
 the complement of linalg.cokernel: reduce each column of the span into
@@ -153,16 +153,6 @@ def ref_mul(a, b) -> tuple:
             acc = [s + x * y for s, y in zip(acc, lb[k])]
         out.append(acc)
     return _lower(out)
-
-
-def ref_add(a, b) -> tuple:
-    return _lower([[x + y for x, y in zip(r, s)] for r, s in zip(_lift(a), _lift(b))])
-
-
-def ref_scale(a, c: int) -> tuple:
-    p = getattr(a.field, "p", None)
-    c = Fp(c, p) if p else Fraction(c)
-    return _lower([[c * x for x in row] for row in _lift(a)])
 
 
 def ref_pivot_columns(m) -> list:

@@ -23,16 +23,25 @@ cyclic and acyclic coefficient quivers alike; reps now starts it from
 the annihilator of (JX)_v where the coefficient quiver is acyclic, and
 must return the same dim End, verdict and witness.
 
+is_indecomposable_oracle is the exhaustive idempotent search over all
+p^(dim End) elements of End(X) that reps shipped, as an opt-in
+cross-check, until the certificate decided every catalog root; it stays
+here as the certificate's agreement oracle.  hom_morphisms is the Hom
+basis as Morphisms it read, and combination the sums of scaled
+morphisms it and find_isomorphism build.
+
 zero_rep and nonzero_count are test helpers too.  nonzero_count reads
 the stored entries of the arrow matrices directly, so it stays a count
 independent of trees.coefficient_quiver, whose edges tests compare with
 it.
 """
 
-from typing import List
+import itertools
+from dataclasses import dataclass
+from typing import List, Optional
 
-from quiverforge.errors import InputError
-from quiverforge.linalg import Mat, QQ, _echelon
+from quiverforge.errors import DomainError, InputError
+from quiverforge.linalg import Mat, PrimeField, QQ, _echelon
 from quiverforge.quiver import Quiver
 from quiverforge.reps import (
     Certificate,
@@ -204,6 +213,59 @@ def certify_indecomposable(x: Representation) -> Certificate:
             if e is not None:
                 return Certificate(len(basis), "decomposable", e)
     return Certificate(len(basis), "inconclusive")
+
+
+def hom_morphisms(x: Representation, y: Representation) -> List[Morphism]:
+    """Basis of Hom(X,Y) as Morphisms, one Mat per vertex, read from
+    reps._hom_blocks."""
+    return [Morphism(x, y, {v: Mat(y.dims[v], x.dims[v], rows, x.field, canonical=True)
+                            for v, rows in b.items()})
+            for b in _hom_blocks(x, y)]
+
+
+def combination(x: Representation, y: Representation, terms) -> Morphism:
+    """The sum of c f over the pairs (c, f) of terms, morphisms X -> Y;
+    Mat normalises the sums and drops what cancels."""
+    parts = {}
+    for v in x.quiver.vertices:
+        rows = [{} for _ in range(y.dims[v])]
+        for c, f in terms:
+            for row, f_row in zip(rows, f.parts[v].entries):
+                for j, val in f_row.items():
+                    row[j] = row.get(j, 0) + c * val
+        parts[v] = Mat(y.dims[v], x.dims[v], rows, x.field)
+    return Morphism(x, y, parts)
+
+
+@dataclass
+class OracleResult:
+    verdict: str  # indecomposable | decomposable | inconclusive
+    idempotent: Optional[Morphism] = None
+
+
+def is_indecomposable_oracle(x: Representation, budget: int) -> OracleResult:
+    """Exhaustive idempotent search in End(X) over a prime field.
+
+    Decomposable iff some e with e^2 = e, e != 0, e != id exists among
+    all p^(dim End) coefficient combinations; inconclusive when that
+    count exceeds the budget.
+    """
+    if not isinstance(x.field, PrimeField):
+        raise InputError("indecomposability oracle requires a prime-field representation")
+    if x.total_dim() == 0:
+        raise DomainError("zero representation is neither")
+    basis = hom_morphisms(x, x)
+    p = x.field.p
+    if p ** len(basis) > budget:
+        return OracleResult("inconclusive")
+    ident = identity_morphism(x)
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        e = combination(x, x, [(c, b) for c, b in zip(coeffs, basis) if c])
+        if e.is_zero() or e == ident:
+            continue
+        if e.compose(e) == e:
+            return OracleResult("decomposable", e)
+    return OracleResult("indecomposable")
 
 
 def zero_rep(q: Quiver, field=QQ) -> Representation:

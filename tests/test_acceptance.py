@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import random_rep
+from conftest import random_rep, rewrite_to_star
 from quiverforge.errors import InputError
 from quiverforge.linalg import GF, Mat
 from quiverforge.quiver import (
@@ -26,7 +26,6 @@ from quiverforge.reps import (
     end_dim,
     hom_dim,
     homext,
-    is_indecomposable_oracle,
 )
 from quiverforge.functors import maximal_rank_report, sigma_bar, sigma_under
 from quiverforge.quiver import Arrow, Quiver
@@ -37,7 +36,6 @@ from quiverforge.three_vertex import (
     construct,
     kronecker_rep,
     predicted_end_dim,
-    rewrite_to_star,
 )
 from quiverforge.trees import coefficient_quiver, is_tree
 from reference_functors import (
@@ -47,7 +45,7 @@ from reference_functors import (
     sigma_bar_inv,
     sigma_under_inv,
 )
-from reference_reps import nonzero_count
+from reference_reps import is_indecomposable_oracle, nonzero_count
 
 FAMILIES = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 2), (3, 1, 2)]
 BOUND = 12

@@ -15,7 +15,6 @@ from quiverforge.reps import (
     end_dim,
     hom_dim,
     homext,
-    is_indecomposable_oracle,
     simple_rep,
 )
 from quiverforge.functors import (
@@ -45,7 +44,7 @@ from reference_functors import (
     sigma_bar_inv,
     sigma_under_inv,
 )
-from reference_reps import nonzero_count
+from reference_reps import is_indecomposable_oracle, nonzero_count
 
 
 def counterexample_rep(q, field=None):

@@ -11,14 +11,12 @@ from reference_linalg import (
     _lower,
     _ref_rref,
     greedy_complement,
-    ref_add,
     ref_cokernel,
     ref_complement,
     ref_kernel_basis,
     ref_mat_solve,
     ref_mul,
     ref_pivot_columns,
-    ref_scale,
 )
 
 from quiverforge.errors import InputError
@@ -335,17 +333,16 @@ def test_prime_field_linalg_matches_fp_reference(f, n, k, extra, zeros, data):
     st.integers(0, 5),
     st.integers(0, 5),
     st.integers(0, 4),
-    st.integers(-3, 5),
     st.lists(st.integers(0, 7), min_size=1, max_size=40),
     st.integers(0, 5),
     st.integers(0, 5),
 )
-# 0 x k, n x 0 and 0 x 0 operands, and a zero scale
-@example(QQ, 0, 4, 2, 2, [3], 1, 2)
-@example(GF(3), 4, 0, 3, 3, [4, 0], 2, 0)
-@example(GF(2), 3, 3, 0, 2, [0], 0, 3)
-@example(QQ, 0, 0, 0, 0, [1], 0, 0)
-def test_sparse_mat_ops_match_dense_reference(f, n, k, extra, c, codes, s1, s2):
+# 0 x k, n x 0 and 0 x 0 operands
+@example(QQ, 0, 4, 2, [3], 1, 2)
+@example(GF(3), 4, 0, 3, [4, 0], 2, 0)
+@example(GF(2), 3, 3, 0, [0], 0, 3)
+@example(QQ, 0, 0, 0, [1], 0, 0)
+def test_sparse_mat_ops_match_dense_reference(f, n, k, extra, codes, s1, s2):
     # the matrices are filled from codes, cycled, mapped to mostly zeros,
     # +-1 and 2, and two values that differ from their reduction over F_p
     big = (Fraction(1, 2), Fraction(-2, 3)) if f == QQ else (f.p - 1, f.p + 3)
@@ -356,8 +353,6 @@ def test_sparse_mat_ops_match_dense_reference(f, n, k, extra, c, codes, s1, s2):
 
     a, a2, b, rhs = draw(n, k), draw(n, k), draw(k, extra), draw(n, extra)
     assert check_storage(a.mul(b)).data == ref_mul(a, b)
-    assert check_storage(a.add(a2)).data == ref_add(a, a2)
-    assert check_storage(a.scale(c)).data == ref_scale(a, c)
     assert check_storage(a.transpose()).data == tuple(tuple(row[j] for row in a.data) for j in range(k))
     r0, r1 = sorted((s1 % (n + 1), s2 % (n + 1)))
     c0, c1 = sorted((s2 % (k + 1), s1 % (k + 1)))
@@ -413,17 +408,18 @@ def test_rational_field_passes_fractions_through():
 
 
 def test_rational_mat_results_hold_the_normalised_form():
-    # integral Fractions are stored as ints; sums, products and the
+    # integral Fractions are stored as ints; products and the
     # eliminations that meet the non-integral entries keep the same form
     m = check_storage(Mat(2, 3, [[Fraction(2), Fraction(6, 3), Fraction(1, 2)], [Fraction(-4, 2), 0, Fraction(3, 2)]]))
     assert m.entries == ({0: 2, 1: 2, 2: Fraction(1, 2)}, {0: -2, 2: Fraction(3, 2)})
     sq = Mat(3, 3, [[Fraction(1, 2), 0, 0], [0, 2, 0], [Fraction(3, 2), 0, Fraction(1, 3)]])
     b = Mat(2, 1, [[Fraction(1, 2)], [Fraction(5, 2)]])
-    for r in (m.mul(sq), m.add(m), m.scale(Fraction(2, 3)), m.scale(2), kernel_basis(m),
-              mat_solve(m, b), *cokernel(m.transpose()), mat_solve(sq, Mat.identity(3))):
+    twice = m.mul(Mat(3, 3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    for r in (m.mul(sq), twice, kernel_basis(m), mat_solve(m, b), *cokernel(m.transpose()),
+              mat_solve(sq, Mat.identity(3))):
         check_storage(r)
-    # 1/2 + 1/2 is the int 1
-    assert m.add(m).entries[0][2] == 1 and type(m.add(m).entries[0][2]) is int
+    # 1/2 * 2 is the int 1
+    assert twice.entries[0][2] == 1 and type(twice.entries[0][2]) is int
 
 
 @pytest.mark.parametrize("rows", [

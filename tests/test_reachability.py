@@ -25,6 +25,8 @@ KEPT = {
     ("functors", "sigma_under"),
     # perfbench/tests/test_perfbench.py:138 calls it.
     ("three_vertex", "predicted_end_dim"),
+    # perfbench/workloads.py:113 appends it to check_root's task.
+    ("catalog", "DEFAULT_ORACLE_BUDGET"),
 }
 
 

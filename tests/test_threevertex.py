@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_memos, sym_form
+from conftest import clear_memos, rewrite_to_star, sym_form
 
 from quiverforge import catalog, three_vertex
 from quiverforge.errors import ConstructionError, DomainError, InputError
@@ -32,7 +32,6 @@ from quiverforge.three_vertex import (
     realise,
     recognize_E,
     reduce_word,
-    rewrite_to_star,
     segment_word,
     sigma_zeta_root,
     word_of,
