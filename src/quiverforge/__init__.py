@@ -24,16 +24,13 @@ from .reps import (
 )
 from .functors import bgp_reflect, maximal_rank_report, sigma, sigma_bar, sigma_under
 from .three_vertex import (
-    EElement,
     FamilyParams,
-    StarForm,
     build_family,
     build_subquiver,
     construct,
     kronecker_rep,
     plan,
     predicted_end_dim,
-    to_star_form,
 )
 from .trees import coefficient_quiver, export_dot, is_tree
 from .catalog import run_catalog

@@ -168,11 +168,12 @@ def cmd_verify(ns) -> int:
         violations = [v.to_json() for v in maximal_rank_report(x)]
         report["maxrank"] = {"ok": not violations, "violations": violations}
     if "tree" in wanted:
-        cq = coefficient_quiver(x)
-        ok = is_tree(cq)
+        # a tree has total dim - 1 edges: compare the counts before the
+        # coefficient quiver lists one node per basis vector
+        nonzero = sum(len(row) for m in x.mats.values() for row in m.entries)
         report["tree"] = {
-            "ok": ok,
-            "nonzero_entries": len(cq.edges),
+            "ok": nonzero == x.total_dim() - 1 and is_tree(coefficient_quiver(x)),
+            "nonzero_entries": nonzero,
             "total_dim": x.total_dim(),
         }
     if "euler" in wanted:
@@ -246,11 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     sp = sub.add_parser("roots", help="enumerate positive real roots up to a height bound")
-    sp.add_argument(
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument(
         "--family", nargs=3, type=_integer(), metavar=("F", "G", "H"),
         help="arrow multiplicities of the three-vertex quiver",
     )
-    sp.add_argument("--quiver", help="path to a quiver JSON file instead of --family")
+    which.add_argument("--quiver", help="path to a quiver JSON file instead of --family")
     sp.add_argument("--bound", type=_integer(), required=True, help="height bound")
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -296,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
-    if ns.command == "roots" and not ns.quiver and not ns.family:
-        ap.error("roots needs --family or --quiver")
     try:
         return ns.func(ns)
     except InputError as exc:

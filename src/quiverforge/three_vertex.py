@@ -1,7 +1,8 @@
-"""The three-vertex family: quiver construction, the alternating elements
-zeta/rho of <s_1, s_2> with one word reduction naming them, the star-form
-rewriting algorithm, and the full pipeline building the unique
-indecomposable for every positive real root.
+"""The three-vertex family: quiver construction, the word calculus of
+<s_1, s_2> on plain tuples of letters (reduce_word, star_form and
+sigma_root, with the kind of each block read off its reduced word), and
+the full pipeline building the unique indecomposable for every positive
+real root.
 
 Vertices are 1, 2, 3; arrows are la1..laf (1 -> 2), mu1..mug (2 -> 3)
 and nu1..nuh (3 -> 2), in that order.
@@ -49,64 +50,18 @@ def build_subquiver(f: int) -> Quiver:
 
 
 # ---------------------------------------------------------------------------
-# The alternating elements zeta/rho and their word calculus
+# Words in s_1, s_2 and the star form
+#
+# A block is a reduced word in s_1, s_2, a tuple of letters: () is the
+# identity, an odd word of length 2n + 1 starting with i is zeta_i(n), and
+# a non-empty even word is a rho.
 
 
-@dataclass(frozen=True)
-class EElement:
-    kind: str  # zeta1 | zeta2 | rho1 | rho2 | id
-    n: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("zeta1", "zeta2", "rho1", "rho2", "id"):
-            raise InputError(f"unknown element kind {self.kind!r}")
-        if self.kind == "id" and self.n != 0:
-            raise InputError("identity carries n = 0")
-        if self.kind in ("rho1", "rho2") and self.n < 1:
-            raise InputError("rho elements need n >= 1; use kind 'id' for n = 0")
-        if self.n < 0:
-            raise InputError("negative exponent")
-
-    def __str__(self):
-        return "1" if self.kind == "id" else f"{self.kind}({self.n})"
-
-
-IDENTITY_E = EElement("id", 0)
-
-
-def word_of(e: EElement) -> Tuple[int, ...]:
-    if e.kind == "id":
-        return ()
-    if e.kind == "zeta1":
-        return tuple([1, 2] * e.n + [1])
-    if e.kind == "zeta2":
-        return tuple([2, 1] * e.n + [2])
-    if e.kind == "rho1":
-        return tuple([1, 2] * e.n)
-    return tuple([2, 1] * e.n)
-
-
-def recognize_E(w: Sequence[int]) -> Optional[EElement]:
-    """Syntactic match of a letter sequence against the five shapes."""
-    w = tuple(w)
-    if not w:
-        return IDENTITY_E
-    if any(c not in (1, 2) for c in w):
-        return None
-    for a, b in zip(w, w[1:]):
-        if a == b:
-            return None
-    L = len(w)
-    if w[0] == 1:
-        return EElement("zeta1", (L - 1) // 2) if L % 2 else EElement("rho1", L // 2)
-    return EElement("zeta2", (L - 1) // 2) if L % 2 else EElement("rho2", L // 2)
-
-
-def reduce_word(w: Sequence[int], f: int) -> EElement:
-    """The element of E a word in s_1, s_2 equals: equal neighbours cancel
-    (s_i^2 = 1), and for f = 1 the braid relation (s_1 s_2)^3 = 1 leaves at
-    most three letters, where 4 and 5 become 2 and 1 starting on the other
-    letter and 121 = 212 is zeta1(1)."""
+def reduce_word(w: Sequence[int], f: int) -> Tuple[int, ...]:
+    """The reduced word of the element a word in s_1, s_2 equals: equal
+    neighbours cancel (s_i^2 = 1), and for f = 1 the braid relation
+    (s_1 s_2)^3 = 1 leaves at most three letters, where 4 and 5 become 2
+    and 1 starting on the other letter and 121 = 212 is zeta_1(1)."""
     out: List[int] = []
     for c in w:
         if out and out[-1] == c:
@@ -118,94 +73,32 @@ def reduce_word(w: Sequence[int], f: int) -> EElement:
         if L > 3:
             L, a = 6 - L, 3 - a
         out = [1, 2, 1] if L == 3 else [a, 3 - a][:L]
-    return recognize_E(out)
+    return tuple(out)
 
 
-def apply_e(q: Quiver, e: EElement, v) -> dict:
-    return apply_word(q, word_of(e), v)
+def star_form(blocks: Sequence[Tuple[int, ...]], f: int) -> List[Tuple[int, ...]]:
+    """The star form chi_m, ..., chi_1 of the blocks chi'_m, ..., chi'_1 of
+    a word split on s_3 (left to right).
 
-
-# ---------------------------------------------------------------------------
-# Star form and the five-case rewriting algorithm
-
-
-@dataclass
-class StarForm:
-    """Blocks chi_m, ..., chi_1 (left to right) with implicit s_3 separators."""
-
-    chis: Tuple[EElement, ...]
-
-    def flatten(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for k, chi in enumerate(self.chis):
-            if k:
-                out.append(3)
-            out.extend(word_of(chi))
-        return tuple(out)
-
-    def grammar_ok(self, f: int) -> bool:
-        """Two or more blocks; the head is 1 or a zeta, every interior block a
-        zeta, where zeta1(0) = s_1 is no zeta here; f = 1 allows n <= 1 only."""
-        def zeta_ok(e):
-            return (e.kind == "zeta1" and e.n >= 1) or e.kind == "zeta2"
-
-        return (len(self.chis) >= 2
-                and (self.chis[0].kind == "id" or zeta_ok(self.chis[0]))
-                and all(zeta_ok(e) for e in self.chis[1:-1])
-                and not (f == 1 and any(e.n > 1 for e in self.chis)))
-
-
-def segment_word(w: Sequence[int], p: FamilyParams, strict: bool = True) -> List[EElement]:
-    """Split a word on the letter 3 into blocks chi'_m, ..., chi'_1.
-
-    Raises InputError when a block is not an alternating 1-2 pattern.
-    Strict mode also rejects a word with no letter 3, a trivial interior
-    block and a leading block s_1; non-strict mode returns a word with no
-    letter 3 as one block.  For f = 1 blocks are first reduced modulo the
-    braid relation.
-    """
-    w = list(w)
-    if any(c not in (1, 2, 3) for c in w):
-        raise InputError("letters must be vertices 1, 2 or 3")
-    if strict and 3 not in w:
-        raise InputError("word contains no letter 3; it lies in the element set E")
-    chunks: List[List[int]] = [[]]
-    for c in w:
-        if c == 3:
-            chunks.append([])
-        else:
-            chunks[-1].append(c)
-    blocks = []
-    for chunk in chunks:
-        if recognize_E(chunk) is None:
-            raise InputError(f"block {''.join(map(str, chunk))!r} is not an alternating pattern")
-        blocks.append(reduce_word(chunk, p.f))
-    if strict:
-        for idx, e in enumerate(blocks[:-1]):  # the tail block chi'_1 may be anything
-            if e == EElement("zeta1", 0):
-                raise InputError(f"block {idx} is the bare s_1, not segmentable")
-            if idx and e.kind == "id":
-                raise InputError(f"interior block {idx} is trivial, not segmentable")
-    return blocks
-
-
-def to_star_form(blocks: Sequence[EElement], p: FamilyParams) -> StarForm:
-    """Rewrite the blocks chi'_m, ..., chi'_1 of a segmentable word, as
-    segment_word returns them, into the star normal form.
-
-    Descending pass over the blocks: zeta blocks are kept, and a rho
-    block chi becomes chi s_1 while the block to its right takes s_1 on
-    its left, as s_1 commutes with s_3 (no arrow joins vertices 1 and 3).
+    Descending pass over the blocks: a zeta block is kept, and a rho block
+    chi becomes chi s_1 while the block to its right takes s_1 on its left,
+    as s_1 commutes with s_3 (no arrow joins vertices 1 and 3).  The form
+    has two or more blocks, a head that is () or a zeta and zeta interior
+    blocks, where s_1 = zeta_1(0) is no zeta here; anything else raises
+    ConstructionError.
     """
     blocks = list(blocks)
-    for j in range(len(blocks) - 1):  # positions chi'_m .. chi'_2, left to right
-        if blocks[j].kind in ("rho1", "rho2"):
-            blocks[j] = reduce_word(word_of(blocks[j]) + (1,), p.f)
-            blocks[j + 1] = reduce_word((1,) + word_of(blocks[j + 1]), p.f)
-    form = StarForm(tuple(blocks))
-    if not form.grammar_ok(p.f):
-        raise ConstructionError(f"rewriting produced an out-of-grammar form {list(map(str, blocks))}")
-    return form
+    for k in range(len(blocks) - 1):  # chi'_m .. chi'_2, left to right
+        if blocks[k] and len(blocks[k]) % 2 == 0:
+            blocks[k] = reduce_word(blocks[k] + (1,), f)
+            blocks[k + 1] = reduce_word((1,) + blocks[k + 1], f)
+
+    def zeta(b):
+        return len(b) % 2 == 1 and b != (1,)
+
+    if len(blocks) < 2 or blocks[0] and not zeta(blocks[0]) or not all(map(zeta, blocks[1:-1])):
+        raise ConstructionError(f"rewriting produced an out-of-grammar form {blocks}")
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +259,14 @@ def embed_subquiver_rep(x: Representation, p: FamilyParams) -> Representation:
     return Representation(q, dims, mats, x.field)
 
 
-def sigma_zeta_root(i: int, n: int, p: FamilyParams) -> dict:
-    """The subquiver real root chi' with sigma_{zeta_i(n)} = sigma_{X_chi'}.
+def sigma_root(q: Quiver, w: Tuple[int, ...]) -> dict:
+    """The subquiver real root chi' with sigma_w = sigma_{X_chi'} for a
+    zeta word w.
 
-    The word of zeta_i(n) is a palindrome u s_j u^-1, with u its first n
-    letters and j its middle letter, so zeta_i(n) is the reflection in the
-    root chi' = u(e_j).
+    w is a palindrome u s_j u^-1, with u its first n letters and j its
+    middle letter, so w is the reflection in the root chi' = u(e_j).
     """
-    if i not in (1, 2):
-        raise InputError("zeta index must be 1 or 2")
-    if i == 1 and n < 1:
-        raise InputError("zeta_1 functor needs n >= 1")
-    if i == 2 and n < 0:
-        raise InputError("zeta_2 functor needs n >= 0")
-    if p.f == 1 and n > 1:
-        raise InputError("f = 1 restricts exponents to n <= 1")
-    q = build_family(p)
-    w = word_of(EElement(f"zeta{i}", n))
+    n = len(w) // 2
     return apply_word(q, w[:n], unit_vector(q, w[n]))
 
 
@@ -397,31 +281,33 @@ def plan(alpha: dict, p: FamilyParams) -> ConstructionTrace:
     """
     q = build_family(p)
     word, j = root_expression(q, alpha)
-    blocks = segment_word(word, p, strict=False)
+    cuts = [k for k, c in enumerate(word) if c == 3]
+    blocks = [reduce_word(word[a + 1:b], p.f) for a, b in zip([-1] + cuts, cuts + [len(word)])]
     # pre-normalize the tail so that chi_1(e_j) is never e_1 (absorbed via
     # s_3(e_1) = e_1) nor a vector the extension stage cannot start from
-    while len(blocks) >= 2 and apply_e(q, blocks[-1], unit_vector(q, j)) == unit_vector(q, 1):
-        blocks = blocks[:-1]
-        j = 1
+    while len(blocks) >= 2 and apply_word(q, blocks[-1], unit_vector(q, j)) == unit_vector(q, 1):
+        blocks, j = blocks[:-1], 1
     # a leading bare s_1 commutes across the separator (no arrows join
     # vertices 1 and 3), so fold it into the next block
-    if len(blocks) >= 2 and blocks[0] == EElement("zeta1", 0):
-        blocks = [IDENTITY_E, reduce_word((1,) + word_of(blocks[1]), p.f)] + blocks[2:]
+    if len(blocks) >= 2 and blocks[0] == (1,):
+        blocks = [(), reduce_word((1,) + blocks[1], p.f)] + blocks[2:]
     if len(blocks) >= 2:
-        blocks = list(to_star_form(blocks, p).chis)
+        blocks = star_form(blocks, p.f)
     chi1 = blocks[-1]
-    first = apply_e(q, chi1, unit_vector(q, j))
+    first = apply_word(q, chi1, unit_vector(q, j))
     if any(x < 0 for x in first.values()):
-        raise DomainError(f"{chi1}(e_{j}) is not a positive root")
+        raise DomainError(f"the word {chi1} takes e_{j} to no positive root")
     trace = ConstructionTrace(q)
 
-    def extend_zeta(chi: EElement):  # sigma_{X_chi'}; the identity adds no stage
-        if chi.kind != "id":
-            trace.extend(sigma_zeta_root(1 if chi.kind == "zeta1" else 2, chi.n, p))
+    def extend_zeta(chi):  # sigma_{X_chi'}; the identity adds no stage
+        if chi:
+            trace.extend(sigma_root(q, chi))
 
-    if j == 3:  # s_1 fixes e_3, so a rho tail acts on it as the zeta chi_1 s_1
+    # s_1 fixes e_3, so a rho tail (non-empty: the identity adds no stage)
+    # acts on it as the zeta chi_1 s_1
+    if j == 3:
         trace.base(unit_vector(q, 3))
-        extend_zeta(reduce_word(word_of(chi1) + (1,), p.f) if chi1.kind in ("rho1", "rho2") else chi1)
+        extend_zeta(reduce_word(chi1 + (1,), p.f) if chi1 and len(chi1) % 2 == 0 else chi1)
     else:
         trace.base(first)
     for chi in reversed(blocks[:-1]):

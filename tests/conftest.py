@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from quiverforge.errors import InputError
 from quiverforge.linalg import Mat, QQ
 from quiverforge.quiver import Arrow, DimVector, Quiver, ringel_form
 from quiverforge.reps import Representation
 from quiverforge import quiver, three_vertex
-from quiverforge.three_vertex import FamilyParams, StarForm, build_family, segment_word, to_star_form
+from quiverforge.three_vertex import FamilyParams, build_family, reduce_word, star_form
 
 
 def clear_memos():
@@ -58,10 +59,51 @@ def random_rep(q: Quiver, rng: random.Random, max_dim: int = 4, field=QQ) -> Rep
     return Representation(q, dims, mats, field)
 
 
-def rewrite_to_star(w, p: FamilyParams) -> StarForm:
-    """The star form of a segmentable word: plan's block rewriting applied
-    to the word's blocks, as strict segment_word splits and checks them."""
-    return to_star_form(segment_word(w, p), p)
+def segment_word(w, f: int) -> list:
+    """Split a word in s_1, s_2, s_3 on the letter 3 into the blocks
+    chi'_m, ..., chi'_1, each reduced by reduce_word.
+
+    Raises InputError for a letter other than 1, 2 or 3, a word with no
+    letter 3, a block that does not alternate 1 and 2, a block other than
+    the tail chi'_1 that is the bare s_1, or a trivial interior block.
+    """
+    w = tuple(w)
+    if any(c not in (1, 2, 3) for c in w):
+        raise InputError("letters must be vertices 1, 2 or 3")
+    if 3 not in w:
+        raise InputError("word contains no letter 3; it lies in <s_1, s_2>")
+    chunks = [tuple(map(int, b)) for b in "".join(map(str, w)).split("3")]
+    for chunk in chunks:
+        if any(a == b for a, b in zip(chunk, chunk[1:])):
+            raise InputError(f"block {chunk} is not an alternating pattern")
+    blocks = [reduce_word(chunk, f) for chunk in chunks]
+    for idx, b in enumerate(blocks[:-1]):
+        if b == (1,):
+            raise InputError(f"block {idx} is the bare s_1, not segmentable")
+        if idx and not b:
+            raise InputError(f"interior block {idx} is trivial, not segmentable")
+    return blocks
+
+
+def rewrite_to_star(w, p: FamilyParams) -> list:
+    """The star form of a segmentable word: star_form applied to the
+    word's blocks, as segment_word splits and checks them."""
+    return star_form(segment_word(w, p.f), p.f)
+
+
+def in_star_grammar(blocks) -> bool:
+    """Two or more blocks; the head is () or a zeta, every interior block a
+    zeta, a zeta being an odd word other than the bare s_1."""
+    def zeta(b):
+        return len(b) % 2 == 1 and tuple(b) != (1,)
+
+    return (len(blocks) >= 2 and (blocks[0] == () or zeta(blocks[0]))
+            and all(zeta(b) for b in blocks[1:-1]))
+
+
+def flatten(blocks) -> tuple:
+    """The word chi_m 3 ... 3 chi_1 of blocks with s_3 separators."""
+    return tuple(c for k, b in enumerate(blocks) for c in ((3,) if k else ()) + tuple(b))
 
 
 def sym_form(q: Quiver, a: DimVector, b: DimVector) -> int:

@@ -325,6 +325,27 @@ def test_a_delta_map_above_the_limit_is_bad_input(tmp_path, capsys):
         assert peak < 10 * 10**6
 
 
+def test_a_failed_tree_count_lists_no_node(tmp_path, capsys):
+    import tracemalloc
+
+    # about 100 bytes naming a 10^8-dim space: one coefficient-quiver node
+    # per basis vector would take gigabytes
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "quiver": {"vertices": [1], "arrows": []},
+        "field": {"type": "rational"}, "dims": {"1": 10**8}, "mats": {},
+    }))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", str(path), "--checks", "tree")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert json.loads(out)["tree"] == {"ok": False, "nonzero_entries": 0, "total_dim": 10**8}
+    assert peak < 10 * 10**6
+
+
 def test_running_out_of_memory_is_an_internal_error(tmp_path, monkeypatch, capsys):
     rep = tmp_path / "rep.json"
     run(capsys, "construct", "--family", "1", "1", "1", "--root", "1,1,2", "--out", str(rep))
@@ -410,6 +431,15 @@ def test_roots_missing_or_malformed_quiver_file_exits_2(tmp_path, capsys):
         bad.write_text(text)
         code, _, err = run(capsys, "roots", "--quiver", str(bad), "--bound", "3")
         assert code == 2 and "error" in err
+
+
+def test_roots_takes_a_family_or_a_quiver_file_not_both(tmp_path, capsys):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(json.dumps({"vertices": [1, 2], "arrows": [{"id": "a", "tail": 1, "head": 2}]}))
+    assert _usage_error("roots", "--family", "1", "1", "1", "--quiver", str(qfile), "--bound", "2") == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert _usage_error("roots", "--bound", "2") == 2
+    assert "one of the arguments --family --quiver is required" in capsys.readouterr().err
 
 
 def test_verify_missing_or_malformed_trace_file_exits_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_memos, rewrite_to_star, sym_form
+from conftest import clear_memos, flatten, in_star_grammar, rewrite_to_star, segment_word, sym_form
 
 from quiverforge import catalog, three_vertex
 from quiverforge.errors import ConstructionError, DomainError, InputError
@@ -18,11 +18,7 @@ from quiverforge.reps import end_dim, simple_rep
 from quiverforge.serialize import parse_field_flag, rep_to_json
 from quiverforge.three_vertex import (
     ConstructionTrace,
-    EElement,
     FamilyParams,
-    IDENTITY_E,
-    StarForm,
-    apply_e,
     build_family,
     build_subquiver,
     construct,
@@ -30,11 +26,9 @@ from quiverforge.three_vertex import (
     plan,
     predicted_end_dim,
     realise,
-    recognize_E,
     reduce_word,
-    segment_word,
-    sigma_zeta_root,
-    word_of,
+    sigma_root,
+    star_form,
 )
 
 
@@ -59,47 +53,33 @@ def test_each_family_has_one_quiver():
     assert rep_to_json(construct(root, same)[0]) == first
 
 
-def test_word_of_shapes():
-    assert word_of(EElement("zeta2", 0)) == (2,)
-    assert word_of(EElement("rho1", 1)) == (1, 2)
-    assert word_of(EElement("zeta1", 1)) == (1, 2, 1)
-    assert word_of(IDENTITY_E) == ()
-
-
-def test_recognize_E():
-    assert recognize_E((1, 2, 1)) == EElement("zeta1", 1)
-    assert recognize_E((2, 1)) == EElement("rho2", 1)
-    assert recognize_E(()) == IDENTITY_E
-    assert recognize_E((1, 1)) is None
-    assert recognize_E((1, 3)) is None
+def _zeta(i, n):
+    """The word of zeta_i(n): 2n + 1 alternating letters from i."""
+    return tuple([i, 3 - i] * n + [i])
 
 
 def test_s1_multiplication_table():
     # check s1 * e = reduce_word(1 e) as Weyl group elements on e1, e2, e3
-    expected = [EElement("zeta1", 0), IDENTITY_E, EElement("rho2", 2), EElement("rho1", 1),
-                EElement("rho1", 2), EElement("zeta2", 0), EElement("zeta1", 2)]
-    for e, want in zip([IDENTITY_E, EElement("zeta1", 0), EElement("zeta1", 2),
-                        EElement("zeta2", 0), EElement("zeta2", 1),
-                        EElement("rho1", 1), EElement("rho2", 2)], expected):
-        out = reduce_word((1,) + word_of(e), f=2)
+    expected = [(1,), (), (2, 1, 2, 1), (1, 2), (1, 2, 1, 2), (2,), (1, 2, 1, 2, 1)]
+    for e, want in zip([(), (1,), (1, 2, 1, 2, 1), (2,), (2, 1, 2), (1, 2), (2, 1, 2, 1)], expected):
+        out = reduce_word((1,) + e, f=2)
         assert out == want
         q = build_family(FamilyParams(2, 1, 1))
         for v in q.vertices:
-            lhs = apply_word(q, (1,) + word_of(e), unit_vector(q, v))
-            rhs = apply_e(q, out, unit_vector(q, v))
-            assert lhs == rhs, (str(e), str(out))
+            lhs = apply_word(q, (1,) + e, unit_vector(q, v))
+            rhs = apply_word(q, out, unit_vector(q, v))
+            assert lhs == rhs, (e, out)
 
 
 def test_f1_reduction_respects_braid_relation(q111):
     # over f = 1 the vertices 1, 2 satisfy the order-6 braid relation, so
     # the reduced element acts identically on all unit vectors
-    for kind, n, want in [("zeta1", 3, EElement("zeta1", 0)), ("zeta2", 4, EElement("zeta1", 1)),
-                          ("rho1", 3, IDENTITY_E), ("rho2", 5, EElement("rho1", 1))]:
-        e = EElement(kind, n)
-        r = reduce_word(word_of(e), f=1)
+    for e, want in [(_zeta(1, 3), (1,)), (_zeta(2, 4), (1, 2, 1)),
+                    ((1, 2) * 3, ()), ((2, 1) * 5, (1, 2))]:
+        r = reduce_word(e, f=1)
         assert r == want
         for v in q111.vertices:
-            assert apply_e(q111, e, unit_vector(q111, v)) == apply_e(
+            assert apply_word(q111, e, unit_vector(q111, v)) == apply_word(
                 q111, r, unit_vector(q111, v)
             )
 
@@ -108,47 +88,53 @@ def test_f1_reduction_respects_braid_relation(q111):
 @given(st.lists(st.sampled_from((1, 2)), max_size=12), st.sampled_from((1, 2, 3)))
 def test_reduce_word_is_the_element_the_word_equals(w, f):
     # adjacent repeats allowed: s_i^2 = 1 cancels them, and f = 1 also
-    # reduces modulo the braid relation, to exponents n <= 1
+    # reduces modulo the braid relation, to at most three letters
     q = build_family(FamilyParams(f, 1, 1))
     e = reduce_word(w, f)
+    assert all(a != b for a, b in zip(e, e[1:]))
     for v in q.vertices:
-        assert apply_e(q, e, unit_vector(q, v)) == apply_word(q, w, unit_vector(q, v))
-    assert f != 1 or e.n <= 1
+        assert apply_word(q, e, unit_vector(q, v)) == apply_word(q, w, unit_vector(q, v))
+    assert f != 1 or len(e) <= 3
 
 
 def test_segment_word_rejections():
     p = FamilyParams(2, 1, 1)
     with pytest.raises(InputError):
-        segment_word((1, 2, 1), p)  # no letter 3
+        segment_word((1, 2, 1), p.f)  # no letter 3
     with pytest.raises(InputError):
-        segment_word((2, 3, 1, 3, 2), p)  # interior bare s_1
+        segment_word((2, 3, 1, 3, 2), p.f)  # interior bare s_1
     with pytest.raises(InputError):
-        segment_word((1, 3, 2), p)  # leading bare s_1
+        segment_word((1, 3, 2), p.f)  # leading bare s_1
     with pytest.raises(InputError):
-        segment_word((2, 2, 3, 1), p)  # not alternating
+        segment_word((2, 2, 3, 1), p.f)  # not alternating
+    with pytest.raises(InputError):
+        segment_word((2, 3, 4), p.f)  # not a vertex
+    with pytest.raises(InputError):
+        segment_word((2, 3, 3, 2), p.f)  # trivial interior block
 
 
-def test_segment_word_non_strict_takes_a_word_without_3_as_one_block():
+def test_plan_takes_a_word_without_3_as_one_block():
+    # the block is the reduced word itself, modulo the braid relation for f = 1
+    assert reduce_word((1, 2, 1), 2) == (1, 2, 1)
+    assert reduce_word((2,), 2) == (2,)
+    assert reduce_word((), 2) == ()
+    assert reduce_word((1, 2, 1, 2), 1) == (2, 1)
+    # a root in the subquiver has a descent word with no 3: one block,
+    # and so the one base stage
     p = FamilyParams(2, 1, 1)
-    assert segment_word((1, 2, 1), p, strict=False) == [EElement("zeta1", 1)]
-    assert segment_word((2,), p, strict=False) == [EElement("zeta2", 0)]
-    assert segment_word((), p, strict=False) == [IDENTITY_E]
-    # f = 1 reduces the block modulo the braid relation
-    assert segment_word((1, 2, 1, 2), FamilyParams(1, 1, 1), strict=False) == [EElement("rho2", 1)]
-    with pytest.raises(InputError):
-        segment_word((1, 2, 1), p, strict=True)
-    with pytest.raises(InputError):
-        segment_word((1, 1), p, strict=False)
+    roots = [r for r in enumerate_real_roots(build_family(p), 30) if r[3] == 0]
+    assert len(roots) == 30
+    for r in roots:
+        assert 3 not in three_vertex.root_expression(build_family(p), r)[0]
+        stages = plan(r, p).stages
+        assert len(stages) == 1 and stages[0].s_dims is None and stages[0].dims == r
 
 
 def test_rewrite_examples_kept_and_rho_cases():
     p = FamilyParams(2, 1, 1)
-    form = rewrite_to_star((2, 3, 2), p)
-    assert [str(c) for c in form.chis] == ["zeta2(0)", "zeta2(0)"]
-    form = rewrite_to_star((1, 2, 3, 2), p)
-    assert [str(c) for c in form.chis] == ["zeta1(1)", "rho1(1)"]
-    form = rewrite_to_star((2, 1, 3, 2), p)
-    assert [str(c) for c in form.chis] == ["zeta2(0)", "rho1(1)"]
+    assert rewrite_to_star((2, 3, 2), p) == [(2,), (2,)]
+    assert rewrite_to_star((1, 2, 3, 2), p) == [(1, 2, 1), (1, 2)]
+    assert rewrite_to_star((2, 1, 3, 2), p) == [(2,), (1, 2)]
 
 
 def test_rewrite_preserves_group_element():
@@ -163,10 +149,10 @@ def test_rewrite_preserves_group_element():
         except InputError:
             continue
         done += 1
-        assert form.grammar_ok(p.f)
+        assert in_star_grammar(form)
         for v in q.vertices:
             assert apply_word(q, w, unit_vector(q, v)) == apply_word(
-                q, form.flatten(), unit_vector(q, v)
+                q, flatten(form), unit_vector(q, v)
             )
 
 
@@ -181,24 +167,20 @@ def test_rewrite_f1_restricts_exponents():
         except InputError:
             continue
         done += 1
-        assert all(c.n <= 1 for c in form.chis)
+        assert all(len(c) <= 3 for c in form)
 
 
 def test_sigma_zeta_root_dictionary():
     p = FamilyParams(2, 1, 1)
     q = build_family(p)
     # zeta_1(1) = s_1 s_2 s_1 -> s_1(e_2) = (2,1,0)
-    assert sigma_zeta_root(1, 1, p) == {1: 2, 2: 1, 3: 0}
+    assert sigma_root(q, (1, 2, 1)) == {1: 2, 2: 1, 3: 0}
     # zeta_2(0) = s_2 -> e_2
-    assert sigma_zeta_root(2, 0, p) == unit_vector(q, 2)
-    with pytest.raises(InputError):
-        sigma_zeta_root(1, 0, p)
-    with pytest.raises(InputError):
-        sigma_zeta_root(1, 2, FamilyParams(1, 1, 1))
+    assert sigma_root(q, (2,)) == unit_vector(q, 2)
 
 
 def test_zeta_is_the_reflection_in_its_sigma_root():
-    # zeta_i(n) acts on each e_v as the reflection in chi' = sigma_zeta_root(i, n)
+    # zeta_i(n) acts on each e_v as the reflection in chi' = sigma_root(q, zeta_i(n))
     cases = 0
     for f in (1, 2, 3, 4):
         for p in (FamilyParams(f, 1, 1), FamilyParams(f, 2, 3)):
@@ -206,11 +188,11 @@ def test_zeta_is_the_reflection_in_its_sigma_root():
             for i, n in itertools.product((1, 2), range(13)):
                 if (i == 1 and n == 0) or (f == 1 and n > 1):
                     continue
-                chi = sigma_zeta_root(i, n, p)
+                chi = sigma_root(q, _zeta(i, n))
                 for v in q.vertices:
                     ev = unit_vector(q, v)
                     c = sym_form(q, ev, chi)
-                    assert apply_e(q, EElement(f"zeta{i}", n), ev) == {
+                    assert apply_word(q, _zeta(i, n), ev) == {
                         u: ev[u] - c * chi[u] for u in q.vertices}, (p, i, n, v)
                 cases += 1
     assert cases == 156
@@ -225,8 +207,8 @@ def test_sigma_zeta_dims_match_word_action():
         trace = ConstructionTrace(q)
         trace.base(unit_vector(q, 3))
         if (i, n) != (1, 0):
-            trace.extend(sigma_zeta_root(i, n, p))
-        expect = apply_e(q, EElement(f"zeta{i}", n), unit_vector(q, 3))
+            trace.extend(sigma_root(q, _zeta(i, n)))
+        expect = apply_word(q, _zeta(i, n), unit_vector(q, 3))
         assert realise(trace, p).dims == trace.stages[-1].dims == expect
 
 
@@ -314,10 +296,13 @@ def test_construct_matches_prediction_at_the_tallest_roots_to_height_70(q111):
 
 
 def test_star_form_grammar_checks():
-    assert not StarForm((IDENTITY_E,)).grammar_ok(2)
-    assert StarForm((IDENTITY_E, EElement("rho1", 1))).grammar_ok(2)
-    assert not StarForm((EElement("zeta1", 0), IDENTITY_E)).grammar_ok(2)
-    assert not StarForm((EElement("zeta2", 0), IDENTITY_E, IDENTITY_E)).grammar_ok(2)
+    with pytest.raises(ConstructionError):
+        star_form([()], 2)
+    assert star_form([(), (1, 2)], 2) == [(), (1, 2)]
+    with pytest.raises(ConstructionError):
+        star_form([(1,), ()], 2)
+    with pytest.raises(ConstructionError):
+        star_form([(2,), (), ()], 2)
 
 
 # sha256 over json.dumps(rep_to_json(rep), sort_keys=True) for every real
