@@ -32,7 +32,7 @@ from .three_vertex import (
     plan,
     predicted_end_dim,
 )
-from .trees import coefficient_quiver, export_dot, is_tree
+from .trees import export_dot, is_tree
 from .catalog import run_catalog
 from .serialize import parse_field_flag, rep_from_json, rep_to_json
 

@@ -20,7 +20,7 @@ from .reps import certify_indecomposable, end_dim
 from .functors import maximal_rank_report
 from .serialize import parse_field_flag
 from .three_vertex import FamilyParams, build_family, construct
-from .trees import coefficient_quiver, is_tree
+from .trees import is_tree, nonzero_count
 
 SCHEMA_VERSION = 1
 # unread here: perfbench/workloads.py still appends it to check_root's
@@ -94,9 +94,8 @@ def check_root(task) -> RootRecord:
         violations = maximal_rank_report(rep)
         rec.maxrank_ok = not violations
         rec.maxrank_violations = [v.to_json() for v in violations]
-        cq = coefficient_quiver(rep)
-        rec.tree_ok = is_tree(cq)
-        rec.nonzero_ok = len(cq.edges) == rep.total_dim() - 1
+        rec.tree_ok = is_tree(rep)
+        rec.nonzero_ok = nonzero_count(rep) == rep.total_dim() - 1
         rec.end_predicted = trace.stages[-1].predicted_end
         prime = isinstance(field, PrimeField)
         if prime:

@@ -238,7 +238,8 @@ class Mat:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        # from the nonzeros alone: the dense view of a wide Mat is huge
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self.entries)))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {self.data})"

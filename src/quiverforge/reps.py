@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -34,6 +33,7 @@ from .linalg import (
     rank,
 )
 from .quiver import Quiver, check_dimvec, ringel_form, unit_vector
+from .trees import is_acyclic
 
 
 class Representation:
@@ -162,6 +162,9 @@ def delta_nnz(x: Representation, y: Representation) -> int:
     return nnz
 
 
+_EMPTY_ROW: dict = {}  # every zero row of delta: Mat rows are never changed
+
+
 def delta_matrix(x: Representation, y: Representation) -> Mat:
     """Matrix of delta: C^0(X,Y) -> C^1(X,Y), phi |-> (phi_h(a) X_a - Y_a phi_t(a))_a,
     built from sparse rows: one {C^0 index: value} dict per C^1 unit.
@@ -192,6 +195,9 @@ def delta_matrix(x: Representation, y: Representation) -> Mat:
         y_rows = [[(off[a.tail] + k, of(-val)) for k, val in yrow.items()] for yrow in y.mats[a.id].entries]
         for s, x_col in enumerate(x_cols):
             for r, y_row in enumerate(y_rows):
+                if not (x_col or y_row):
+                    rows.append(_EMPTY_ROW)
+                    continue
                 row = {}
                 for i, val in x_col:
                     row[i + r] = val
@@ -315,8 +321,9 @@ def certify_indecomposable(x: Representation) -> Certificate:
     elimination of the images per step.  If it reaches 0 after k steps
     at every vertex, every product of k elements of N maps X into JX, so
     every product of kL of them maps X into J^L X, which is 0 for
-    L = dim X when the coefficient quiver has no oriented cycle, as for a
-    tree module.  Where it has one, the chains start from all of X_v^*.
+    L = dim X when the coefficient quiver has no oriented cycle
+    (trees.is_acyclic), as for a tree module.  Where it has one, the
+    chains start from all of X_v^*.
     Either way every long enough product of elements of N vanishes, so
     N spans a nilpotent subalgebra of End that misses 1; with
     End = k.1 + span N it is an ideal of codimension 1, End is local and
@@ -343,7 +350,7 @@ def certify_indecomposable(x: Representation) -> Certificate:
     candidates = [_scalar_candidates(x, b) for b in basis]
     if all(len(lams) == 1 for lams in candidates):
         lams = [lam for (lam,) in candidates]
-        top = _coefficient_quiver_is_acyclic(x)
+        top = is_acyclic(x)
         if all(_chain_reaches_zero([b[v] for b in basis], lams, _chain_start(x, v, top), field)
                for v in x.quiver.vertices):
             return Certificate(len(basis), "indecomposable")
@@ -353,26 +360,6 @@ def certify_indecomposable(x: Representation) -> Certificate:
             if e is not None:
                 return Certificate(len(basis), "decomposable", e)
     return Certificate(len(basis), "inconclusive")
-
-
-def _coefficient_quiver_is_acyclic(x: Representation) -> bool:
-    """Whether the coefficient quiver, a node (v, i) per basis vector and
-    an edge (t(a), c) -> (h(a), r) per nonzero X_a[r][c], has no oriented
-    cycle: Kahn's algorithm removes every edge exactly when it has none."""
-    succ, indeg = defaultdict(list), defaultdict(int)
-    for a in x.quiver.arrows:
-        for r, row in enumerate(x.mats[a.id].entries):
-            indeg[a.head, r] += len(row)
-            for c in row:
-                succ[a.tail, c].append((a.head, r))
-    left, ready = sum(indeg.values()), [n for n in succ if not indeg[n]]
-    while ready:
-        for n in succ[ready.pop()]:
-            left -= 1
-            indeg[n] -= 1
-            if not indeg[n] and n in succ:
-                ready.append(n)
-    return not left
 
 
 def _chain_start(x: Representation, v, top: bool) -> Sequence[dict]:

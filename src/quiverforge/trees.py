@@ -1,71 +1,81 @@
-"""Coefficient quivers, tree certification and DOT export.
-
-Certification is relative to the basis in which a representation's
-matrices are written; for pipeline output that is the basis accumulated
-by the block constructions.
-"""
+"""Tree certification and DOT export of X's coefficient quiver: a node
+(v, i) per basis vector of X_v, an edge (t(a), c) -> (h(a), r) per
+nonzero X_a[r][c], read by _edges and never built as a graph.  It is
+relative to the basis the matrices are written in; for pipeline output,
+the one accumulated by the block constructions."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import List, Tuple
+from collections import defaultdict
+from typing import TYPE_CHECKING, Iterator, Tuple
 
-from .reps import Representation
-
-
-@dataclass
-class CoeffQuiver:
-    nodes: List[Tuple[str, object]]  # (basis id, home vertex)
-    edges: List[Tuple[object, str, str, object]]  # (arrow id, src id, dst id, coefficient)
+if TYPE_CHECKING:
+    from .quiver import Arrow
+    from .reps import Representation
 
 
-def _node_id(vertex, index: int) -> str:
-    return f"v{vertex}_{index + 1}"
-
-
-def coefficient_quiver(x: Representation) -> CoeffQuiver:
-    """One node per basis element, one edge per nonzero matrix entry."""
-    nodes = []
-    for v in x.quiver.vertices:
-        for k in range(x.dims[v]):
-            nodes.append((_node_id(v, k), v))
-    edges = []
+def _edges(x: Representation) -> Iterator[Tuple[Arrow, int, int, object]]:
+    """(arrow, c, r, X_a[r][c]) per nonzero: arrows in quiver order, then rows."""
     for a in x.quiver.arrows:
-        for s, col in enumerate(x.mats[a.id].transpose().entries):
-            for t, val in col.items():
-                edges.append((a.id, _node_id(a.tail, s), _node_id(a.head, t), val))
-    return CoeffQuiver(nodes, edges)
+        for r, row in enumerate(x.mats[a.id].entries):
+            for c, val in row.items():
+                yield a, c, r, val
 
 
-def is_tree(c: CoeffQuiver) -> bool:
-    """Connected with edge count = node count - 1 (undirected)."""
-    if not c.nodes:
+def nonzero_count(x: Representation) -> int:
+    """The coefficient quiver's edge count: the stored nonzeros of X."""
+    return sum(len(row) for a in x.quiver.arrows for row in x.mats[a.id].entries)
+
+
+def is_tree(x: Representation) -> bool:
+    """Whether the coefficient quiver is a tree: total dim - 1 edges,
+    counted before any node is named, none closing a cycle by union-find
+    with path halving (Tarjan and van Leeuwen, J. ACM 1984)."""
+    n = x.total_dim()
+    if n == 0 or nonzero_count(x) != n - 1:
         return False
-    if len(c.edges) != len(c.nodes) - 1:
-        return False
-    adj = {n: set() for n, _ in c.nodes}
-    for _, src, dst, _ in c.edges:
-        adj[src].add(dst)
-        adj[dst].add(src)
-    seen = set()
-    queue = deque([c.nodes[0][0]])
-    while queue:
-        n = queue.popleft()
-        if n in seen:
-            continue
-        seen.add(n)
-        queue.extend(adj[n] - seen)
-    return len(seen) == len(c.nodes)
+    parent = {}  # non-roots only
+
+    def find(u):
+        while u in parent:
+            p = parent[u]
+            if p in parent:
+                parent[u] = p = parent[p]
+            u = p
+        return u
+
+    for a, c, r, _ in _edges(x):
+        s, t = find((a.tail, c)), find((a.head, r))
+        if s == t:
+            return False
+        parent[s] = t
+    return True
 
 
-def export_dot(c: CoeffQuiver) -> str:
-    """Deterministic DOT text; node labels v{vertex}_{index}, edge labels
-    {arrow}:{coefficient}."""
+def is_acyclic(x: Representation) -> bool:
+    """Whether the coefficient quiver has no oriented cycle: Kahn's
+    algorithm removes every edge exactly when it has none."""
+    succ, indeg = defaultdict(list), defaultdict(int)
+    for a, c, r, _ in _edges(x):
+        indeg[a.head, r] += 1
+        succ[a.tail, c].append((a.head, r))
+    left, ready = sum(indeg.values()), [n for n in succ if not indeg[n]]
+    while ready:
+        for n in succ[ready.pop()]:
+            left -= 1
+            indeg[n] -= 1
+            if not indeg[n] and n in succ:
+                ready.append(n)
+    return not left
+
+
+def export_dot(x: Representation) -> str:
+    """DOT text: nodes v{vertex}_{index}, then per arrow, by source and
+    then target index, edges labelled {arrow}:{coefficient}."""
     lines = ["digraph coefficient_quiver {"]
-    for name, _ in c.nodes:
-        lines.append(f'  "{name}";')
-    for aid, src, dst, val in c.edges:
-        lines.append(f'  "{src}" -> "{dst}" [label="{aid}:{val}"];')
+    lines += [f'  "v{v}_{i + 1}";' for v in x.quiver.vertices for i in range(x.dims[v])]
+    order = {a.id: k for k, a in enumerate(x.quiver.arrows)}
+    for a, c, r, val in sorted(_edges(x), key=lambda e: (order[e[0].id], e[1], e[2])):
+        lines.append(f'  "v{a.tail}_{c + 1}" -> "v{a.head}_{r + 1}" [label="{a.id}:{val}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -32,8 +32,8 @@ morphisms it and find_isomorphism build.
 
 zero_rep and nonzero_count are test helpers too.  nonzero_count reads
 the stored entries of the arrow matrices directly, so it stays a count
-independent of trees.coefficient_quiver, whose edges tests compare with
-it.
+independent of trees, whose nonzero_count and export_dot edge lines
+tests compare with it.
 """
 
 import itertools

@@ -37,7 +37,7 @@ from quiverforge.three_vertex import (
     kronecker_rep,
     predicted_end_dim,
 )
-from quiverforge.trees import coefficient_quiver, is_tree
+from quiverforge.trees import is_tree
 from reference_functors import (
     collapse,
     find_isomorphism,
@@ -93,7 +93,7 @@ def test_criterion_2_tree_modules(corpus):
         for _, rep, _ in entries:
             if nonzero_count(rep) != rep.total_dim() - 1:
                 ok = False
-            if not is_tree(coefficient_quiver(rep)):
+            if not is_tree(rep):
                 ok = False
     report(2, "tree modules in the construction basis", ok)
 

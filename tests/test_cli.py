@@ -10,7 +10,7 @@ from quiverforge.errors import ConstructionError
 from quiverforge.quiver import quiver_to_json
 from quiverforge.serialize import rep_from_json, rep_to_json
 from quiverforge.three_vertex import FamilyParams, build_family, construct
-from quiverforge.trees import coefficient_quiver, export_dot
+from quiverforge.trees import export_dot
 
 
 def run(capsys, *args):
@@ -615,7 +615,7 @@ def test_construct_dot_dash_is_stdout(tmp_path, capsys):
                        "--dot", "-")
     assert code == 0 and not (tmp_path / "-").exists()
     x, _ = construct({1: 1, 2: 1, 3: 2}, FamilyParams(1, 1, 1))
-    assert out == export_dot(coefficient_quiver(x))
+    assert out == export_dot(x)
     assert json.loads(rep.read_text()) == rep_to_json(x)
 
 

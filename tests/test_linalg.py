@@ -106,6 +106,22 @@ def test_wide_span_complement_allocates_only_nonzero_columns():
         assert peak < 10**6
 
 
+def test_hash_of_a_wide_mat_reads_only_its_nonzeros():
+    # the dense view of a 1 x 10^7 Mat holds ten million zeros
+    import tracemalloc
+
+    m = Mat.zeros(1, 10**7)
+    tracemalloc.start()
+    try:
+        h = hash(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == hash(Mat(1, 10**7, [{}]))
+    assert hash(Mat(1, 10**7, [{9: 2, 5: 1}])) == hash(Mat(1, 10**7, [{5: 1, 9: 2}]))
+    assert peak < 10**6
+
+
 def test_solve_identity():
     assert mat_solve(Mat.identity(2), Mat(2, 1, [[3], [4]])) == Mat(2, 1, [[3], [4]])
 
