@@ -91,9 +91,8 @@ def check_root(task) -> RootRecord:
         rep, trace = construct(alpha, p, field)
         rec.trace = trace.to_json()
         rec.dims_match = rep.dims == alpha
-        violations = maximal_rank_report(rep)
-        rec.maxrank_ok = not violations
-        rec.maxrank_violations = [v.to_json() for v in violations]
+        rec.maxrank_violations = maximal_rank_report(rep)
+        rec.maxrank_ok = not rec.maxrank_violations
         rec.tree_ok = is_tree(rep)
         rec.nonzero_ok = nonzero_count(rep) == rep.total_dim() - 1
         rec.end_predicted = trace.stages[-1].predicted_end

@@ -165,7 +165,7 @@ def cmd_verify(ns) -> int:
             raise InputError(f"unknown check {c!r} (choose from {','.join(CHECKS)})")
     report = {}
     if "maxrank" in wanted:
-        violations = [v.to_json() for v in maximal_rank_report(x)]
+        violations = maximal_rank_report(x)
         report["maxrank"] = {"ok": not violations, "violations": violations}
     if "tree" in wanted:
         report["tree"] = {

@@ -1,37 +1,19 @@
-"""Constructive functors: BGP reflections, the universal extension
-functors sigma_bar, sigma_under and sigma = sigma_under o sigma_bar, and
-the maximal-rank report, from one pruned subset walk per vertex side.
+"""Constructive functors: BGP reflections, plus at a sink and minus at a
+source as the quiver shows, the universal extension functors sigma_bar,
+sigma_under and sigma = sigma_under o sigma_bar, and the maximal-rank
+report, as its JSON objects, from one pruned subset walk per vertex side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Tuple
+from typing import List
 
-from .errors import DomainError, InputError
+from .errors import DomainError
 from . import linalg  # the walk calls linalg._echelon, so a patched one counts it
 from .linalg import _sparse_transpose, cokernel, hstack, kernel_basis, vstack
 from .quiver import Arrow, Quiver
 from .reps import Representation, block_sum, hom_dim, homext
-
-
-@dataclass
-class RankViolation:
-    vertex: object
-    arrow_ids: Tuple[object, ...]
-    side: str  # "in" | "out"
-    achieved: int
-    required: int
-
-    def to_json(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "arrows": sorted(map(str, self.arrow_ids)),
-            "side": self.side,
-            "achieved": self.achieved,
-            "required": self.required,
-        }
 
 
 def _blocks(sizes) -> list:
@@ -70,9 +52,11 @@ def _side_violations(d: int, blocks: list, field) -> list:
     return found
 
 
-def maximal_rank_report(x: Representation) -> List[RankViolation]:
+def maximal_rank_report(x: Representation) -> List[dict]:
     """All (vertex, subset) maximal-rank violations, incoming and outgoing,
-    each vertex side's in binary-counter order over its arrows.
+    each vertex side's in binary-counter order over its arrows, as the JSON
+    objects {vertex, arrows, side, achieved, required}, arrows as sorted
+    strings.
 
     rank(hstack) at vertex i is the rank of the columns of its incoming
     maps, rank(vstack) that of the rows of its outgoing ones.  An arrow with
@@ -95,7 +79,8 @@ def maximal_rank_report(x: Representation) -> List[RankViolation]:
         if found:
             for z in idle:
                 found += [(bits | z, r, required) for bits, r, required in found]
-            violations += [RankViolation(i, tuple(a.id for k, a in enumerate(arrows) if bits >> k & 1), side, r, required)
+            violations += [{"vertex": i, "arrows": sorted(str(a.id) for k, a in enumerate(arrows) if bits >> k & 1),
+                            "side": side, "achieved": r, "required": required}
                            for bits, r, required in sorted(found)]
     return violations
 
@@ -107,8 +92,9 @@ def _reversed_at(q: Quiver, i) -> Quiver:
     return Quiver(q.vertices, arrows)
 
 
-def bgp_reflect(x: Representation, i, direction: str) -> Representation:
-    """BGP reflection functor at a sink (plus) or source (minus).
+def bgp_reflect(x: Representation, i) -> Representation:
+    """BGP reflection functor at i: plus at a sink, minus at a source (an
+    isolated vertex is a sink); DomainError at a vertex that is neither.
 
     The result lives over the quiver with all arrows at i reversed; its
     dimension vector is s_i(dim x) for indecomposables other than S(i).
@@ -117,22 +103,18 @@ def bgp_reflect(x: Representation, i, direction: str) -> Representation:
     if x.dims[i] == x.total_dim() and x.dims[i] > 0:
         raise DomainError("reflection functor is undefined on representations "
                           "concentrated at the reflection vertex")
-    if direction == "plus":
-        if q.outgoing(i):
-            raise DomainError(f"vertex {i!r} is not a sink")
+    if not q.outgoing(i):
         arrows = q.incoming(i)
         ker = kernel_basis(hstack([x.mats[a.id] for a in arrows], rows=x.dims[i], field=x.field))
         blocks = _blocks(x.dims[a.tail] for a in arrows)
         dim, parts = ker.cols, [ker.submatrix(lo, hi, 0, ker.cols) for lo, hi in blocks]
-    elif direction == "minus":
-        if q.incoming(i):
-            raise DomainError(f"vertex {i!r} is not a source")
+    elif not q.incoming(i):
         arrows = q.outgoing(i)
         _, proj = cokernel(vstack([x.mats[a.id] for a in arrows], cols=x.dims[i], field=x.field))
         blocks = _blocks(x.dims[a.head] for a in arrows)
         dim, parts = proj.rows, [proj.submatrix(0, proj.rows, lo, hi) for lo, hi in blocks]
     else:
-        raise InputError("direction must be 'plus' or 'minus'")
+        raise DomainError(f"vertex {i!r} is neither a sink nor a source")
     mats = {a.id: x.mats[a.id] for a in q.arrows if a not in arrows}
     mats.update(zip([a.id for a in arrows], parts))
     return Representation(_reversed_at(q, i), {**x.dims, i: dim}, mats, x.field)

@@ -3,15 +3,15 @@
 Mat is a sparse matrix, immutable after construction; 0 x n and n x 0
 matrices are legal everywhere.  Its only storage is `entries`, one
 {column: value} dict per row holding the nonzero entries; `data` is a
-dense view of it, built on each read, for repr, hashing and the test
-references.  Every elimination starts with the forward phase _echelon,
-which stores each row as it comes, reduced at its leftmost column while
-that is a stored pivot.  Its pivots are the leading columns of the row
+dense view of it, built on each read, for the test references; repr and
+hashing read `entries`.  Every elimination starts with the forward phase
+_echelon, which stores each row as it comes, reduced at its leftmost
+column while that is a stored pivot.  Its pivots are the leading columns of the row
 space, which no elimination order changes, so rank and
 complement_coordinates read them there, and reps' certificate chain
 and functors' maximal rank walk read only how many rows it stores, the
-walk extending copies of one store arrow by arrow.  kernel_vectors, mat_solve (the
-certificate's Fitting witness is one) and cokernel read rows, from
+walk extending copies of one store arrow by arrow.  kernel_vectors and
+mat_solve (the certificate's Fitting witness is one) read rows, from
 _rref: _echelon plus one back-substitution pass.  The RREF is unique,
 so its rows equal those of a dense leftmost-pivot elimination.  Kernel
 bases set free variables to one in ascending index order, and
@@ -19,8 +19,9 @@ complements are chosen by a greedy ascending scan over coordinate
 vectors.  complement_coordinates takes sparse spanning vectors, not a
 Mat, in reversed coordinates, so that pivots are last nonzero
 coordinates.  cokernel reverses its Mat's columns that way and reads its
-projection along the image from their RREF; reps' homext writes delta's
-columns that way, straight from two representations.
+projection along the image from the kernel vectors of the matrix they
+make; reps' homext writes delta's columns that way, straight from two
+representations.
 
 Scalars of Q are ints when integral and fractions.Fraction otherwise;
 scalars of F_p are plain ints in [0, p).  Entries are checked where they
@@ -44,7 +45,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .errors import InputError
 
@@ -242,7 +243,7 @@ class Mat:
         return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self.entries)))
 
     def __repr__(self):
-        return f"Mat({self.rows}x{self.cols}, {self.data})"
+        return f"Mat({self.rows}x{self.cols}, {self.entries}, {self.field})"
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -446,11 +447,12 @@ def rank(m: Mat) -> int:
     return len(_echelon(m.entries[::-1], m.field))
 
 
-def kernel_vectors(m: Mat) -> List[dict]:
-    """A basis of ker m as sparse {index: value} vectors of field
-    elements: one per free variable j, in ascending order, that is one at
-    j and minus the RREF row of pivot pc at column j at each pivot pc.
-    The RREF is unique, so m's rows go in last first, as in rank."""
+def kernel_vectors(m: Mat) -> Dict[int, dict]:
+    """A basis of ker m as {free column j: vector}, j ascending: each
+    vector a sparse {index: value} dict of field elements that is one at j
+    and minus the RREF row of pivot pc at column j at each pivot pc, so
+    zero at every other free column.  The RREF is unique, so m's rows go
+    in last first, as in rank."""
     store = _rref(m.entries[::-1], m.field)
     of = m.field.of
     vecs = {j: {j: m.field.one()} for j in range(m.cols) if j not in store}
@@ -458,12 +460,12 @@ def kernel_vectors(m: Mat) -> List[dict]:
         for j, x in row.items():
             if j != pc:  # a stored row is zero at every other pivot, so j is free
                 vecs[j][pc] = of(-x)
-    return list(vecs.values())
+    return vecs
 
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns span ker m: the vectors of kernel_vectors, in order."""
-    vecs = kernel_vectors(m)
+    vecs = list(kernel_vectors(m).values())
     return Mat(m.cols, len(vecs), _sparse_transpose(vecs, m.cols), m.field, canonical=True)
 
 
@@ -504,24 +506,20 @@ def complement_coordinates(vectors, n: int, field) -> list:
 def cokernel(span: Mat) -> tuple:
     """(comp, proj): the e_k of complement_coordinates for span's columns
     as columns, and the projection onto their span along im(span).
-    Those columns are reversed as complement_coordinates reads them, and
-    their RREF gives the kept k too.  The RREF row w_h at
-    hit coordinate h is an image vector that is one at h and zero at
-    every other hit, so the row of proj for kept k is e_k - sum_h w_h[k] e_h.
+
+    Those columns are reversed as complement_coordinates reads them, as
+    the rows of a Mat r whose column n - 1 - k is coordinate k.  The kept
+    k are r's free columns n - 1 - k, and the kernel vector of r at that
+    column, read back unreversed, is the row of proj for k: it is one at
+    k and zero at every other kept coordinate, and kills every column of
+    span, so it vanishes on im(span).
     """
     n, field = span.rows, span.field
-    of = field.of
-    reversed_cols = _nonzero_columns(span.entries[::-1])
-    w = {n - 1 - pc: row for pc, row in _rref(reversed_cols, field).items()}
-    proj = {k: {k: 1} for k in range(n) if k not in w}
-    comp = [{} for _ in range(n)]
-    for i, k in enumerate(proj):
-        comp[k][i] = 1
-    for h, wh in w.items():
-        # w_h is indexed by reversed coordinates: w_h[k] is wh[n - 1 - k],
-        # and every k other than h where it is nonzero is kept
-        for c, x in wh.items():
-            if n - 1 - c != h:
-                proj[n - 1 - c][h] = of(-x)
+    cols = _nonzero_columns(span.entries[::-1])
+    vecs = kernel_vectors(Mat(len(cols), n, cols, field, canonical=True))
+    proj, comp = [], [{} for _ in range(n)]
+    for j, vec in reversed(vecs.items()):
+        comp[n - 1 - j][len(proj)] = 1
+        proj.append({n - 1 - c: x for c, x in vec.items()})
     return (Mat(n, len(proj), comp, field, canonical=True),
-            Mat(len(proj), n, list(proj.values()), field, canonical=True))
+            Mat(len(proj), n, proj, field, canonical=True))

@@ -213,7 +213,7 @@ def _hom_blocks(x: Representation, y: Representation) -> List[dict]:
     phi_v: X_v -> Y_v as a {col: value} dict of its nonzeros."""
     units = _c0_units(x, y)
     out = []
-    for vec in kernel_vectors(delta_matrix(x, y)):
+    for vec in kernel_vectors(delta_matrix(x, y)).values():
         blocks = {v: [{} for _ in range(y.dims[v])] for v in x.quiver.vertices}
         for i, val in vec.items():
             v, r, c = units[i]

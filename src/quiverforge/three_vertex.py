@@ -238,8 +238,7 @@ def kronecker_rep(alpha: Tuple[int, int], f: int, field=QQ) -> Representation:
     ok = True
     for k in range(start, n):
         i = word[n - 1 - k]
-        direction = "plus" if not x.quiver.outgoing(i) else "minus"
-        x = bgp_reflect(x, i, direction)
+        x = bgp_reflect(x, i)
         ok = ok and (x.quiver == qk, x.dims[1], x.dims[2]) == keys[k][2:]
         if ok:
             _CHAINS[keys[k]] = x

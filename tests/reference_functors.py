@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 from quiverforge import linalg
 from quiverforge.errors import ConstructionError, InputError
-from quiverforge.functors import RankViolation, _blocks, assert_exceptional
+from quiverforge.functors import _blocks, assert_exceptional
 from quiverforge.linalg import Mat, PrimeField, cokernel, hstack, kernel_basis, mat_solve, rank, vstack
 from quiverforge.quiver import Arrow, Quiver
 from quiverforge.reps import Morphism, Representation, homext, identity_morphism
@@ -201,7 +201,7 @@ def _subsets_binary(arrows: List[Arrow]):
         yield [arrows[k] for k in range(n) if mask >> k & 1]
 
 
-def maximal_rank_report(x: Representation) -> List[RankViolation]:
+def maximal_rank_report(x: Representation) -> List[dict]:
     """All (vertex, subset) maximal-rank violations, incoming and outgoing:
     one rank per nonempty subset, 2^k - 1 for a vertex side with k arrows."""
     q = x.quiver
@@ -213,7 +213,6 @@ def maximal_rank_report(x: Representation) -> List[RankViolation]:
                 required = min(stacked.rows, stacked.cols)
                 achieved = rank(stacked)
                 if achieved != required:
-                    violations.append(
-                        RankViolation(i, tuple(a.id for a in sub), side, achieved, required)
-                    )
+                    violations.append({"vertex": i, "arrows": sorted(str(a.id) for a in sub),
+                                       "side": side, "achieved": achieved, "required": required})
     return violations

@@ -228,7 +228,7 @@ def test_criterion_7_indecomposability(corpus):
             ok = False
         if is_indecomposable_oracle(x, ORACLE_BUDGET).verdict != "indecomposable":
             ok = False
-        violations = [v.to_json() for v in maximal_rank_report(x)]
+        violations = maximal_rank_report(x)
         if {"vertex": 2, "arrows": ["a2"], "side": "in",
                 "achieved": 0, "required": 1} not in violations:
             ok = False

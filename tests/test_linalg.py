@@ -31,6 +31,7 @@ from quiverforge.linalg import (
     complement_coordinates,
     hstack,
     kernel_basis,
+    kernel_vectors,
     mat_solve,
     rank,
     vstack,
@@ -120,6 +121,32 @@ def test_hash_of_a_wide_mat_reads_only_its_nonzeros():
     assert h == hash(Mat(1, 10**7, [{}]))
     assert hash(Mat(1, 10**7, [{9: 2, 5: 1}])) == hash(Mat(1, 10**7, [{5: 1, 9: 2}]))
     assert peak < 10**6
+
+
+def test_repr_of_a_wide_mat_reads_only_its_nonzeros():
+    # the dense view of a 1 x 10^6 Mat formats a million zeros
+    import tracemalloc
+
+    m = Mat.zeros(1, 10**6)
+    tracemalloc.start()
+    try:
+        text = repr(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) < 100 and peak < 10**6
+    assert repr(Mat(1, 3, [[0, 2, 0]], GF(5))) == "Mat(1x3, ({1: 2},), GF(5))"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(3)]), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_kernel_vectors_are_keyed_by_their_free_columns(f, n, k, data):
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2] + ([Fraction(1, 2)] if f == QQ else []))
+    m = Mat(n, k, [[data.draw(entries) for _ in range(k)] for _ in range(n)], f)
+    vecs = kernel_vectors(m)
+    assert list(vecs) == [j for j in range(k) if j not in ref_pivot_columns(m)]
+    for j, vec in vecs.items():
+        assert {i: vec.get(i, 0) for i in vecs} == {i: int(i == j) for i in vecs}
 
 
 def test_solve_identity():

@@ -469,7 +469,7 @@ def _raise_injected(s, x):
     raise ConstructionError("injected sigma failure")
 
 
-def _reflect_raises(x, i, direction):
+def _reflect_raises(x, i):
     raise ConstructionError("injected reflection failure")
 
 
@@ -500,7 +500,7 @@ def test_a_sigma_error_carries_the_trace_up_to_its_stage(q111, monkeypatch):
 def test_a_kronecker_parity_error_carries_the_trace_up_to_its_stage(q111, monkeypatch):
     # with reflections that do nothing, X_(1,1,0) = s_1(e_2) never leaves
     # the reversed start orientation
-    monkeypatch.setattr(three_vertex, "bgp_reflect", lambda x, i, direction: x)
+    monkeypatch.setattr(three_vertex, "bgp_reflect", lambda x, i: x)
     exc = _carried_trace(FamilyParams(1, 1, 1))
     assert "reflection parity" in str(exc)
     assert [st.tag for st in exc.trace.stages] == ["base S(2)", "sigma S(3)", "sigma X_(1, 1, 0)"]
@@ -571,10 +571,10 @@ def test_a_failed_stage_leaves_no_memo_entry(q111, monkeypatch, n, replacement):
     assert hashlib.sha256(json.dumps(rep_to_json(rep), sort_keys=True).encode()).hexdigest() == _X342_DIGEST
 
 
-def _simple_at(x, i, direction):
+def _simple_at(x, i):
     """S(i) over the orientation the real reflection gives: the right
     arrows, the wrong dims."""
-    return simple_rep(bgp_reflect(x, i, direction).quiver, i, x.field)
+    return simple_rep(bgp_reflect(x, i).quiver, i, x.field)
 
 
 # X_(3,4,0) of Q(2,1,1) is the base stage alone: the 2-Kronecker module
@@ -583,7 +583,7 @@ _KRONECKER_STEPS = [(2, QQ, True, 1, 2), (2, QQ, False, 3, 2), (2, QQ, True, 3, 
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("replacement", [lambda x, i, d: x, _simple_at, _reflect_raises],
+@pytest.mark.parametrize("replacement", [lambda x, i: x, _simple_at, _reflect_raises],
                          ids=["unreflected", "wrong-dims", "raises"])
 def test_a_failed_reflection_step_leaves_no_chain_entry(n, replacement, monkeypatch):
     p, alpha = FamilyParams(2, 1, 1), {1: 3, 2: 4, 3: 0}
