@@ -198,11 +198,7 @@ def cmd_verify(ns) -> int:
 def cmd_homext(ns) -> int:
     x = rep_from_json(_load_json(ns.rep_x))
     y = rep_from_json(_load_json(ns.rep_y))
-    if x.quiver != y.quiver:
-        raise InputError("the two representations live over different quivers")
-    if x.field != y.field:
-        raise InputError("the two representations use different fields")
-    he = homext(x, y)
+    he = homext(x, y)  # InputError for different quivers or fields
     report = {
         "hom": he.hom,
         "ext": he.ext,
@@ -281,12 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(sp)
     sp.add_argument("--bound", type=_integer(), required=True, help="height bound")
     sp.add_argument("--field", default="q", help="'q' or 'fp:P' (default q)")
-    # a string default goes through type, so a bad $QUIVERFORGE_JOBS is a usage error
-    sp.add_argument(
-        "--jobs", type=_integer(1),
-        default=os.environ.get("QUIVERFORGE_JOBS", "1"),
-        help="worker processes (default $QUIVERFORGE_JOBS or 1)",
-    )
+    sp.add_argument("--jobs", type=_integer(1), default=1, help="worker processes (default 1)")
     sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.set_defaults(func=cmd_catalog)
     return ap

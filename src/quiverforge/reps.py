@@ -33,7 +33,7 @@ from .linalg import (
     rank,
 )
 from .quiver import Quiver, check_dimvec, ringel_form, unit_vector
-from .trees import is_acyclic
+from .trees import is_tree
 
 
 class Representation:
@@ -321,9 +321,9 @@ def certify_indecomposable(x: Representation) -> Certificate:
     elimination of the images per step.  If it reaches 0 after k steps
     at every vertex, every product of k elements of N maps X into JX, so
     every product of kL of them maps X into J^L X, which is 0 for
-    L = dim X when the coefficient quiver has no oriented cycle
-    (trees.is_acyclic), as for a tree module.  Where it has one, the
-    chains start from all of X_v^*.
+    L = dim X when the coefficient quiver has no oriented cycle, as for
+    a tree module (trees.is_tree), which has no cycle of any orientation.
+    For any other X the chains start from all of X_v^*.
     Either way every long enough product of elements of N vanishes, so
     N spans a nilpotent subalgebra of End that misses 1; with
     End = k.1 + span N it is an ideal of codimension 1, End is local and
@@ -350,7 +350,7 @@ def certify_indecomposable(x: Representation) -> Certificate:
     candidates = [_scalar_candidates(x, b) for b in basis]
     if all(len(lams) == 1 for lams in candidates):
         lams = [lam for (lam,) in candidates]
-        top = is_acyclic(x)
+        top = is_tree(x)
         if all(_chain_reaches_zero([b[v] for b in basis], lams, _chain_start(x, v, top), field)
                for v in x.quiver.vertices):
             return Certificate(len(basis), "indecomposable")

@@ -91,9 +91,21 @@ def rep_to_json(x: Representation) -> dict:
     }
 
 
+def _check_keys(kind: str, ids) -> None:
+    """InputError when two ids share a str() form: JSON keys "dims" and
+    "mats" by it, so the two would read one entry."""
+    seen = {}
+    for i in ids:
+        if str(i) in seen:
+            raise InputError(f"{kind} ids {seen[str(i)]!r} and {i!r} share the JSON key {str(i)!r}")
+        seen[str(i)] = i
+
+
 def rep_from_json(obj: dict) -> Representation:
     try:
         q = quiver_from_json(obj["quiver"])
+        _check_keys("vertex", q.vertices)
+        _check_keys("arrow", [a.id for a in q.arrows])
         field = field_from_json(obj.get("field"))
         dims = dimvec_from_json(q, obj["dims"])
         mats = {}

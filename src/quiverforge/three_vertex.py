@@ -107,10 +107,23 @@ def star_form(blocks: Sequence[Tuple[int, ...]], f: int) -> List[Tuple[int, ...]
 
 @dataclass
 class Stage:
-    tag: str
     s_dims: Optional[dict]  # dims of the reflecting module, None for the base
     dims: dict
     predicted_end: int
+
+    @property
+    def tag(self) -> str:
+        """The stage's module named from its dims, entries in vertex order:
+        base S(v) or sigma S(v) for a simple, else base subquiver X_(a,b,0)
+        or sigma X_(a, b, c)."""
+        dims = self.dims if self.s_dims is None else self.s_dims
+        if sum(dims.values()) == 1:
+            name = f"S({next(v for v, d in dims.items() if d)})"
+        elif self.s_dims is None:
+            name = f"subquiver X_({','.join(map(str, dims.values()))})"
+        else:
+            name = f"X_{tuple(dims.values())}"
+        return ("base " if self.s_dims is None else "sigma ") + name
 
     def to_json(self, q: Quiver) -> dict:
         return {
@@ -126,14 +139,12 @@ class ConstructionTrace:
     quiver: Quiver
     stages: List[Stage] = dc_field(default_factory=list)
 
-    def base(self, dims: dict, tag: Optional[str] = None) -> Stage:
+    def base(self, dims: dict) -> Stage:
         """Append stage 0, a base module of dimension vector dims and End 1."""
-        if tag is None:
-            tag = "base " + _module_name(dims, base=True)
-        self.stages.append(Stage(tag, None, dict(dims), 1))
+        self.stages.append(Stage(None, dict(dims), 1))
         return self.stages[-1]
 
-    def extend(self, s_dims: dict, tag: Optional[str] = None) -> Stage:
+    def extend(self, s_dims: dict) -> Stage:
         """Append sigma_S of the last stage for an exceptional S with dims
         s = s_dims: dims become dims - (dims, s) s, and by Ringel's End
         formula the predicted End grows by <dims, s><s, dims>."""
@@ -141,9 +152,7 @@ class ConstructionTrace:
         a, b = ringel_form(q, prev, s_dims), ringel_form(q, s_dims, prev)
         dims = {v: prev[v] - (a + b) * s_dims[v] for v in q.vertices}
         end = self.stages[-1].predicted_end + a * b
-        if tag is None:
-            tag = "sigma " + _module_name(s_dims, base=False)
-        self.stages.append(Stage(tag, dict(s_dims), dims, end))
+        self.stages.append(Stage(dict(s_dims), dims, end))
         return self.stages[-1]
 
     def to_json(self) -> dict:
@@ -153,8 +162,9 @@ class ConstructionTrace:
     def from_json(cls, q: Quiver, obj) -> "ConstructionTrace":
         """Read a trace written by to_json, replaying it through base and
         extend: stage 0 is a base (s_dims null, End 1), and each later
-        stage must have the dims and End that extend computes.  A break
-        raises InputError naming the stage; the file's tags are kept."""
+        stage must have the dims and End that extend computes, and each
+        stage the tag its dims give.  A break raises InputError naming the
+        stage."""
         def vec(k, raw):
             if not (isinstance(raw, list) and len(raw) == len(q.vertices)
                     and all(type(v) is int for v in raw)):
@@ -168,18 +178,18 @@ class ConstructionTrace:
                 s = None if st["s_dims"] is None else vec(k, st["s_dims"])
                 if (s is None) != (k == 0):
                     raise InputError(f"trace stage {k}: only stage 0 is a base (s_dims null)")
-                if type(st["tag"]) is not str:
-                    raise InputError(f"trace stage {k}: tag {st['tag']!r} is not a string")
                 if type(st["predicted_end_dim"]) is not int:
                     raise InputError(f"trace stage {k}: predicted_end_dim "
                                      f"{st['predicted_end_dim']!r} is not an integer")
-                got = trace.base(dims, st["tag"]) if s is None else trace.extend(s, st["tag"])
+                got = trace.base(dims) if s is None else trace.extend(s)
                 if got.dims != dims:
                     raise InputError(f"trace stage {k}: dims are not stage {k - 1}'s "
                                      f"reflected by s_dims")
                 if st["predicted_end_dim"] != got.predicted_end:
                     raise InputError(f"trace stage {k}: predicted_end_dim should be "
                                      f"{got.predicted_end}")
+                if st["tag"] != got.tag:
+                    raise InputError(f"trace stage {k}: tag should be {got.tag!r}")
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed trace JSON: {exc!r}") from exc
         if not trace.stages:
@@ -195,15 +205,6 @@ def predicted_end_dim(trace: ConstructionTrace) -> int:
         return ConstructionTrace.from_json(trace.quiver, trace.to_json()).stages[-1].predicted_end
     except InputError as exc:
         raise ConstructionError(f"trace bookkeeping is inconsistent: {exc}", trace) from exc
-
-
-def _module_name(dims: dict, base: bool) -> str:
-    """S(v) for a simple, subquiver X_(a,b,0) for a base, else X_(a, b, c)."""
-    if sum(dims.values()) == 1:
-        return f"S({next(v for v, d in dims.items() if d)})"
-    if base:
-        return f"subquiver X_({dims[1]},{dims[2]},0)"
-    return f"X_{(dims[1], dims[2], dims[3])}"
 
 
 # Kept for the life of the process: each module of a reflection chain by

@@ -2,11 +2,12 @@
 (v, i) per basis vector of X_v, an edge (t(a), c) -> (h(a), r) per
 nonzero X_a[r][c], read by _edges and never built as a graph.  It is
 relative to the basis the matrices are written in; for pipeline output,
-the one accumulated by the block constructions."""
+the one accumulated by the block constructions.  A tree has no oriented
+cycle, so is_tree also decides where reps.certify_indecomposable may
+start its chains from the top of X."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import TYPE_CHECKING, Iterator, Tuple
 
 if TYPE_CHECKING:
@@ -50,23 +51,6 @@ def is_tree(x: Representation) -> bool:
             return False
         parent[s] = t
     return True
-
-
-def is_acyclic(x: Representation) -> bool:
-    """Whether the coefficient quiver has no oriented cycle: Kahn's
-    algorithm removes every edge exactly when it has none."""
-    succ, indeg = defaultdict(list), defaultdict(int)
-    for a, c, r, _ in _edges(x):
-        indeg[a.head, r] += 1
-        succ[a.tail, c].append((a.head, r))
-    left, ready = sum(indeg.values()), [n for n in succ if not indeg[n]]
-    while ready:
-        for n in succ[ready.pop()]:
-            left -= 1
-            indeg[n] -= 1
-            if not indeg[n] and n in succ:
-                ready.append(n)
-    return not left
 
 
 def export_dot(x: Representation) -> str:

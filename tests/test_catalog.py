@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from quiverforge.errors import ConstructionError
 from quiverforge.linalg import GF
 from quiverforge.quiver import enumerate_real_roots
 from quiverforge.reps import Certificate, certify_indecomposable
-from quiverforge.three_vertex import FamilyParams, build_family, construct
+from quiverforge.three_vertex import FamilyParams, build_family, construct, plan
 from reference_reps import hom_morphisms, is_indecomposable_oracle
 
 
@@ -149,3 +151,24 @@ def test_end_predicted_is_the_last_stage_of_the_trace():
     assert report.records and report.ok
     for rec in report.records:
         assert rec.end_predicted == rec.trace["stages"][-1]["predicted_end_dim"]
+
+
+# sha256 of the plans' to_json of every real root to height 200 of the 64
+# families Q(f,g,h) with f, g, h <= 4, families in lexicographic order;
+# the tags they carry are read off each stage's dims
+EVERY_FAMILY_PLAN_DIGEST = "237f27cde1f808df8c08eee798dd30718f6d7d048b4a85c616562fda77c20483"
+
+
+def test_every_family_to_four_arrows_plans_and_verifies():
+    families = [FamilyParams(*fgh) for fgh in itertools.product(range(1, 5), repeat=3)]
+    h, planned = hashlib.sha256(), 0
+    for p in families:
+        for r in enumerate_real_roots(build_family(p), 200):
+            h.update(json.dumps(plan(r, p).to_json(), sort_keys=True).encode())
+            planned += 1
+    assert planned == 8325
+    assert h.hexdigest() == EVERY_FAMILY_PLAN_DIGEST
+    # maxrank, tree, End and the F_3 certificate on every root to height 30
+    records = [rec for p in families for rec in catalog.run_catalog(p, 30, field_flag="fp:3").records]
+    assert len(records) == 1530
+    assert [rec.to_json() for rec in records if not rec.ok] == []

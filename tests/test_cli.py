@@ -239,6 +239,27 @@ def test_verify_matrix_rows_must_be_json_lists(tmp_path, capsys):
         assert code == 2 and "malformed" in err, mat
 
 
+def test_ids_sharing_a_json_key_are_refused(tmp_path, capsys):
+    # JSON keys dims and mats by str(id): arrows 1 and "1" would both read
+    # the one "1" matrix and write back one key, and vertices 1 and "1" one
+    # dimension
+    bad = tmp_path / "clash.json"
+    arrows = {"quiver": {"vertices": [1, 2], "arrows": [{"id": 1, "tail": 1, "head": 2},
+                                                         {"id": "1", "tail": 1, "head": 2}]},
+              "field": {"type": "rational"}, "dims": {"1": 1, "2": 1}, "mats": {"1": [["1"]]}}
+    vertices = {"quiver": {"vertices": [1, "1"], "arrows": []},
+                "field": {"type": "rational"}, "dims": {"1": 1}, "mats": {}}
+    for doc, kind in ((arrows, "arrow"), (vertices, "vertex")):
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert f"{kind} ids 1 and '1' share the JSON key '1'" in err
+    # roots writes no keys, so it reads such a quiver
+    bad.write_text(json.dumps(vertices["quiver"]))
+    code, out, _ = run(capsys, "roots", "--quiver", str(bad), "--bound", "1")
+    assert code == 0 and out == "(0, 1)  simple\n(1, 0)  simple\n"
+
+
 def test_verify_unknown_check_exits_2(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     run(capsys, "construct", "--family", "1", "1", "1", "--root", "0,0,1",
@@ -282,6 +303,17 @@ def test_homext_euler(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"hom": 0, "ext": 1, "euler_ok": True}
+
+
+@pytest.mark.parametrize("other", [("--family", "2", "1", "1"), ("--family", "1", "1", "1", "--field", "fp:3")],
+                         ids=["quiver", "field"])
+def test_homext_refuses_reps_over_different_quivers_or_fields(other, tmp_path, capsys):
+    # S(2) of Q(1,1,1) over Q against S(2) of Q(2,1,1), or of Q(1,1,1) over F_3
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run(capsys, "construct", "--family", "1", "1", "1", "--root", "0,1,0", "--out", str(a))
+    run(capsys, "construct", *other, "--root", "0,1,0", "--out", str(b))
+    code, out, err = run(capsys, "homext", str(a), str(b))
+    assert code == 2 and out == "" and "same quiver and field" in err
 
 
 def test_homext_builds_the_delta_map_twice(tmp_path, monkeypatch, capsys):
@@ -478,6 +510,10 @@ def _set_a_number_tag(stages):
     stages[1]["tag"] = 5
 
 
+def _rename_a_tag(stages):
+    stages[1]["tag"] = "sigma S(2)"
+
+
 def _drop_the_base(stages):
     del stages[0]
 
@@ -496,12 +532,13 @@ def _drop_every_stage(stages):
     (_set_both_predictions, "stage 0: predicted_end_dim"),
     (_set_a_float_prediction, "stage 1: predicted_end_dim 2.0 is not an integer"),
     (_set_a_bool_prediction, "stage 0: predicted_end_dim True is not an integer"),
-    (_set_a_number_tag, "stage 1: tag 5 is not a string"),
+    (_set_a_number_tag, "stage 1: tag should be 'sigma S(3)'"),
+    (_rename_a_tag, "stage 1: tag should be 'sigma S(3)'"),
     (_drop_the_base, "stage 0: only stage 0 is a base"),
     (_drop_the_last_stage, "trace ends at dims"),
     (_drop_every_stage, "no stages"),
 ], ids=["s_dims", "prediction", "both_predictions", "float_prediction", "bool_prediction",
-        "number_tag", "no_base", "no_last_stage", "empty"])
+        "number_tag", "renamed_tag", "no_base", "no_last_stage", "empty"])
 def test_verify_rejects_an_edited_trace(edit, where, tmp_path, capsys):
     # X_(0,1,2) of Q(1,1,1): base S(2), then sigma S(3); End dimension 2
     rep, tr = tmp_path / "rep.json", tmp_path / "tr.json"
@@ -527,15 +564,6 @@ def test_internal_error_prints_the_carried_trace(monkeypatch, tmp_path, capsys):
     first, rest = err.split("\n", 1)
     assert first == "internal error: boom"
     assert json.loads(rest) == trace.to_json()
-
-
-def test_bad_jobs_environment_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("QUIVERFORGE_JOBS", "abc")
-    assert _usage_error("catalog", "--family", "1", "1", "1", "--bound", "3") == 2
-    assert "--jobs" in capsys.readouterr().err
-    # only catalog reads the variable
-    code, out, _ = run(capsys, "roots", "--family", "1", "1", "1", "--bound", "1")
-    assert code == 0 and "simple" in out
 
 
 @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-2")])

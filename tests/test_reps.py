@@ -304,6 +304,27 @@ def test_certificate_chain_starts_from_the_top_of_a_tree_module(monkeypatch):
     assert sum(starts) < x.total_dim()
 
 
+def test_certificate_chain_starts_from_all_of_x_on_a_sum_of_tree_modules(monkeypatch):
+    # X_(2,2,1) + X_(0,1,2) of Q(1,1,1) over F_3 has no oriented cycle but
+    # is no tree, so each chain starts from all of X_v^* (at vertex 2 the
+    # top is smaller), and the verdict and witness are those of the
+    # full-start reference
+    p, f = FamilyParams(1, 1, 1), GF(3)
+    x = block_sum([construct({1: 2, 2: 2, 3: 1}, p, f)[0], construct({1: 0, 2: 1, 3: 2}, p, f)[0]])
+    chain, starts = reps._chain_reaches_zero, []
+
+    def recording_chain(blocks, lams, layer, field):
+        starts.append(len(layer))
+        return chain(blocks, lams, layer, field)
+
+    monkeypatch.setattr(reps, "_chain_reaches_zero", recording_chain)
+    cert = _certificate_matching_the_full_start(x)
+    assert cert.verdict == "decomposable"
+    _assert_witness(x, cert)
+    # the chains stop at the first vertex where one stalls
+    assert starts and starts == [x.dims[v] for v in x.quiver.vertices][:len(starts)]
+
+
 _CERTIFICATE_QUIVERS = [
     build_family(FamilyParams(1, 1, 1)),
     Quiver((1, 2), [Arrow("a1", 1, 2), Arrow("a2", 1, 2)]),
@@ -328,10 +349,9 @@ def _certificate_matching_the_full_start(x):
     st.integers(0, 2**32),
 )
 def test_certificate_agrees_with_the_oracle(q, field, summands, seed):
-    # one random rep, or the direct sum of two or three smaller ones; those
-    # of Q(1,1,1) mostly have an oriented cycle in their coefficient quiver
-    # and start each chain from all of X, those of the Kronecker quiver never
-    # do and start from the top, and either way the full start must agree
+    # one random rep, or the direct sum of two or three smaller ones; a
+    # tree module starts each chain from the top and any other rep from all
+    # of X, and either way the full start must agree
     rng = random.Random(seed)
     parts = [random_rep(q, rng, max_dim=3 if summands == 1 else 2, field=field)
              for _ in range(summands)]
@@ -352,9 +372,9 @@ _SUMMAND_ROOTS = {params: enumerate_real_roots(build_family(params), 10)
 @settings(max_examples=75, deadline=None)
 @given(st.sampled_from(list(_SUMMAND_ROOTS)), st.sampled_from([GF(2), GF(3), GF(5)]), st.data())
 def test_certificate_matches_the_full_start_on_sums_of_tree_modules(params, field, data):
-    # X_alpha + X_beta of one family is acyclic and decomposable: the chains
-    # start from its top, stall where the full start stalls, and the Fitting
-    # witness is the one the full start finds
+    # X_alpha + X_beta of one family is acyclic, decomposable and no tree:
+    # the chains start from all of X, and the Fitting witness is the one
+    # the full-start reference finds
     alpha, beta = (data.draw(st.sampled_from(_SUMMAND_ROOTS[params])) for _ in range(2))
     x = block_sum([construct(alpha, params, field)[0], construct(beta, params, field)[0]])
     assert _certificate_matching_the_full_start(x).verdict == "decomposable"

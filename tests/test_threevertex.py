@@ -13,7 +13,7 @@ from quiverforge import catalog, three_vertex
 from quiverforge.errors import ConstructionError, DomainError, InputError
 from quiverforge.functors import bgp_reflect
 from quiverforge.linalg import GF, QQ, Mat
-from quiverforge.quiver import apply_word, enumerate_real_roots, height, unit_vector
+from quiverforge.quiver import Arrow, Quiver, apply_word, enumerate_real_roots, height, unit_vector
 from quiverforge.reps import end_dim, simple_rep
 from quiverforge.serialize import parse_field_flag, rep_to_json
 from quiverforge.three_vertex import (
@@ -447,6 +447,22 @@ def test_plan_is_field_free_and_reaches_past_construction(q111, monkeypatch):
         trace = plan(r, FamilyParams(1, 1, 1))
         assert trace.stages[-1].dims == r
         assert ConstructionTrace.from_json(q111, trace.to_json()) == trace
+
+
+def test_stage_tags_are_read_off_the_dims_on_any_quiver():
+    # a trace over the Kronecker quiver with vertices "a", "b": the names
+    # list the dims in vertex order, and reading the trace back checks them
+    q = Quiver(("a", "b"), [Arrow("x", "a", "b"), Arrow("y", "a", "b")])
+    trace = ConstructionTrace(q)
+    trace.base({"a": 1, "b": 2})
+    trace.extend({"a": 0, "b": 1})
+    trace.extend({"a": 2, "b": 1})
+    assert [st.tag for st in trace.stages] == ["base subquiver X_(1,2)", "sigma S(b)", "sigma X_(2, 1)"]
+    doc = trace.to_json()
+    assert ConstructionTrace.from_json(q, doc) == trace
+    doc["stages"][2]["tag"] = "sigma X_(1, 2)"
+    with pytest.raises(InputError, match=r"stage 2: tag should be 'sigma X_\(2, 1\)'"):
+        ConstructionTrace.from_json(q, doc)
 
 
 # X_(3,4,2) of Q(1,1,1) is base S(2), then sigma S(3), then sigma X_(1,1,0)

@@ -4,7 +4,7 @@ from quiverforge.linalg import Mat
 from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots
 from quiverforge.reps import Representation, block_sum, simple_rep
 from quiverforge.three_vertex import FamilyParams, build_family, build_subquiver, construct
-from quiverforge.trees import export_dot, is_acyclic, is_tree, nonzero_count
+from quiverforge.trees import export_dot, is_tree, nonzero_count
 from reference_reps import nonzero_count as ref_nonzero_count
 
 
@@ -81,16 +81,6 @@ def test_catalog_reps_are_trees():
         rep, _ = construct(r, p)
         assert is_tree(rep)
         assert ref_nonzero_count(rep) == rep.total_dim() - 1
-
-
-def test_acyclicity_follows_the_arrows_direction(q111):
-    # mu1: 2 -> 3 and nu1: 3 -> 2 each a 1x1 one close the oriented 2-cycle
-    # v2_1 -> v3_1 -> v2_1; dropping nu1's entry leaves a path
-    one, zero = Mat(1, 1, [[1]]), Mat(1, 1, [[0]])
-    dims = {1: 0, 2: 1, 3: 1}
-    cyclic = Representation(q111, dims, {"la1": Mat.zeros(1, 0), "mu1": one, "nu1": one})
-    path = Representation(q111, dims, {"la1": Mat.zeros(1, 0), "mu1": one, "nu1": zero})
-    assert not is_acyclic(cyclic) and is_acyclic(path)
 
 
 def test_export_dot_golden(counterexample_quiver):
