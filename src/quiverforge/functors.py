@@ -59,26 +59,20 @@ def maximal_rank_report(x: Representation) -> List[dict]:
     strings.
 
     rank(hstack) at vertex i is the rank of the columns of its incoming
-    maps, rank(vstack) that of the rows of its outgoing ones.  An arrow with
-    a zero-dimensional end stays out of the walk: it adds no vector, so a
-    violating subset S stands for S with any set of such arrows too."""
+    maps, rank(vstack) that of the rows of its outgoing ones.  An idle
+    arrow, one with a zero-dimensional end, adds no vector, so it stays out
+    of the walk and of the report: a violating subset S stands for S with
+    any set of idle arrows too."""
     q, violations = x.quiver, []
     sides = {(i, side): [] for i in q.vertices for side in ("in", "out")}
     for a in q.arrows:
         sides[a.head, "in"].append(a)
         sides[a.tail, "out"].append(a)
     for (i, side), arrows in sides.items():
-        blocks, idle = [], []
-        for k, a in enumerate(arrows):
-            m = x.mats[a.id]
-            if not (m.rows and m.cols):
-                idle.append(1 << k)
-            else:
-                blocks.append((1 << k, _sparse_transpose(m.entries, m.cols) if side == "in" else m.entries))
+        blocks = [(1 << k, _sparse_transpose(m.entries, m.cols) if side == "in" else m.entries)
+                  for k, m in enumerate(x.mats[a.id] for a in arrows) if m.rows and m.cols]
         found = _side_violations(x.dims[i], blocks, x.field) if blocks else []
         if found:
-            for z in idle:
-                found += [(bits | z, r, required) for bits, r, required in found]
             violations += [{"vertex": i, "arrows": sorted(str(a.id) for k, a in enumerate(arrows) if bits >> k & 1),
                             "side": side, "achieved": r, "required": required}
                            for bits, r, required in sorted(found)]

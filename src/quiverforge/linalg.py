@@ -12,11 +12,12 @@ complement_coordinates read them there, and reps' certificate chain
 and functors' maximal rank walk read only how many rows it stores, the
 walk extending copies of one store arrow by arrow.  kernel_vectors and
 mat_solve (the certificate's Fitting witness is one) read rows, from
-_rref: _echelon plus one back-substitution pass.  The RREF is unique,
-so its rows equal those of a dense leftmost-pivot elimination.  Kernel
-bases set free variables to one in ascending index order, and
-complements are chosen by a greedy ascending scan over coordinate
-vectors.  complement_coordinates takes sparse spanning vectors, not a
+_rref: _echelon plus one back-substitution pass, _back_substitute,
+which reps' certificate runs on the degree-0 rows of a store alone.
+The RREF is unique, so its rows equal those of a dense leftmost-pivot
+elimination.  Kernel bases set free variables to one in ascending index
+order, and complements are chosen by a greedy ascending scan over
+coordinate vectors.  complement_coordinates takes sparse spanning vectors, not a
 Mat, in reversed coordinates, so that pivots are last nonzero
 coordinates.  cokernel reverses its Mat's columns that way and reads its
 projection along the image from the kernel vectors of the matrix they
@@ -407,15 +408,19 @@ def _echelon(data, field, store=None) -> dict:
 
 
 def _rref(data, field) -> dict:
-    """Reduced row echelon form of the rows in data: _echelon's dict, its
-    rows reduced in place by one back-substitution pass.  The pivots are
-    cleared in descending order from the rows that hold them, indexed
-    once: when pk is cleared its row holds no other pivot (those right of
-    it are cleared, and none lie left of it), so it adds only non-pivot
-    columns and the index stays true.  The RREF is unique, so the rows
-    equal those of a dense leftmost-pivot elimination.
-    """
-    store = _echelon(data, field)
+    """Reduced row echelon form of the rows in data: _echelon's dict,
+    back-substituted.  The RREF is unique, so the rows equal those of a
+    dense leftmost-pivot elimination."""
+    return _back_substitute(_echelon(data, field), field)
+
+
+def _back_substitute(store, field) -> dict:
+    """store, an _echelon dict or a part of one closed under the pivots its
+    rows hold, with its rows reduced in place to RREF rows by one pass.
+    The pivots are cleared in descending order from the rows that hold
+    them, indexed once: when pk is cleared its row holds no other pivot
+    (those right of it are cleared, and none lie left of it), so it adds
+    only non-pivot columns and the index stays true."""
     p = field.p if isinstance(field, PrimeField) else None
     holders = defaultdict(list)
     for key, row in store.items():

@@ -20,20 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, InputError
-from .linalg import (
-    Mat,
-    PrimeField,
-    QQ,
-    _echelon,
-    cokernel,
-    complement_coordinates,
-    hstack,
-    kernel_vectors,
-    mat_solve,
-    rank,
-)
+from .linalg import Mat, PrimeField, QQ, _back_substitute, _echelon, complement_coordinates, mat_solve, rank
 from .quiver import Quiver, check_dimvec, ringel_form, unit_vector
-from .trees import is_tree
+from .trees import _edges
 
 
 class Representation:
@@ -207,21 +196,6 @@ def delta_matrix(x: Representation, y: Representation) -> Mat:
     return Mat(len(rows), sum(sizes), rows, x.field, canonical=True)
 
 
-def _hom_blocks(x: Representation, y: Representation) -> List[dict]:
-    """The kernel vectors of delta(X, Y), each read back through the C^0
-    units as {vertex: rows}: row r of the vertex-v block is row r of
-    phi_v: X_v -> Y_v as a {col: value} dict of its nonzeros."""
-    units = _c0_units(x, y)
-    out = []
-    for vec in kernel_vectors(delta_matrix(x, y)).values():
-        blocks = {v: [{} for _ in range(y.dims[v])] for v in x.quiver.vertices}
-        for i, val in vec.items():
-            v, r, c = units[i]
-            blocks[v][r][c] = val
-        out.append(blocks)
-    return out
-
-
 def hom_dim(x: Representation, y: Representation) -> int:
     d = delta_matrix(x, y)
     return d.cols - rank(d)
@@ -312,26 +286,26 @@ def certify_indecomposable(x: Representation) -> Certificate:
     """dim End(X) and an indecomposability verdict over a prime field,
     from one elimination of delta(X, X) and vector-matrix products.
 
-    The End basis is read by _hom_blocks.  Each basis element b gets a
-    scalar lambda_b (see _scalar_candidates); let N = {b - lambda_b}.
-    Endomorphisms are block-diagonal and commute with the arrows, so on
-    row vectors each b_v keeps U_v = ann (JX)_v, the dual of the top
-    (X/JX)_v (J is the arrow ideal).  At each vertex the chain U_v,
-    U_v N, U_v N^2, ... runs under the transposes, one forward
-    elimination of the images per step.  If it reaches 0 after k steps
-    at every vertex, every product of k elements of N maps X into JX, so
-    every product of kL of them maps X into J^L X, which is 0 for
-    L = dim X when the coefficient quiver has no oriented cycle, as for
-    a tree module (trees.is_tree), which has no cycle of any orientation.
-    For any other X the chains start from all of X_v^*.
-    Either way every long enough product of elements of N vanishes, so
-    N spans a nilpotent subalgebra of End that misses 1; with
-    End = k.1 + span N it is an ideal of codimension 1, End is local and
-    X is indecomposable.  If X is absolutely indecomposable, each
-    b - lambda_b is in the radical, so the chains reach 0: the test is
-    complete for such X, which every X_alpha of the construction is.  A
-    chain from U_v stalls exactly when the one from X_v^* does, so the
-    start changes no verdict.
+    X is graded by _pieces, each nonzero X_a[r][c] raising the degree by
+    one, so End = sum_d End_d, the unit (v, r, c) of C^0 having degree
+    deg r - deg c: delta's rows are homogeneous, and so is each row
+    _echelon stores, reduced only by rows of its own degree, so
+    _end0_basis back-substitutes only the degree-0 rows to read the
+    End_0 basis.  Each basis element b gets a scalar lambda_b (see
+    _scalar_candidates); let N = {b - lambda_b}.  Elements of End_0 keep
+    every degree piece of every X_v, so the chain W, WN, WN^2, ... runs
+    on row vectors under the transposes once per piece, from its unit
+    rows, one forward elimination of the images per step.  If every
+    chain reaches 0, N spans a nilpotent subalgebra of End_0 that misses
+    1, an ideal of codimension 1: End_0 is local with End_0/rad = k.  A
+    graded module whose degree-0 endomorphisms form a local ring is
+    indecomposable (Gordon and Green, Graded Artin algebras, J. Algebra
+    1982), also after any field extension, so X is absolutely
+    indecomposable.  Conversely for such X each b - lambda_b is in the
+    radical, so the chains reach 0: the test is complete for them, and
+    every X_alpha of the construction is one.  If no grading exists (a
+    cycle of the coefficient quiver with no consistent degrees), every
+    basis vector gets degree 0: the full End and one chain per vertex.
 
     When a chain stalls, or some b has no unique lambda_b, the Fitting
     split X_v = im n_v^d + ker n_v^d of n = b - lambda is tried for each
@@ -339,35 +313,82 @@ def certify_indecomposable(x: Representation) -> Certificate:
     zero at every other free coordinate, so b itself is often singular);
     the first non-trivial one gives the "decomposable" idempotent, one
     solve per vertex, checked to be an idempotent endomorphism other than
-    0 and 1.  If none is found the verdict is "inconclusive".
+    0 and 1.  If none is found the verdict is "inconclusive".  An element
+    of End_d with d != 0 is nilpotent: its one candidate is 0 and its
+    split is trivial, so leaving End_d out moves no verdict and no
+    witness from those of the whole End basis.
     """
     field = x.field
     if not isinstance(field, PrimeField):
         raise InputError("indecomposability certificate requires a prime-field representation")
     if x.total_dim() == 0:
         raise DomainError("zero representation is neither")
-    basis = _hom_blocks(x, x)
+    pieces = _pieces(x)
+    end, basis = _end0_basis(x, pieces)
     candidates = [_scalar_candidates(x, b) for b in basis]
     if all(len(lams) == 1 for lams in candidates):
         lams = [lam for (lam,) in candidates]
-        top = is_tree(x)
-        if all(_chain_reaches_zero([b[v] for b in basis], lams, _chain_start(x, v, top), field)
-               for v in x.quiver.vertices):
-            return Certificate(len(basis), "indecomposable")
+        if all(_chain_reaches_zero([b[v] for b in basis], lams, [{i: 1} for i in piece], field)
+               for v, vp in pieces.items() for piece in vp.values()):
+            return Certificate(end, "indecomposable")
     for b, lams in zip(basis, candidates):
         for lam in dict.fromkeys([*lams, 0]):
             e = _fitting_idempotent(x, b, lam)
             if e is not None:
-                return Certificate(len(basis), "decomposable", e)
-    return Certificate(len(basis), "inconclusive")
+                return Certificate(end, "decomposable", e)
+    return Certificate(end, "inconclusive")
 
 
-def _chain_start(x: Representation, v, top: bool) -> Sequence[dict]:
-    """A basis of U_v = ann (JX)_v as rows if top, else the unit rows of X_v^*."""
-    if not top:
-        return [{j: 1} for j in range(x.dims[v])]
-    ins = [x.mats[a.id] for a in x.quiver.arrows if a.head == v]
-    return cokernel(hstack(ins, rows=x.dims[v], field=x.field))[1].entries
+def _end0_basis(x: Representation, pieces) -> Tuple[int, List[dict]]:
+    """dim End(X), from delta(X, X)'s free columns, and the End_0 basis for
+    the pieces: the kernel vector at each degree-0 free column j, one at j
+    and minus the RREF row of pc at j at each pivot pc, as {vertex: rows}."""
+    deg = {v: {i: d for d, piece in vp.items() for i in piece} for v, vp in pieces.items()}
+    units, delta = _c0_units(x, x), delta_matrix(x, x)
+    level = [deg[v][r] - deg[v][c] for v, r, c in units]
+    store = _echelon(delta.entries[::-1], x.field)
+    rows = _back_substitute({pc: row for pc, row in store.items() if not level[pc]}, x.field)
+    basis = {}
+    for j, d in enumerate(level):
+        if not d and j not in store:
+            v, r, c = units[j]
+            b = basis[j] = {u: [{} for _ in range(x.dims[u])] for u in x.quiver.vertices}
+            b[v][r][c] = 1
+    for pc, row in rows.items():
+        v, r, c = units[pc]
+        for j, val in row.items():
+            if j != pc:
+                basis[j][v][r][c] = x.field.p - val
+    return delta.cols - len(store), list(basis.values())
+
+
+def _pieces(x: Representation) -> Dict[object, Dict[int, List[int]]]:
+    """{vertex: {degree: basis indices}} for a grading of X with
+    deg (h(a), r) = deg (t(a), c) + 1 at each nonzero X_a[r][c]: one
+    search over the coefficient quiver, each component's first node at
+    degree 0.  If some cycle has no consistent degrees, one piece of
+    degree 0 per vertex."""
+    adj = {(v, i): [] for v in x.quiver.vertices for i in range(x.dims[v])}
+    for a, c, r, _ in _edges(x):
+        adj[a.tail, c].append(((a.head, r), 1))
+        adj[a.head, r].append(((a.tail, c), -1))
+    degree = {}
+    for node in adj:
+        if node in degree:
+            continue
+        degree[node], todo = 0, [node]
+        while todo:
+            u = todo.pop()
+            for w, step in adj[u]:
+                if w not in degree:
+                    degree[w] = degree[u] + step
+                    todo.append(w)
+                elif degree[w] != degree[u] + step:
+                    return {v: {0: list(range(x.dims[v]))} for v in x.quiver.vertices}
+    pieces = {v: {} for v in x.quiver.vertices}
+    for v, i in adj:
+        pieces[v].setdefault(degree[v, i], []).append(i)
+    return pieces
 
 
 def _minus_scalar(rows, lam, field) -> Mat:

@@ -2,9 +2,8 @@
 (v, i) per basis vector of X_v, an edge (t(a), c) -> (h(a), r) per
 nonzero X_a[r][c], read by _edges and never built as a graph.  It is
 relative to the basis the matrices are written in; for pipeline output,
-the one accumulated by the block constructions.  A tree has no oriented
-cycle, so is_tree also decides where reps.certify_indecomposable may
-start its chains from the top of X."""
+the one accumulated by the block constructions.  reps.certify_indecomposable
+grades X from the same edges and does not ask is_tree."""
 
 from __future__ import annotations
 

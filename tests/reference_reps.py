@@ -17,11 +17,13 @@ fitting_idempotent is the certificate's Fitting witness as reps built it
 from a pivot scan, a kernel basis and a matrix inverse, before it became
 one solve; the unique projection must come out the same either way.
 
-certify_indecomposable is the certificate as reps ran it while every
-vertex's nilpotency chain started from all of X_v^*, the unit rows, on
-cyclic and acyclic coefficient quivers alike; reps now starts it from
-the annihilator of (JX)_v where the coefficient quiver is acyclic, and
-must return the same dim End, verdict and witness.
+_hom_blocks is the End basis read reps ran on all of delta(X, X)'s
+kernel: every kernel vector, read back through the C^0 units as
+per-vertex rows.  certify_indecomposable is the certificate as reps ran
+it on that whole basis, with every vertex's nilpotency chain started
+from all of X_v^*, the unit rows; reps now grades X and reads only the
+degree-0 part of the basis, one chain per degree piece, and must return
+the same dim End, verdict and witness.
 
 is_indecomposable_oracle is the exhaustive idempotent search over all
 p^(dim End) elements of End(X) that reps shipped, as an opt-in
@@ -41,15 +43,16 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from quiverforge.errors import DomainError, InputError
-from quiverforge.linalg import Mat, PrimeField, QQ, _echelon
+from quiverforge.linalg import Mat, PrimeField, QQ, _echelon, kernel_vectors
 from quiverforge.quiver import Quiver
 from quiverforge.reps import (
     Certificate,
     Morphism,
     Representation,
+    _c0_units,
     _fitting_idempotent,
-    _hom_blocks,
     _scalar_candidates,
+    delta_matrix,
     identity_morphism,
 )
 from reference_linalg import ref_complement, ref_kernel_basis, ref_mat_solve, ref_pivot_columns
@@ -198,6 +201,21 @@ def chain_reaches_zero(blocks, lams, d: int, field) -> bool:
     return True
 
 
+def _hom_blocks(x: Representation, y: Representation) -> List[dict]:
+    """The kernel vectors of delta(X, Y), each read back through the C^0
+    units as {vertex: rows}: row r of the vertex-v block is row r of
+    phi_v: X_v -> Y_v as a {col: value} dict of its nonzeros."""
+    units = _c0_units(x, y)
+    out = []
+    for vec in kernel_vectors(delta_matrix(x, y)).values():
+        blocks = {v: [{} for _ in range(y.dims[v])] for v in x.quiver.vertices}
+        for i, val in vec.items():
+            v, r, c = units[i]
+            blocks[v][r][c] = val
+        out.append(blocks)
+    return out
+
+
 def certify_indecomposable(x: Representation) -> Certificate:
     """The full-start certificate: each chain runs on all of X_v^*."""
     basis = _hom_blocks(x, x)
@@ -217,7 +235,7 @@ def certify_indecomposable(x: Representation) -> Certificate:
 
 def hom_morphisms(x: Representation, y: Representation) -> List[Morphism]:
     """Basis of Hom(X,Y) as Morphisms, one Mat per vertex, read from
-    reps._hom_blocks."""
+    _hom_blocks."""
     return [Morphism(x, y, {v: Mat(y.dims[v], x.dims[v], rows, x.field, canonical=True)
                             for v, rows in b.items()})
             for b in _hom_blocks(x, y)]

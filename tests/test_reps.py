@@ -2,19 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_reps
 from conftest import check_storage, random_rep
 from quiverforge.errors import DomainError, InputError
-from quiverforge.linalg import GF, Mat, QQ, cokernel, hstack, kernel_basis, rank
+from quiverforge.linalg import GF, Mat, QQ, cokernel, kernel_basis, rank
 from quiverforge.quiver import Arrow, Quiver, enumerate_real_roots, ringel_form
 from quiverforge import reps
 from quiverforge.reps import (
     Representation,
     _fitting_idempotent,
-    _hom_blocks,
+    _pieces,
     _scalar_candidates,
     block_sum,
     certify_indecomposable,
@@ -29,6 +29,7 @@ from quiverforge.reps import (
     simple_rep,
 )
 from quiverforge.functors import bgp_reflect, sigma
+from quiverforge.trees import is_tree
 from quiverforge.three_vertex import (
     FamilyParams,
     _pack,
@@ -39,7 +40,7 @@ from quiverforge.three_vertex import (
     kronecker_rep,
 )
 from reference_linalg import greedy_complement
-from reference_reps import hom_morphisms, is_indecomposable_oracle, zero_rep
+from reference_reps import _hom_blocks, hom_morphisms, is_indecomposable_oracle, zero_rep
 
 
 def test_simple_rep_shapes(q111):
@@ -272,57 +273,62 @@ def test_certificate_rejects_q_and_zero(q111):
 
 @pytest.mark.parametrize("p, copies", [(2, 3), (3, 2)])
 def test_certificate_starts_from_all_of_x_on_a_cyclic_coefficient_quiver(q111, p, copies):
-    # Y has dims (0, 1, 1) and both cycle arrows 1, so JY = Y and the top
-    # of a sum of copies of Y is 0: a chain started there reaches 0 at once,
-    # although End is M_copies(F_p); the oriented cycle must send it to the
-    # full start.  Over F_2 two copies would give no unique scalars, and no chain
+    # Y has dims (0, 1, 1) and both cycle arrows 1, so 2 <-> 3 acts
+    # invertibly and no grading exists: each vertex is one piece of degree
+    # 0, and the certificate reads all of End = M_copies(F_p), which has
+    # no nilpotent part of codimension 1.  Over F_2 two copies would give
+    # no unique scalars, and no chain
     f = GF(p)
     y = Representation(q111, {1: 0, 2: 1, 3: 1},
                        {"la1": Mat(1, 0, [[]], f), "mu1": Mat(1, 1, [[1]], f), "nu1": Mat(1, 1, [[1]], f)}, f)
     x = block_sum([y] * copies)
+    assert _pieces(x) == {1: {0: []}, 2: {0: list(range(copies))}, 3: {0: list(range(copies))}}
     cert = certify_indecomposable(x)
     assert cert.end_dim == copies**2
     _assert_witness(x, cert)
 
 
-def test_certificate_chain_starts_from_the_top_of_a_tree_module(monkeypatch):
-    # X_(5,8,4) of Q(1,1,1) over F_3 is a tree module, so each vertex's
-    # chain starts from ann (JX)_v, of dim d_v - rank of the maps into v
+def _degrees(x):
+    """{vertex: {basis index: degree}} from reps._pieces."""
+    return {v: {i: d for d, piece in vp.items() for i in piece} for v, vp in _pieces(x).items()}
+
+
+def test_certificate_chains_start_from_the_degree_pieces_of_a_tree_module(monkeypatch):
+    # X_(5,8,4) of Q(1,1,1) over F_3 is a tree module: every nonzero
+    # X_a[r][c] raises the degree by one, and each chain starts from the
+    # unit rows of one degree piece of one vertex
     x, _ = construct({1: 5, 2: 8, 3: 4}, FamilyParams(1, 1, 1), GF(3))
+    deg = _degrees(x)
+    assert all(sorted(deg[v]) == list(range(x.dims[v])) for v in x.quiver.vertices)
+    for a in x.quiver.arrows:
+        for r, row in enumerate(x.mats[a.id].entries):
+            for c in row:
+                assert deg[a.head][r] == deg[a.tail][c] + 1
     chain, starts = reps._chain_reaches_zero, []
 
     def recording_chain(blocks, lams, layer, field):
-        starts.append(len(layer))
+        starts.append(layer)
         return chain(blocks, lams, layer, field)
 
     monkeypatch.setattr(reps, "_chain_reaches_zero", recording_chain)
     assert certify_indecomposable(x) == (8, "indecomposable", None)
-    tops = [x.dims[v] - rank(hstack([x.mats[a.id] for a in x.quiver.arrows if a.head == v],
-                                    rows=x.dims[v], field=x.field))
-            for v in x.quiver.vertices]
-    assert starts == tops
-    assert sum(starts) < x.total_dim()
+    assert starts == [[{i: 1} for i in piece] for vp in _pieces(x).values() for piece in vp.values()]
+    assert len(starts) > len(x.quiver.vertices)
 
 
-def test_certificate_chain_starts_from_all_of_x_on_a_sum_of_tree_modules(monkeypatch):
-    # X_(2,2,1) + X_(0,1,2) of Q(1,1,1) over F_3 has no oriented cycle but
-    # is no tree, so each chain starts from all of X_v^* (at vertex 2 the
-    # top is smaller), and the verdict and witness are those of the
-    # full-start reference
-    p, f = FamilyParams(1, 1, 1), GF(3)
-    x = block_sum([construct({1: 2, 2: 2, 3: 1}, p, f)[0], construct({1: 0, 2: 1, 3: 2}, p, f)[0]])
-    chain, starts = reps._chain_reaches_zero, []
-
-    def recording_chain(blocks, lams, layer, field):
-        starts.append(len(layer))
-        return chain(blocks, lams, layer, field)
-
-    monkeypatch.setattr(reps, "_chain_reaches_zero", recording_chain)
-    cert = _certificate_matching_the_full_start(x)
-    assert cert.verdict == "decomposable"
-    _assert_witness(x, cert)
-    # the chains stop at the first vertex where one stalls
-    assert starts and starts == [x.dims[v] for v in x.quiver.vertices][:len(starts)]
+def test_certificate_basis_is_the_degree_0_part_of_end(monkeypatch):
+    # the kernel vectors of delta(X, X) at the degree-0 free columns, in
+    # order: the End basis of the full read less every element that moves
+    # some basis vector to another degree
+    x, _ = construct({1: 5, 2: 8, 3: 4}, FamilyParams(1, 1, 1), GF(3))
+    deg, candidates, seen = _degrees(x), reps._scalar_candidates, []
+    monkeypatch.setattr(reps, "_scalar_candidates", lambda x, b: seen.append(b) or candidates(x, b))
+    certify_indecomposable(x)
+    full = _hom_blocks(x, x)
+    degree_0 = [b for b in full
+                if all(deg[v][r] == deg[v][c] for v, rows in b.items() for r, row in enumerate(rows) for c in row)]
+    assert seen == degree_0
+    assert 0 < len(seen) < len(full)
 
 
 _CERTIFICATE_QUIVERS = [
@@ -349,9 +355,9 @@ def _certificate_matching_the_full_start(x):
     st.integers(0, 2**32),
 )
 def test_certificate_agrees_with_the_oracle(q, field, summands, seed):
-    # one random rep, or the direct sum of two or three smaller ones; a
-    # tree module starts each chain from the top and any other rep from all
-    # of X, and either way the full start must agree
+    # one random rep, or the direct sum of two or three smaller ones,
+    # graded where its coefficient quiver allows and otherwise read whole;
+    # either way the full start must agree
     rng = random.Random(seed)
     parts = [random_rep(q, rng, max_dim=3 if summands == 1 else 2, field=field)
              for _ in range(summands)]
@@ -372,12 +378,29 @@ _SUMMAND_ROOTS = {params: enumerate_real_roots(build_family(params), 10)
 @settings(max_examples=75, deadline=None)
 @given(st.sampled_from(list(_SUMMAND_ROOTS)), st.sampled_from([GF(2), GF(3), GF(5)]), st.data())
 def test_certificate_matches_the_full_start_on_sums_of_tree_modules(params, field, data):
-    # X_alpha + X_beta of one family is acyclic, decomposable and no tree:
-    # the chains start from all of X, and the Fitting witness is the one
-    # the full-start reference finds
+    # X_alpha + X_beta of one family is decomposable and no tree: each
+    # summand is graded apart, and the Fitting witness is the one the
+    # full-start reference finds
     alpha, beta = (data.draw(st.sampled_from(_SUMMAND_ROOTS[params])) for _ in range(2))
     x = block_sum([construct(alpha, params, field)[0], construct(beta, params, field)[0]])
     assert _certificate_matching_the_full_start(x).verdict == "decomposable"
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.sampled_from(list(_SUMMAND_ROOTS)), st.sampled_from([GF(2), GF(3), GF(5)]), st.data())
+def test_certificate_matches_the_full_start_on_glued_tree_modules(params, field, data):
+    # X_alpha and X_beta of one family glued by one unit of an arrow's
+    # block between the two summands: a tree, decomposable or not, whose
+    # End_0 is all the graded certificate reads
+    alpha, beta = (data.draw(st.sampled_from(_SUMMAND_ROOTS[params])) for _ in range(2))
+    parts = [construct(alpha, params, field)[0], construct(beta, params, field)[0]]
+    q = parts[0].quiver
+    couplings = [(a.id, k, 1 - k, row, col) for a in q.arrows for k in (0, 1)
+                 for row in range(1, parts[k].dims[a.head] + 1) for col in range(1, parts[1 - k].dims[a.tail] + 1)]
+    assume(couplings)
+    x = block_sum(parts, [data.draw(st.sampled_from(couplings))])
+    assert is_tree(x)
+    _certificate_matching_the_full_start(x)
 
 
 @settings(max_examples=60, deadline=None)
